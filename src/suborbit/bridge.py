@@ -309,5 +309,8 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
     if case.x_pi_regular is False:
         consistent = False
         case.notes.append("nilpotent witness failed the constant-rank sweep")
+    if not rep_t.complete:
+        case.notes.append(f"completeness failed on m_tilde: span_dim {rep_t.span_dim}, "
+                          f"target_dim {rep_t.target_dim}")
     if rep_t.complete and verdict.kronecker and consistent:
         case.conclusion = CONFIRMED

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import (LieElement, bracket, coords_to_matrix, matrix_to_coords,
-                  pairing, project)
+from .lie import LieElement, bracket, pairing
 from .linalg import Subspace
 from .invariants import IntegralFamily, shifted_invariant_eval
-from .orbit import OrbitSetup, block_scalar
+from .orbit import OrbitSetup, _operator_on, block_scalar
 
 
 class FlowDivergenceError(RuntimeError):
@@ -61,16 +60,11 @@ def build_flow(setup: OrbitSetup, b_values, space: str = "m_tilde") -> FlowSpec:
     comm = bracket(setup.a, b)
     if comm.norm() > 1e-14 * max(1.0, setup.a.norm() * b.norm()):
         raise RuntimeError("anchor and b do not commute")
-    domain = setup.pair(space).m
-    n = setup.n
-    cols = []
-    for j in range(domain.dim):
-        Y = coords_to_matrix(domain.basis[:, j], n)
-        c = matrix_to_coords(b.matrix @ Y - Y @ b.matrix).real
-        cm = setup.m.coeffs(c)
-        full = setup.m.basis @ (setup.ad_a_m_inv @ cm)
-        cols.append(domain.coeffs(full))
-    phi = np.stack(cols, axis=1) if cols else np.zeros((0, 0))
+    # ad b preserves m, and the flow space lies in m: restrict through the
+    # coefficients E of the flow-space basis in the basis of m
+    ad_b_m = _operator_on(setup.m, lambda Ys: b.matrix @ Ys - Ys @ b.matrix)
+    E = setup.m.coeffs(setup.pair(space).m.basis)
+    phi = E.T @ setup.ad_a_m_inv @ ad_b_m @ E
     if phi.size and np.max(np.abs(phi - phi.T)) > 1e-10 * max(1.0, np.max(np.abs(phi))):
         raise RuntimeError("phi is not symmetric on the flow space")
     return FlowSpec(setup, b, space, phi)

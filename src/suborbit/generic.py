@@ -168,8 +168,7 @@ def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
             f"(generic {dims_mt.q}), isotropy dim = {ktx} (generic {dims_mt.p})")
 
     n = setup.n
-    gens = [coords_to_matrix(kx.basis[:, j], n) for j in range(kx.dim)]
-    g0 = stacked_centralizer(gens, setup.g, setup.rank_tol)
+    g0 = stacked_centralizer(coords_to_matrix(kx.basis, n), setup.g, setup.rank_tol)
     k0 = intersect(g0, setup.k, setup.rank_tol)
     m0 = intersect(g0, setup.m, setup.rank_tol)
     g0_tilde = intersect(g0, setup.g_tilde, setup.rank_tol)

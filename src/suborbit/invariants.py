@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import LieElement, bracket, pairing, project
+from .lie import (LieElement, bracket, bracket_form, coords_to_matrix,
+                  pairing, project)
 from .linalg import Subspace, numeric_rank, orthonormal_columns
 from .generic import GenericDims, is_in_R, m_of_x
 from .orbit import AlgebraPair, OrbitSetup
@@ -174,11 +175,10 @@ def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
         rng = np.random.default_rng([seed, 11, i])
         x = LieElement.from_coords(space.basis @ rng.standard_normal(space.dim), n)
         gs = [g(x) for g in grads]
-        for ii in range(len(gs)):
-            for jj in range(ii + 1, len(gs)):
-                val = abs(-pairing(x, bracket(gs[ii], gs[jj])))
-                denom = max(1.0, gs[ii].norm() * gs[jj].norm())
-                worst = max(worst, val / denom)
+        # {f, g}(x) = -<x, [grad f, grad g]> = Re tr(x [grad f, grad g])
+        vals = np.abs(bracket_form(x.matrix, np.stack([g.matrix for g in gs])).real)
+        norms = np.array([g.norm() for g in gs])
+        worst = max(worst, float(np.max(vals / np.maximum(1.0, np.outer(norms, norms)))))
     return worst
 
 
@@ -213,11 +213,8 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily, x: LieElement,
     target_dim = int(round(target))
     # orthonormalize the span and evaluate the form on it
     Q, _ = orthonormal_columns(G, setup.rank_tol)
-    iso = 0.0
-    qs = [LieElement.from_coords(Q[:, j], setup.n) for j in range(Q.shape[1])]
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            iso = max(iso, abs(-pairing(x, bracket(qs[i], qs[j]))))
+    F = bracket_form(x.matrix, coords_to_matrix(Q, setup.n))
+    iso = float(np.max(np.abs(F.real), initial=0.0))
     memb = max((float(np.linalg.norm(g.coords - mx.project(g.coords)))
                 for g in grads), default=0.0)
     complete = span_dim == target_dim and abs(target - target_dim) < 1e-9

@@ -12,6 +12,13 @@ an isometry onto R^(n^2) and all subspace arithmetic can be done on plain
 coordinate vectors.  The real-matrix basis elements come first, which makes
 the entrywise-conjugation involution diagonal (+1 on the first n(n-1)/2
 coordinates, -1 on the rest).
+
+Linear maps on a subspace act on the whole stacked basis at once, never one
+column at a time: ``coords_to_matrix`` turns the basis columns into a
+(d, n, n) stack through ``_basis_data``, broadcast products apply the map,
+and ``matrices_to_coords`` reads the results back as columns.
+``bracket_form`` gives tr(w [Y_i, Y_j]) as G - G^T from the one Gram matrix
+G_ij = tr(w Y_i Y_j), instead of one commutator per pair.
 """
 
 from __future__ import annotations
@@ -76,8 +83,27 @@ def matrix_to_coords(M: np.ndarray) -> np.ndarray:
 
 
 def coords_to_matrix(v: np.ndarray, n: int) -> np.ndarray:
+    """Matrix of a coordinate vector (n^2,), or the (d, n, n) stack of matrices
+    of the coordinate columns of a (n^2, d) array."""
     B, _ = _basis_data(n)
     return np.tensordot(np.asarray(v), B, axes=(0, 0))
+
+
+def matrices_to_coords(Ms: np.ndarray) -> np.ndarray:
+    """Coordinate columns (n^2, d) of a (d, n, n) stack; inverts coords_to_matrix."""
+    Ms = np.asarray(Ms)
+    B, _ = _basis_data(Ms.shape[-1])
+    return -np.tensordot(B, Ms, axes=([1, 2], [2, 1]))
+
+
+def bracket_form(w: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """Skew matrix F_ij = tr(w [Y_i, Y_j]) of a (d, n, n) stack ``Ys``.
+
+    With G_ij = tr(w Y_i Y_j), cyclicity gives tr(w Y_j Y_i) = G_ji, so the
+    form is G - G^T and its diagonal is exactly zero.
+    """
+    G = np.einsum("iab,jba->ij", w @ Ys, Ys)
+    return G - G.T
 
 
 @dataclass(frozen=True)
@@ -191,6 +217,18 @@ def _is_skew_hermitian(M: np.ndarray) -> bool:
     return float(np.max(np.abs(M + M.conj().T))) <= 1e-12 * scale
 
 
+def _ad_stack(mats: np.ndarray, within: Subspace) -> np.ndarray:
+    """``ad_in_basis`` for each w of a (m, n, n) stack, blocks stacked row-wise."""
+    m, n, _ = mats.shape
+    N, d = within.ambient_dim, within.dim
+    real_mode = (not within.is_complex
+                 and all(_is_skew_hermitian(W) for W in mats))
+    Ys, W = coords_to_matrix(within.basis, n)[None], mats[:, None]
+    C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n))
+    A = C.reshape(N, m, d).transpose(1, 0, 2).reshape(m * N, d)
+    return A.real if real_mode else A
+
+
 def ad_in_basis(w, within: Subspace) -> np.ndarray:
     """Matrix of y -> [w, y] restricted to ``within``, in ambient coordinates.
 
@@ -199,17 +237,7 @@ def ad_in_basis(w, within: Subspace) -> np.ndarray:
     to a real matrix, otherwise it stays complex and realizes the complexified
     adjoint action on the complex span of the basis.
     """
-    W = _as_matrix(w)
-    n = W.shape[0]
-    real_mode = _is_skew_hermitian(W) and not within.is_complex
-    if within.dim == 0:
-        return np.zeros((n * n, 0), dtype=float if real_mode else complex)
-    cols = []
-    for j in range(within.dim):
-        Y = coords_to_matrix(within.basis[:, j], n)
-        cols.append(matrix_to_coords(W @ Y - Y @ W))
-    A = np.stack(cols, axis=1)
-    return A.real if real_mode else A
+    return _ad_stack(_as_matrix(w)[None], within)
 
 
 def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
@@ -232,51 +260,42 @@ def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
 def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     """{y in within : [g, y] = 0 for every generator g}."""
     mats = [_as_matrix(g) for g in generators]
-    blocks = [ad_in_basis(W, within) for W in mats]
-    if not blocks:
+    if not mats:
         return within
-    A = np.vstack(blocks)
-    floor = max(float(np.linalg.norm(W)) for W in mats)
+    mats = np.stack(mats)
+    A = _ad_stack(mats, within)
+    floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
     K, amb = kernel_basis(A, rtol, floor=floor)
     return Subspace(within.ambient_dim, within.basis @ K,
                     ambiguous=amb or within.ambiguous)
 
 
+def _pairwise_brackets(S: Subspace) -> np.ndarray:
+    """Real coordinate columns of [b_i, b_j] for i < j, in row-major pair order."""
+    n = int(round(np.sqrt(S.ambient_dim)))
+    mats = coords_to_matrix(S.basis, n)
+    i, j = np.triu_indices(S.dim, 1)
+    return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
+
+
 def subalgebra_center(S: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     """Center of a subalgebra given by its coordinate basis."""
     n = int(round(np.sqrt(S.ambient_dim)))
-    gens = [coords_to_matrix(S.basis[:, j], n) for j in range(S.dim)]
-    return stacked_centralizer(gens, S, rtol)
+    return stacked_centralizer(coords_to_matrix(S.basis, n), S, rtol)
 
 
 def derived_span(S: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     """Span of all pairwise brackets of a basis of S (the derived subalgebra span)."""
-    n = int(round(np.sqrt(S.ambient_dim)))
-    mats = [coords_to_matrix(S.basis[:, j], n) for j in range(S.dim)]
-    vecs = []
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            C = mats[i] @ mats[j] - mats[j] @ mats[i]
-            vecs.append(matrix_to_coords(C).real)
-    if not vecs:
-        return Subspace(S.ambient_dim, np.zeros((S.ambient_dim, 0)))
-    V = np.stack(vecs, axis=1)
     # basis elements are unit vectors, so genuine brackets are order one;
     # anchor the rank decision there rather than at the noise level
-    Q, amb = orthonormal_columns(V, rtol, floor=1.0)
+    Q, amb = orthonormal_columns(_pairwise_brackets(S), rtol, floor=1.0)
     return Subspace(S.ambient_dim, Q, amb)
 
 
 def bracket_closure_residual(S: Subspace) -> float:
     """How far [S, S] leaves S; zero for subalgebras."""
-    n = int(round(np.sqrt(S.ambient_dim)))
-    mats = [coords_to_matrix(S.basis[:, j], n) for j in range(S.dim)]
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            c = matrix_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
-            worst = max(worst, float(np.linalg.norm(c - S.project(c))))
-    return worst
+    C = _pairwise_brackets(S)
+    return float(np.max(np.linalg.norm(C - S.project(C), axis=0), initial=0.0))
 
 
 def unitary_exp(X: LieElement) -> np.ndarray:

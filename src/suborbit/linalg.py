@@ -6,6 +6,12 @@ the package go through a single relative singular-value threshold so that
 dimension verdicts are consistent across modules.  Decisions that fall within
 a decade of the threshold are flagged as ambiguous instead of silently
 trusted.
+
+``kernel_basis`` asks the SVD for the full right factor only when the matrix
+is wide.  A tall matrix (rows >= cols) already has a square thin right
+factor, so the full decomposition would only add a rows x rows left factor
+that nothing reads; for the stacked adjoint matrix of a center computation
+that factor has n^4 x n^4 entries.
 """
 
 from __future__ import annotations
@@ -64,7 +70,7 @@ def kernel_basis(A, rtol: float = RANK_RTOL,
     if rows == 0 or not np.any(A):
         dt = complex if np.iscomplexobj(A) else float
         return np.eye(cols, dtype=dt), False
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
     rank, ambiguous = numeric_rank(s, rtol, floor)
     return vh[rank:].conj().T, ambiguous
 

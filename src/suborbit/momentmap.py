@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import (LieElement, ad_in_basis, bracket, centralizer,
-                  coords_to_matrix, matrix_to_coords, project)
+from .lie import LieElement, ad_in_basis, bracket, centralizer, project
 from .linalg import Subspace, intersect, span
 from .generic import GenericDims, is_in_R, m_of_x, sample_element
-from .orbit import AlgebraPair, OrbitSetup
+from .orbit import AlgebraPair, OrbitSetup, _operator_on
 
 
 @dataclass(frozen=True)
@@ -46,13 +45,9 @@ class MomentData:
 def build_moment_data(setup: OrbitSetup, space: str = "m") -> MomentData:
     """Moment-map data for the chosen pair; validates invertibility and skewness."""
     pair = setup.pair(space)
-    n = setup.n
-    cols = []
-    for j in range(pair.m.dim):
-        Y = coords_to_matrix(pair.m.basis[:, j], n)
-        c = matrix_to_coords(setup.a.matrix @ Y - Y @ setup.a.matrix).real
-        cols.append(pair.m.coeffs(c))
-    A = np.stack(cols, axis=1)
+    a = setup.a.matrix
+    A = (setup.ad_a_m if pair.m is setup.m
+         else _operator_on(pair.m, lambda Ys: a @ Ys - Ys @ a))
     A_inv = np.linalg.inv(A)
     if np.max(np.abs(A @ A_inv - np.eye(pair.m.dim))) > 1e-10:
         raise RuntimeError("ad a is numerically singular on the chosen space")

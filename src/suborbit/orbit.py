@@ -19,7 +19,7 @@ import numpy as np
 from .linalg import (RANK_RTOL, Subspace, complement, full_space, intersect,
                      span, subspace_residual)
 from .lie import (LieElement, centralizer, coords_to_matrix,
-                  matrix_to_coords, real_form_dim, sigma, subalgebra_center)
+                  matrices_to_coords, real_form_dim, sigma, subalgebra_center)
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
 
     blocks = _block_modules(mult, n)
 
-    ad_a_m = _operator_on(m, lambda Y: a.matrix @ Y - Y @ a.matrix)
+    ad_a_m = _operator_on(m, lambda Ys: a.matrix @ Ys - Ys @ a.matrix)
     ad_a_m_inv = np.linalg.inv(ad_a_m)
     if m.dim and np.max(np.abs(ad_a_m @ ad_a_m_inv - np.eye(m.dim))) > 1e-10:
         raise RuntimeError("ad a is numerically singular on m")
@@ -151,15 +151,12 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
 
 
 def _operator_on(S: Subspace, apply_matrix) -> np.ndarray:
-    """Matrix of a linear map S -> S in the basis of S (entries via coordinates)."""
-    n = int(round(np.sqrt(S.ambient_dim)))
-    cols = []
-    for j in range(S.dim):
-        Y = coords_to_matrix(S.basis[:, j], n)
-        cols.append(S.coeffs(matrix_to_coords(apply_matrix(Y)).real))
-    if not cols:
-        return np.zeros((0, 0))
-    return np.stack(cols, axis=1)
+    """Matrix of a linear map S -> S in the basis of S.
+
+    ``apply_matrix`` maps the (d, n, n) stack of basis matrices at once.
+    """
+    Ys = coords_to_matrix(S.basis, int(round(np.sqrt(S.ambient_dim))))
+    return S.coeffs(matrices_to_coords(apply_matrix(Ys)).real)
 
 
 def _block_modules(mult, n) -> dict:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import LieElement, centralizer, coords_to_matrix
-from .linalg import RANK_RTOL, Subspace, numeric_rank, orthonormal_columns
+from .lie import LieElement, bracket_form, centralizer, coords_to_matrix
+from .linalg import (RANK_RTOL, Subspace, kernel_basis, numeric_rank,
+                     orthonormal_columns)
 from .generic import GenericDims, is_in_R, m_of_x
 from .orbit import OrbitSetup
 
@@ -77,22 +78,14 @@ def form_matrix(setup: OrbitSetup, x: LieElement, lam, space: str = "m",
     """
     if domain is None:
         domain = m_of_x(setup, x, space)
-    d = domain.dim
-    n = setup.n
     if lam == SINGULAR:
         w = setup.a.matrix
     else:
         lam = complex(lam)
         w = x.matrix + lam * setup.a.matrix
-    mats = [coords_to_matrix(domain.basis[:, j], n) for j in range(d)]
-    F = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-            # the bilinear pairing is the negated trace form, so the form
-            # value -<w, [y_i, y_j]> is the plain trace of the product
-            F[i, j] = np.trace(w @ comm)
-    F = F - F.T
+    # the bilinear pairing is the negated trace form, so the form value
+    # -<w, [y_i, y_j]> is the plain trace tr(w [y_i, y_j])
+    F = bracket_form(w, coords_to_matrix(domain.basis, setup.n))
     if F.size == 0:
         return F.real
     if np.max(np.abs(F.imag)) < 1e-13 * max(1.0, float(np.max(np.abs(F)))):
@@ -271,7 +264,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
     dims = []
     for t1, t2 in params:
         F = t1 * B1 + t2 * B2
-        K, _ = _form_kernel(F, rtol, floor)
+        K, _ = kernel_basis(F, rtol, floor)
         dims.append(K.shape[1])
         kernels.append(K)
     r_min = int(min(dims))
@@ -305,12 +298,3 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
             cc = False
             break
     return PencilReport(r_min, L_dim, isotropic, maximal, cc, residual, minimizing)
-
-
-def _form_kernel(F: np.ndarray, rtol: float, floor: float = 0.0) -> tuple[np.ndarray, bool]:
-    d = F.shape[0]
-    if d == 0:
-        return np.zeros((0, 0)), False
-    u, s, vh = np.linalg.svd(F)
-    rank, amb = numeric_rank(s, rtol, floor)
-    return vh[rank:].conj().T, amb

@@ -86,3 +86,10 @@ def test_case_serializes():
     doc = case.to_dict()
     assert doc["inner_case"]["conclusion"] == CONFIRMED
     json.dumps(doc)
+
+
+def test_inconclusive_rank_eight_case_says_why():
+    # whatever (1^8) concludes, an INCONCLUSIVE verdict names its failed stage
+    case = run_case((1,) * 8, range(1, 9), seed=42)
+    if case.conclusion == INCONCLUSIVE:
+        assert any(note.strip() for note in case.notes)

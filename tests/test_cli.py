@@ -152,12 +152,19 @@ def test_out_path_in_missing_directory_is_input_error(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+    import suborbit
+    # the child imports the same package as this process, installed or not
+    src = str(Path(suborbit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, "-m", "suborbit.cli", "verify", "--partition", "1,1",
          "--spectrum", "1,2", "--seed", "5", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(out.read_text())["conclusion"] == "THM_2_6_CONFIRMED"

@@ -180,14 +180,14 @@ def test_kernel_contained_in_span_when_complete(fam_m, setup_112, dims_112):
     # the canonical-form kernel on the slice sits inside a complete span
     from suborbit import form_matrix, m_of_x
     from suborbit.linalg import span, subspace_residual
-    from suborbit.pencil import _form_kernel
+    from suborbit.linalg import kernel_basis
     st = setup_112
     x = sample_element(st.m, np.random.default_rng(10), 4)
     rep = completeness_check(st, fam_m, x, dims_112["m"])
     assert rep.complete
     mx = m_of_x(st, x, "m")
     F0 = form_matrix(st, x, 0.0)
-    K, _ = _form_kernel(F0, st.rank_tol, float(np.linalg.norm(x.matrix)))
+    K, _ = kernel_basis(F0, st.rank_tol, float(np.linalg.norm(x.matrix)))
     kernel_vecs = mx.basis @ K
     G = np.stack([gradient(fam_m, m, x).coords for m in fam_m.members], axis=1)
     S = span(G, 16)

@@ -10,7 +10,11 @@ from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
                       centralizer, complement, full_space, intersect, pairing,
                       project, sigma, span, subspace_residual, sum_spaces,
                       build_setup)
-from suborbit.lie import matrix_to_coords, unitary_exp, conjugate
+from suborbit.lie import (ad_in_basis, bracket_closure_residual, bracket_form,
+                          conjugate, coords_to_matrix,
+                          derived_span, matrices_to_coords, matrix_to_coords,
+                          unitary_exp)
+from suborbit.linalg import equal_spaces, kernel_basis, numeric_rank
 
 
 def _elem(coords, n):
@@ -210,3 +214,136 @@ def test_subspace_dimension_laws(A, B):
     assert total.dim >= max(S.dim, T.dim)
     # complement within the ambient space always restores the full dimension
     assert S.dim + complement(S).dim == 9
+
+
+# -- the stacked-basis kernel against the per-column reference ---------------
+
+STACK_TOL = 1e-13
+
+
+def _close(A, B):
+    assert A.shape == B.shape
+    scale = max(1.0, float(np.max(np.abs(B), initial=0.0)))
+    assert float(np.max(np.abs(A - B), initial=0.0)) <= STACK_TOL * scale
+
+
+def _random_subspace(n, d, seed):
+    return span(np.random.default_rng(seed).standard_normal((n * n, d)), n * n)
+
+
+def _ad_reference(W, within):
+    n = W.shape[0]
+    cols = [matrix_to_coords(W @ Y - Y @ W)
+            for Y in (coords_to_matrix(within.basis[:, j], n)
+                      for j in range(within.dim))]
+    return np.stack(cols, axis=1)
+
+
+def _bracket_form_reference(w, mats):
+    d = len(mats)
+    F = np.zeros((d, d), dtype=complex)
+    for i in range(d):
+        for j in range(i + 1, d):
+            F[i, j] = np.trace(w @ (mats[i] @ mats[j] - mats[j] @ mats[i]))
+    return F - F.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_coordinate_stack_helpers_match_per_column_loops(n):
+    rng = np.random.default_rng(n)
+    for V in (rng.standard_normal((n * n, 7)),
+              rng.standard_normal((n * n, 7)) + 1j * rng.standard_normal((n * n, 7))):
+        Ms = coords_to_matrix(V, n)
+        _close(Ms, np.stack([coords_to_matrix(V[:, j], n) for j in range(7)]))
+        _close(matrices_to_coords(Ms), V)
+    Ms = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    _close(matrices_to_coords(Ms), np.stack([matrix_to_coords(M) for M in Ms], axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ad_in_basis_real_mode_matches_reference(n):
+    S = _random_subspace(n, n + 2, seed=10 + n)
+    w = LieElement.from_coords(np.random.default_rng(n).standard_normal(n * n), n)
+    A = ad_in_basis(w, S)
+    assert not np.iscomplexobj(A)
+    _close(A, _ad_reference(w.matrix, S).real)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ad_in_basis_complex_mode_matches_reference(n):
+    rng = np.random.default_rng(20 + n)
+    S = _random_subspace(n, n + 2, seed=30 + n)
+    x = LieElement.from_coords(rng.standard_normal(n * n), n)
+    a = LieElement.from_matrix(np.diag(1j * np.arange(1.0, n + 1)))
+    shifted = x.matrix + (0.3 - 1.7j) * a.matrix
+    A = ad_in_basis(shifted, S)
+    assert np.iscomplexobj(A)
+    _close(A, _ad_reference(shifted, S))
+    # a skew-Hermitian w on a complexified subspace also stays complex
+    SC = S.complexify()
+    A = ad_in_basis(x, SC)
+    assert np.iscomplexobj(A)
+    _close(A, _ad_reference(x.matrix, SC))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ad_in_basis_on_the_empty_subspace(n):
+    empty = Subspace(n * n, np.zeros((n * n, 0)))
+    w = LieElement.from_coords(np.ones(n * n), n)
+    assert ad_in_basis(w, empty).shape == (n * n, 0)
+    assert ad_in_basis(w.matrix + 1j * w.matrix, empty).shape == (n * n, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bracket_form_matches_pairwise_trace_loop(n):
+    rng = np.random.default_rng(40 + n)
+    S = _random_subspace(n, n + 3, seed=50 + n)
+    mats = coords_to_matrix(S.basis, n)
+    x = LieElement.from_coords(rng.standard_normal(n * n), n)
+    a = np.diag(1j * np.arange(1.0, n + 1))
+    for w in (x.matrix, x.matrix + (0.5 + 2.0j) * a):
+        F = bracket_form(w, mats)
+        _close(F, _bracket_form_reference(w, mats))
+        assert np.all(np.diag(F) == 0)
+    # real mode: the form of a skew-Hermitian w on a real subspace is real
+    assert np.max(np.abs(bracket_form(x.matrix, mats).imag)) < STACK_TOL
+    # complexified subspace
+    SC = Subspace(n * n, S.basis @ np.diag(np.exp(1j * np.arange(S.dim))))
+    mats = coords_to_matrix(SC.basis, n)
+    _close(bracket_form(x.matrix, mats), _bracket_form_reference(x.matrix, mats))
+    assert bracket_form(x.matrix, mats[:0]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pairwise_bracket_helpers_match_reference(n, setup_112):
+    S = _random_subspace(n, 3, seed=60 + n)
+    mats = [coords_to_matrix(S.basis[:, j], n) for j in range(S.dim)]
+    vecs = np.stack([matrix_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
+                     for i in range(3) for j in range(i + 1, 3)], axis=1)
+    assert equal_spaces(derived_span(S), span(vecs, n * n))
+    worst = max(float(np.linalg.norm(c - S.project(c))) for c in vecs.T)
+    assert bracket_closure_residual(S) == pytest.approx(worst, rel=1e-12, abs=1e-14)
+    assert bracket_closure_residual(setup_112.k) < 1e-12
+
+
+# -- kernel_basis: thin SVD for tall inputs -----------------------------------
+
+@pytest.mark.parametrize("rows, cols, rank", [(40, 9, 5), (4, 11, 3), (10, 10, 6)])
+@pytest.mark.parametrize("field", [float, complex])
+def test_kernel_basis_tall_wide_square(rows, cols, rank, field):
+    rng = np.random.default_rng(rows * cols + rank)
+    X = rng.standard_normal((rows, rank))
+    Y = rng.standard_normal((rank, cols))
+    if field is complex:
+        X = X + 1j * rng.standard_normal((rows, rank))
+    A = X @ Y
+    K, amb = kernel_basis(A)
+    assert not amb
+    assert np.max(np.abs(A @ K)) < 1e-10 * np.linalg.norm(A)
+    assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
+    # reference: the null space read off the full decomposition
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    ref_rank, _ = numeric_rank(s)
+    K_ref = vh[ref_rank:].conj().T
+    assert K.shape == K_ref.shape == (cols, cols - rank)
+    assert np.allclose(K @ K.conj().T, K_ref @ K_ref.conj().T, atol=1e-10)

@@ -158,3 +158,18 @@ def test_witness_dimensions_beyond_rank_six(mult, expected):
     st = build_setup(mult, spectrum)
     _, rep = build_witness_x0(st, seed=0)
     assert rep.centralizer_dim == expected
+
+
+def test_build_setup_memory_stays_small():
+    # the center of u(n) is found from an n^4 x n^2 stacked adjoint matrix;
+    # asking its SVD for the unused n^4 x n^4 left factor costs about 340 MB
+    # of traced allocations at n = 9
+    import tracemalloc
+    build_setup((1, 2), (1.0, 2.0))            # warm the basis cache of small n
+    tracemalloc.start()
+    try:
+        build_setup((3, 3, 3), (1.0, 2.0, 3.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
