@@ -13,8 +13,8 @@ from .orbit import (AlgebraPair, OrbitSetup, WitnessReport, block_scalar,
 from .generic import (GenericDims, ReducedSetup, estimate_generic_dims, is_in_R,
                       m_of_x, perturb_into_R, reduction_data, sample_element)
 from .invariants import (IntegralFamily, Member, build_family, completeness_check,
-                         gradient, involutivity_suite, poisson_bracket_can,
-                         shifted_invariant_eval)
+                         gradient, involutivity_suite, member_values,
+                         poisson_bracket_can, shifted_invariant_eval)
 from .pencil import (SINGULAR, KroneckerVerdict, PencilForm, PencilReport,
                      form_matrix, kronecker_test, pencil_at,
                      pencil_isotropy_check)
@@ -39,7 +39,8 @@ __all__ = [
     "GenericDims", "ReducedSetup", "estimate_generic_dims", "is_in_R", "m_of_x",
     "perturb_into_R", "reduction_data", "sample_element",
     "IntegralFamily", "Member", "build_family", "completeness_check", "gradient",
-    "involutivity_suite", "poisson_bracket_can", "shifted_invariant_eval",
+    "involutivity_suite", "member_values", "poisson_bracket_can",
+    "shifted_invariant_eval",
     "SINGULAR", "KroneckerVerdict", "PencilForm", "PencilReport", "form_matrix",
     "kronecker_test", "pencil_at", "pencil_isotropy_check",
     "MomentData", "build_moment_data", "m_a_estimate", "moment_beta",

@@ -24,7 +24,7 @@ from . import __version__
 from .bridge import Budgets, CONFIRMED, INCONCLUSIVE, REDUCED, run_case
 from .flows import (FlowDivergenceError, build_flow, conservation_report,
                     energy_drift, integrate_flow, lax_residual, phi_spectrum)
-from .invariants import build_family, shifted_invariant_eval
+from .invariants import build_family, member_values
 from .lie import LieElement
 from .orbit import build_setup
 
@@ -185,7 +185,7 @@ def _write_trajectory_csv(path: str, spec, traj, family):
     for i in range(len(traj)):
         x = traj.state(i, n)
         coeffs = dom.coeffs(x.coords)
-        vals = [shifted_invariant_eval(family, m, x) for m in family.members]
+        vals = member_values(family, x)
         rows.append([repr(float(traj.times[i]))]
                     + [repr(float(c)) for c in coeffs]
                     + [repr(float(v)) for v in vals])

@@ -4,23 +4,32 @@ For a second block-scalar element b commuting with the anchor, the operator
 phi(x) = (ad a|_m)^(-1) [b, x] is symmetric for the invariant pairing and
 preserves both the transversal space and its fixed part.  The quadratic
 energy (1/2)<x, phi(x)> generates the flow dx/dt = [x, phi(x)], whose right
-hand side stays inside the flow space exactly; the integrator works in
-ambient coordinates and re-projects after every step so that any numerical
-leakage is measured rather than hidden.  Conservation of the shifted trace
-integrals along trajectories is the end-to-end diagnostic: the integrator is
-a plain fixed-step classical Runge-Kutta scheme with no structure
-preservation, so invariant drift is a real signal.
+hand side stays inside the flow space exactly.
+
+The right hand side is a fixed quadratic map, so ``build_flow`` tabulates it
+once: with Y_j the flow-space basis matrices, Q[:, j, k] holds the canonical
+coordinates of [Y_j, phi(Y_k)], and for x = sum_j y_j Y_j the velocity is
+sum_jk y_j y_k Q[:, j, k].  Q is ambient (N = n^2 rows), not reduced to the
+flow space, so a step never builds a matrix or a bracket and any component
+of the tabulated field outside the flow space still reaches the state.  The
+integrator works in ambient coordinates and re-projects after every step so
+that such leakage is measured rather than hidden.  Conservation of the
+shifted trace integrals along trajectories is the end-to-end diagnostic: the
+integrator is a plain fixed-step classical Runge-Kutta scheme with no
+structure preservation, so invariant drift is a real signal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .lie import LieElement, bracket, pairing
+from .lie import LieElement, bracket, coords_to_matrix, matrices_to_coords
 from .linalg import Subspace
-from .invariants import IntegralFamily, shifted_invariant_eval
+from .invariants import IntegralFamily, member_values
 from .orbit import OrbitSetup, _operator_on, block_scalar
 
 
@@ -36,14 +45,19 @@ class FlowDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowSpec:
-    """A choice of second block-scalar element and flow space."""
+    """A choice of second block-scalar element and flow space.
+
+    ``quad`` is the quadratic tensor Q of the right hand side reshaped to
+    (N * d, d): row i * d + j, column k holds coordinate i of [Y_j, phi(Y_k)].
+    """
 
     setup: OrbitSetup
     b: LieElement
     space: str
     phi_matrix: np.ndarray
+    quad: np.ndarray
 
-    @property
+    @cached_property
     def domain(self) -> Subspace:
         return self.setup.pair(self.space).m
 
@@ -67,7 +81,23 @@ def build_flow(setup: OrbitSetup, b_values, space: str = "m_tilde") -> FlowSpec:
     phi = E.T @ setup.ad_a_m_inv @ ad_b_m @ E
     if phi.size and np.max(np.abs(phi - phi.T)) > 1e-10 * max(1.0, np.max(np.abs(phi))):
         raise RuntimeError("phi is not symmetric on the flow space")
-    return FlowSpec(setup, b, space, phi)
+    return FlowSpec(setup, b, space, phi, _quadratic_tensor(setup, space, phi))
+
+
+def _quadratic_tensor(setup: OrbitSetup, space: str, phi: np.ndarray) -> np.ndarray:
+    """All brackets [Y_j, phi(Y_k)] of the flow-space basis in one stacked pass.
+
+    The brackets of skew-Hermitian matrices have real coordinates, so the
+    imaginary part is round-off; it is checked and dropped.
+    """
+    V = setup.pair(space).m.basis
+    N, d = V.shape
+    Ys = coords_to_matrix(V, setup.n)[:, None]
+    Ps = coords_to_matrix(V @ phi, setup.n)[None]
+    C = matrices_to_coords((Ys @ Ps - Ps @ Ys).reshape(d * d, setup.n, setup.n))
+    if C.size and np.max(np.abs(C.imag)) > 1e-12 * max(1.0, np.max(np.abs(C.real))):
+        raise RuntimeError("the flow tensor has non-real coordinates")
+    return np.ascontiguousarray(C.real).reshape(N * d, d)
 
 
 def phi_ab(spec: FlowSpec, x: LieElement) -> LieElement:
@@ -84,9 +114,20 @@ def phi_spectrum(spec: FlowSpec) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (spec.phi_matrix + spec.phi_matrix.T))
 
 
+def _energies(spec: FlowSpec, coords: np.ndarray) -> np.ndarray:
+    """(1/2) y^T phi y for the flow-space coefficients y of a coordinate vector
+    or of each row of a stack.
+
+    The pairing is the coordinate dot product and phi(x) = V phi y, so
+    <x, phi(x)> = (V^T x) . (phi y) = y^T phi y exactly.
+    """
+    Y = coords @ spec.domain.basis
+    return 0.5 * np.sum((Y @ spec.phi_matrix) * Y, axis=-1)
+
+
 def hamiltonian(spec: FlowSpec, x: LieElement) -> float:
     """Quadratic energy (1/2)<x, phi(x)>."""
-    return 0.5 * pairing(x, phi_ab(spec, x))
+    return float(_energies(spec, x.coords))
 
 
 def lax_residual(spec: FlowSpec, x: LieElement, lam) -> float:
@@ -123,10 +164,9 @@ class Trajectory:
 
 
 def _rhs(spec: FlowSpec, c: np.ndarray) -> np.ndarray:
-    n = spec.setup.n
-    x = LieElement.from_coords(spec.domain.project(c), n)
-    v = bracket(x, phi_ab(spec, x))
-    return v.coords
+    """Ambient coordinates of [x, phi(x)] for x the flow-space part of c."""
+    y = spec.domain.basis.T @ c
+    return (spec.quad @ y).reshape(c.size, y.size) @ y
 
 
 def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
@@ -136,7 +176,8 @@ def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
 
     The state is advanced in ambient coordinates; after each step the leakage
     out of the flow space is recorded and removed.  A leakage above
-    ``abort_residual`` aborts with the offending time.
+    ``abort_residual`` aborts with the offending time, as does a state that
+    is not finite or whose norm exceeds 1e50.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
@@ -149,18 +190,22 @@ def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
     times = [0.0]
     recorded = [c.copy()]
     residuals = [0.0]
-    t = 0.0
+    half, sixth = 0.5 * dt, dt / 6.0
     for s in range(1, steps + 1):
         k1 = _rhs(spec, c)
-        k2 = _rhs(spec, c + 0.5 * dt * k1)
-        k3 = _rhs(spec, c + 0.5 * dt * k2)
+        k2 = _rhs(spec, c + half * k1)
+        k3 = _rhs(spec, c + half * k2)
         k4 = _rhs(spec, c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c = c + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = s * dt
-        if not np.all(np.isfinite(c)) or float(np.linalg.norm(c)) > 1e50:
+        # a non-finite entry makes c @ c non-finite, so one scalar test covers
+        # the finiteness and the norm check
+        cc = float(c @ c)
+        if not math.isfinite(cc) or cc > 1e100:
             raise FlowDivergenceError(t, float("inf"))
         proj = dom.project(c)
-        res = float(np.linalg.norm(c - proj)) / max(1.0, float(np.linalg.norm(c)))
+        r = c - proj
+        res = math.sqrt(float(r @ r)) / max(1.0, math.sqrt(cc))
         if res > abort_residual:
             raise FlowDivergenceError(t, res)
         c = proj
@@ -176,23 +221,16 @@ def conservation_report(spec: FlowSpec, traj: Trajectory,
                         family: IntegralFamily) -> dict:
     """Per-member maximal relative drift along the trajectory."""
     n = spec.setup.n
-    states = [traj.state(i, n) for i in range(len(traj))]
-    out = {}
-    for member in family.members:
-        f0 = shifted_invariant_eval(family, member, states[0])
-        worst = 0.0
-        for st in states[1:]:
-            f = shifted_invariant_eval(family, member, st)
-            worst = max(worst, abs(f - f0) / (1.0 + abs(f0)))
-        out[member.name] = worst
-    return out
+    vals = np.array([member_values(family, traj.state(i, n)) for i in range(len(traj))])
+    drift = _max_relative_drift(vals.reshape(len(traj), len(family.members)))
+    return {m.name: float(w) for m, w in zip(family.members, drift)}
 
 
 def energy_drift(spec: FlowSpec, traj: Trajectory) -> float:
-    n = spec.setup.n
-    h0 = hamiltonian(spec, traj.state(0, n))
-    worst = 0.0
-    for i in range(1, len(traj)):
-        h = hamiltonian(spec, traj.state(i, n))
-        worst = max(worst, abs(h - h0) / (1.0 + abs(h0)))
-    return worst
+    return float(_max_relative_drift(_energies(spec, traj.coords)))
+
+
+def _max_relative_drift(vals: np.ndarray) -> np.ndarray:
+    """max_i |f_i - f_0| / (1 + |f_0|) along the first axis, 0 for one record."""
+    return np.max(np.abs(vals[1:] - vals[0]) / (1.0 + np.abs(vals[0])), axis=0,
+                  initial=0.0)

@@ -53,15 +53,23 @@ class IntegralFamily:
         return self.setup.pair(self.space).m
 
 
-def shift_coeff_matrices(x_mat: np.ndarray, a_mat: np.ndarray, k: int) -> list:
-    """Matrix coefficients of (x + t*a)^k as a polynomial in t, degree 0..k."""
+def _shift_coeff_powers(x_mat: np.ndarray, a_mat: np.ndarray, k_max: int):
+    """Yield the matrix coefficients of (x + t*a)^k for k = 0, 1, ..., k_max."""
     n = x_mat.shape[0]
     coeffs = [np.eye(n, dtype=complex)]
-    for _ in range(k):
+    yield coeffs
+    for _ in range(k_max):
         nxt = [c @ x_mat for c in coeffs] + [np.zeros((n, n), dtype=complex)]
         for s in range(1, len(coeffs) + 1):
             nxt[s] = nxt[s] + coeffs[s - 1] @ a_mat
         coeffs = nxt
+        yield coeffs
+
+
+def shift_coeff_matrices(x_mat: np.ndarray, a_mat: np.ndarray, k: int) -> list:
+    """Matrix coefficients of (x + t*a)^k as a polynomial in t, degree 0..k."""
+    for coeffs in _shift_coeff_powers(x_mat, a_mat, k):
+        pass
     return coeffs
 
 
@@ -74,6 +82,23 @@ def shifted_invariant_eval(family: IntegralFamily, member: Member,
     """Value of the shift coefficient (k, s) at x."""
     C = shift_coeff_matrices(x.matrix, family.setup.a.matrix, member.k)
     return _real_part(member.k, complex(np.trace(C[member.s])))
+
+
+def member_values(family: IntegralFamily, x: LieElement) -> np.ndarray:
+    """Values of all members at x, in the order of ``family.members``.
+
+    One shift recursion up to the largest power serves every member: its
+    state after k steps is what ``shift_coeff_matrices`` returns for power k,
+    so each value equals ``shifted_invariant_eval`` bit for bit.
+    """
+    members = family.members
+    vals = np.zeros(len(members))
+    k_max = max((m.k for m in members), default=0)
+    for k, C in enumerate(_shift_coeff_powers(x.matrix, family.setup.a.matrix, k_max)):
+        for i, m in enumerate(members):
+            if m.k == k:
+                vals[i] = _real_part(k, complex(np.trace(C[m.s])))
+    return vals
 
 
 def _raw_gradient_matrix(setup: OrbitSetup, member: Member, x: LieElement) -> np.ndarray:

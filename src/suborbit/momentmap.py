@@ -45,6 +45,9 @@ class MomentData:
 def build_moment_data(setup: OrbitSetup, space: str = "m") -> MomentData:
     """Moment-map data for the chosen pair; validates invertibility and skewness."""
     pair = setup.pair(space)
+    if pair.m is setup.m_tilde:
+        raise ValueError("ad a maps m_tilde onto m_prime, so it has no inverse on "
+                         "m_tilde; moment data exist only on m")
     a = setup.a.matrix
     A = (setup.ad_a_m if pair.m is setup.m
          else _operator_on(pair.m, lambda Ys: a @ Ys - Ys @ a))

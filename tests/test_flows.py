@@ -1,12 +1,16 @@
 """The reduced flow: operator properties, integration, and conservation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from suborbit import (FlowDivergenceError, LieElement, bracket, build_family,
                       build_flow, build_setup, conjugate, conservation_report,
                       energy_drift, hamiltonian, integrate_flow, lax_residual,
-                      pairing, phi_ab, phi_spectrum, sample_element, unitary_exp)
+                      member_values, pairing, phi_ab, phi_spectrum,
+                      sample_element, shifted_invariant_eval, unitary_exp)
+from suborbit.flows import _rhs
 
 
 @pytest.fixture(scope="module")
@@ -180,3 +184,78 @@ def test_conservation_on_rank_six_case():
     drifts = conservation_report(spec, traj, fam)
     assert max(drifts.values()) < 1e-6
     assert energy_drift(spec, traj) < 1e-8
+
+
+@pytest.mark.parametrize("partition", [(1, 1, 2), (2, 2, 2), (1, 1, 4), (3, 3, 3)])
+@pytest.mark.parametrize("space", ["m", "m_tilde"])
+def test_tensor_rhs_matches_bracket(partition, space):
+    st = build_setup(partition, (1.0, 2.0, 3.0))
+    spec = build_flow(st, (1.0, 3.0, 7.0), space)
+    for i in range(3):
+        x = _unit(st, space, [50, i], scale=1.0 + i)
+        ref = bracket(x, phi_ab(spec, x)).coords
+        v = _rhs(spec, x.coords)
+        assert np.linalg.norm(v - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def _bracket_rk4(spec, x0, dt, steps):
+    """Reference RK4 on the matrix bracket path, re-projecting every step."""
+    dom, n = spec.domain, spec.setup.n
+
+    def f(c):
+        x = LieElement.from_coords(dom.project(c), n)
+        return bracket(x, phi_ab(spec, x)).coords
+
+    c = dom.project(x0.coords)
+    out = [c]
+    for _ in range(steps):
+        k1 = f(c)
+        k2 = f(c + 0.5 * dt * k1)
+        k3 = f(c + 0.5 * dt * k2)
+        k4 = f(c + dt * k3)
+        c = dom.project(c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        out.append(c)
+    return np.stack(out)
+
+
+def test_integration_matches_bracket_rk4(flow_112, setup_112):
+    x0 = _unit(setup_112, "m_tilde", 14, scale=2.0)
+    traj = integrate_flow(flow_112, x0, 1e-3, 500, record_stride=1)
+    ref = _bracket_rk4(flow_112, x0, 1e-3, 500)
+    assert traj.coords.shape == ref.shape
+    assert np.max(np.abs(traj.coords - ref)) < 1e-12
+
+
+def _leaky(spec, setup, eps):
+    # add eps * |y|^2 times a unit vector of m_prime, which is orthogonal to
+    # the flow space m_tilde, to the tabulated right hand side
+    N, d = spec.domain.basis.shape
+    w = setup.m_prime.basis[:, 0]
+    leak = np.einsum("i,jk->ijk", w, np.eye(d)).reshape(N * d, d)
+    return dataclasses.replace(spec, quad=spec.quad + eps * leak)
+
+
+def test_tensor_leakage_is_measured(flow_112, setup_112):
+    x0 = _unit(setup_112, "m_tilde", 15, scale=2.0)
+    # a leak of about dt * eps * |x|^2 = 4e-8 per step stays under the abort
+    # threshold and shows up in the recorded residuals
+    traj = integrate_flow(_leaky(flow_112, setup_112, 1e-5), x0, 1e-3, 20)
+    assert traj.residuals[1:].min() > 1e-8
+    # a leak of about 4e-5 per step aborts at the first step
+    with pytest.raises(FlowDivergenceError) as err:
+        integrate_flow(_leaky(flow_112, setup_112, 1e-2), x0, 1e-3, 20)
+    assert err.value.time == pytest.approx(1e-3)
+    assert err.value.residual > 1e-6
+
+
+@pytest.mark.parametrize("space", ["m", "m_tilde"])
+def test_member_values_match_single_evaluation(setup_112, space):
+    st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
+    for setup in (setup_112, st):
+        fam = build_family(setup, space)
+        for i in range(3):
+            x = _unit(setup, space, [60, i], scale=1.5)
+            vals = member_values(fam, x)
+            assert vals.shape == (len(fam.members),)
+            for v, member in zip(vals, fam.members):
+                assert v == shifted_invariant_eval(fam, member, x)

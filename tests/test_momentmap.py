@@ -27,6 +27,13 @@ def test_hand_value_u2():
     assert np.allclose(mu.matrix, np.diag([-1j, 1j]) / 2.0, atol=1e-12)
 
 
+def test_m_tilde_selector_refused(setup_112):
+    # ad a maps m_tilde onto m_prime, so there is nothing to invert on m_tilde
+    for space in ("m_tilde", setup_112.pair("m_tilde")):
+        with pytest.raises(ValueError, match="m_prime"):
+            build_moment_data(setup_112, space)
+
+
 def test_moment_of_zero(data_112):
     assert moment_beta(data_112, LieElement.zero(4)).norm() == 0.0
 
