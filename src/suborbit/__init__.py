@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .linalg import (RANK_RTOL, RankAmbiguityWarning, Subspace, complement,
                      equal_spaces, full_space, intersect, span, subspace_residual,
                      sum_spaces)
-from .lie import (LieElement, bracket, centralizer, conjugate, pairing, project,
-                  sigma, subalgebra_center, unitary_exp)
+from .lie import (LieElement, bracket, centralizer, centralizer_dim, conjugate,
+                  pairing, project, sigma, subalgebra_center, unitary_exp)
 from .orbit import (AlgebraPair, OrbitSetup, WitnessReport, block_scalar,
                     build_setup, build_witness_x0)
 from .generic import (GenericDims, ReducedSetup, estimate_generic_dims, is_in_R,
@@ -32,8 +32,8 @@ __all__ = [
     "__version__",
     "RANK_RTOL", "RankAmbiguityWarning", "Subspace", "complement", "equal_spaces",
     "full_space", "intersect", "span", "subspace_residual", "sum_spaces",
-    "LieElement", "bracket", "centralizer", "conjugate", "pairing", "project",
-    "sigma", "subalgebra_center", "unitary_exp",
+    "LieElement", "bracket", "centralizer", "centralizer_dim", "conjugate",
+    "pairing", "project", "sigma", "subalgebra_center", "unitary_exp",
     "AlgebraPair", "OrbitSetup", "WitnessReport", "block_scalar", "build_setup",
     "build_witness_x0",
     "GenericDims", "ReducedSetup", "estimate_generic_dims", "is_in_R", "m_of_x",

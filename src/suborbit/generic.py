@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import (LieElement, ad_in_basis, bracket_closure_residual,
-                  centralizer, coords_to_matrix, derived_span, sigma_signs,
-                  stacked_centralizer, subalgebra_center)
+                  centralizer, centralizer_dim, coords_to_matrix, derived_span,
+                  sigma_signs, stacked_centralizer, subalgebra_center)
 from .linalg import (Subspace, equal_spaces, intersect, kernel_basis,
                      subspace_residual)
 from .orbit import AlgebraPair, OrbitSetup
@@ -55,8 +55,8 @@ def estimate_generic_dims(setup: OrbitSetup, space, samples: int = 25,
     for i in range(samples):
         rng = np.random.default_rng([seed, 7, i])
         x = sample_element(pair.m, rng, setup.n)
-        qs[i] = centralizer(x, pair.g, setup.rank_tol).dim
-        ps[i] = centralizer(x, pair.k, setup.rank_tol).dim
+        qs[i] = centralizer_dim(x, pair.g, setup.rank_tol)[0]
+        ps[i] = centralizer_dim(x, pair.k, setup.rank_tol)[0]
     q = int(qs.min())
     p = int(ps.min())
     hit = np.mean((qs == q) & (ps == p))
@@ -68,9 +68,9 @@ def is_in_R(setup: OrbitSetup, x: LieElement, space, dims: GenericDims) -> bool:
     if not dims.stabilized:
         raise ValueError("generic dimensions did not stabilize; resample first")
     pair = setup.pair(space)
-    if centralizer(x, pair.g, setup.rank_tol).dim != dims.q:
+    if centralizer_dim(x, pair.g, setup.rank_tol)[0] != dims.q:
         return False
-    return centralizer(x, pair.k, setup.rank_tol).dim == dims.p
+    return centralizer_dim(x, pair.k, setup.rank_tol)[0] == dims.p
 
 
 def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
@@ -153,15 +153,15 @@ def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
     isotropy algebra and the full slice, and the defect r is preserved.
     """
     pair_m = setup.pair("m")
-    gx = centralizer(x0, pair_m.g, setup.rank_tol)
+    gx_dim = centralizer_dim(x0, pair_m.g, setup.rank_tol)[0]
     kx = centralizer(x0, pair_m.k, setup.rank_tol)
-    if gx.dim != dims_m.q or kx.dim != dims_m.p:
+    if gx_dim != dims_m.q or kx.dim != dims_m.p:
         raise ValueError(
-            f"anchor is not generic for the full pair: dim g^x = {gx.dim} "
+            f"anchor is not generic for the full pair: dim g^x = {gx_dim} "
             f"(generic {dims_m.q}), dim k^x = {kx.dim} (generic {dims_m.p})")
     pair_t = setup.pair("m_tilde")
-    gtx = centralizer(x0, pair_t.g, setup.rank_tol).dim
-    ktx = centralizer(x0, pair_t.k, setup.rank_tol).dim
+    gtx = centralizer_dim(x0, pair_t.g, setup.rank_tol)[0]
+    ktx = centralizer_dim(x0, pair_t.k, setup.rank_tol)[0]
     if gtx != dims_mt.q or ktx != dims_mt.p:
         raise ValueError(
             f"anchor is not generic for the fixed pair: dim = {gtx} "
@@ -195,7 +195,7 @@ def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
     # sampled points of the reduced transversal that are generic for the full
     # pair must reproduce the isotropy algebra and the slice of the anchor
     match_k, match_slice, semis_ok = _anchor_consistency(
-        setup, x0, kx, gx, pair0, dims_m, samples, seed, g0)
+        setup, x0, kx, gx_dim, pair0, dims_m, samples, seed, g0)
     checks["isotropy_constant_on_m0"] = match_k
     checks["slice_agrees_on_m0"] = match_slice
     checks["centralizer_splits_semisimple"] = semis_ok
@@ -216,11 +216,11 @@ def _generic_dim_within(space: Subspace, algebra: Subspace, setup: OrbitSetup,
     for i in range(samples):
         rng = np.random.default_rng([seed, 29, i])
         x = sample_element(space, rng, setup.n)
-        best = min(best, centralizer(x, algebra, setup.rank_tol).dim)
+        best = min(best, centralizer_dim(x, algebra, setup.rank_tol)[0])
     return best
 
 
-def _anchor_consistency(setup, x0, kx, gx, pair0, dims_m, samples, seed, g0):
+def _anchor_consistency(setup, x0, kx, gx_dim, pair0, dims_m, samples, seed, g0):
     match_k = True
     match_slice = True
     mx_full = m_of_x(setup, x0, "m")
@@ -241,7 +241,7 @@ def _anchor_consistency(setup, x0, kx, gx, pair0, dims_m, samples, seed, g0):
         if checked >= 3:
             break
     # dim g^x0 must split as the reduced centralizer plus the semisimple part
-    g0x0 = centralizer(x0, g0, setup.rank_tol)
+    g0x0_dim = centralizer_dim(x0, g0, setup.rank_tol)[0]
     semis = derived_span(kx, setup.rank_tol)
-    semis_ok = gx.dim == g0x0.dim + semis.dim
+    semis_ok = gx_dim == g0x0_dim + semis.dim
     return match_k and checked > 0, match_slice and checked > 0, semis_ok

@@ -20,12 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import (LieElement, bracket, bracket_form, coords_to_matrix,
-                  pairing, project)
+                  matrices_to_coords, pairing, project)
 from .linalg import Subspace, numeric_rank, orthonormal_columns
 from .generic import GenericDims, is_in_R, m_of_x
 from .orbit import AlgebraPair, OrbitSetup
 
 _PROBE_SEED = 7349
+_PROBES = 4
 _PRUNE_TOL = 1e-10
 
 
@@ -101,16 +102,13 @@ def member_values(family: IntegralFamily, x: LieElement) -> np.ndarray:
     return vals
 
 
-def _raw_gradient_matrix(setup: OrbitSetup, member: Member, x: LieElement) -> np.ndarray:
-    """Unprojected gradient: skew-Hermitian part of the exact word derivative.
+def _raw_gradient_matrix(k: int, D: np.ndarray) -> np.ndarray:
+    """Unprojected gradient of a power-k member from its word derivative ``D``.
 
     d/dt tr((x + t v + shift)^k) = k tr((x + shift)^(k-1) v) by cyclicity, so
-    the raw derivative matrix is the shift coefficient of the power k-1; its
+    the raw derivative matrix D is the shift coefficient of the power k-1; its
     skew-Hermitian part is the only piece the pairing sees on u(n).
     """
-    k, s = member.k, member.s
-    C = shift_coeff_matrices(x.matrix, setup.a.matrix, k - 1)
-    D = C[s]
     if k % 2 == 1:
         D = -1j * D
     return -k * 0.5 * (D - D.conj().T)
@@ -118,24 +116,39 @@ def _raw_gradient_matrix(setup: OrbitSetup, member: Member, x: LieElement) -> np
 
 def gradient(family: IntegralFamily, member: Member, x: LieElement) -> LieElement:
     """Pairing gradient of the member inside the family's space."""
-    raw = _raw_gradient_matrix(family.setup, member, x)
+    C = shift_coeff_matrices(x.matrix, family.setup.a.matrix, member.k - 1)
+    raw = _raw_gradient_matrix(member.k, C[member.s])
     return project(LieElement.from_matrix(raw), family.domain)
 
 
-def _member_is_zero(setup: OrbitSetup, space: Subspace, member: Member) -> bool:
-    rng = np.random.default_rng([_PROBE_SEED, member.k, member.s])
+def _nonvanishing(setup: OrbitSetup, space: Subspace, candidates) -> np.ndarray:
+    """Mask of the candidate members that do not vanish identically on ``space``.
+
+    A member vanishes when its value and its in-space gradient are zero,
+    relative to the scale |x|^(k-s) |a|^s, at every probe point.  One shift
+    recursion per probe point serves all candidates: its state after k steps
+    gives the values of power k, its state after k-1 steps their gradients.
+    """
+    ks = np.array([m.k for m in candidates], dtype=int)
+    ss = np.array([m.s for m in candidates], dtype=int)
+    alive = np.zeros(len(candidates), dtype=bool)
+    if not candidates:
+        return alive
+    a = setup.a.matrix
     a_norm = max(1.0, setup.a.norm())
-    for _ in range(4):
-        x = LieElement.from_coords(space.basis @ rng.standard_normal(space.dim), setup.n)
-        scale = max(1.0, x.norm()) ** (member.k - member.s) * a_norm ** member.s
-        C = shift_coeff_matrices(x.matrix, setup.a.matrix, member.k)
-        val = _real_part(member.k, complex(np.trace(C[member.s])))
-        if abs(val) > _PRUNE_TOL * scale:
-            return False
-        g = LieElement.from_matrix(_raw_gradient_matrix(setup, member, x))
-        if np.linalg.norm(space.project(g.coords)) > _PRUNE_TOL * member.k * scale:
-            return False
-    return True
+    rng = np.random.default_rng(_PROBE_SEED)
+    for _ in range(_PROBES):
+        x = space.basis @ rng.standard_normal(space.dim)
+        C = list(_shift_coeff_powers(coords_to_matrix(x, setup.n), a, int(ks.max())))
+        vals = np.array([_real_part(k, complex(np.trace(C[k][s])))
+                         for k, s in zip(ks, ss)])
+        raws = np.stack([_raw_gradient_matrix(k, C[k - 1][s]) for k, s in zip(ks, ss)])
+        grads = np.linalg.norm(space.coeffs(matrices_to_coords(raws).real), axis=0)
+        scale = max(1.0, float(np.linalg.norm(x))) ** (ks - ss) * a_norm ** ss
+        alive |= (np.abs(vals) > _PRUNE_TOL * scale) | (grads > _PRUNE_TOL * ks * scale)
+        if alive.all():
+            break
+    return alive
 
 
 def build_family(setup: OrbitSetup, space, max_power: int | None = None) -> IntegralFamily:
@@ -149,17 +162,11 @@ def build_family(setup: OrbitSetup, space, max_power: int | None = None) -> Inte
     """
     kmax = setup.n if max_power is None else max_power
     pair = setup.pair(space)
-    members = []
-    pruned = []
-    for k in range(2, kmax + 1):
-        for s in range(0, k):
-            mem = Member(k, s)
-            if _member_is_zero(setup, pair.m, mem):
-                pruned.append(mem)
-            else:
-                members.append(mem)
+    candidates = [Member(k, s) for k in range(2, kmax + 1) for s in range(k)]
+    alive = _nonvanishing(setup, pair.m, candidates)
     return IntegralFamily(setup, space if isinstance(space, AlgebraPair) else pair.name,
-                          tuple(members), tuple(pruned))
+                          tuple(m for m, ok in zip(candidates, alive) if ok),
+                          tuple(m for m, ok in zip(candidates, alive) if not ok))
 
 
 def as_gradient_fn(family: IntegralFamily, f):

@@ -19,6 +19,10 @@ column at a time: ``coords_to_matrix`` turns the basis columns into a
 and ``matrices_to_coords`` reads the results back as columns.
 ``bracket_form`` gives tr(w [Y_i, Y_j]) as G - G^T from the one Gram matrix
 G_ij = tr(w Y_i Y_j), instead of one commutator per pair.
+
+``centralizer`` and ``stacked_centralizer`` return a basis of the centralizer
+as a ``Subspace``; ``centralizer_dim`` returns only its dimension and
+ambiguity flag, from the singular values of the same adjoint matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import RANK_RTOL, Subspace, kernel_basis, orthonormal_columns
+from .linalg import (RANK_RTOL, Subspace, kernel_basis, kernel_dim,
+                     orthonormal_columns)
 
 HERMITICITY_TOL = 1e-12
 
@@ -255,6 +260,17 @@ def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     K, amb = kernel_basis(A, rtol, floor=float(np.linalg.norm(W)))
     return Subspace(within.ambient_dim, within.basis @ K,
                     ambiguous=amb or within.ambiguous)
+
+
+def centralizer_dim(x, within: Subspace, rtol: float = RANK_RTOL) -> tuple[int, bool]:
+    """``(dim, ambiguous)`` of ``centralizer(x, within, rtol)`` without its basis.
+
+    The same adjoint matrix and the same rank floor decide the dimension, but
+    no kernel basis or ``Subspace`` is built.
+    """
+    W = _as_matrix(x)
+    dim, amb = kernel_dim(ad_in_basis(W, within), rtol, floor=float(np.linalg.norm(W)))
+    return dim, amb or within.ambiguous
 
 
 def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:

@@ -11,7 +11,9 @@ trusted.
 is wide.  A tall matrix (rows >= cols) already has a square thin right
 factor, so the full decomposition would only add a rows x rows left factor
 that nothing reads; for the stacked adjoint matrix of a center computation
-that factor has n^4 x n^4 entries.
+that factor has n^4 x n^4 entries.  ``kernel_dim`` makes the same rank
+decision from the singular values alone, for callers that need only the
+dimension.
 """
 
 from __future__ import annotations
@@ -73,6 +75,23 @@ def kernel_basis(A, rtol: float = RANK_RTOL,
     _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
     rank, ambiguous = numeric_rank(s, rtol, floor)
     return vh[rank:].conj().T, ambiguous
+
+
+def kernel_dim(A, rtol: float = RANK_RTOL,
+               floor: float = 0.0) -> tuple[int, bool]:
+    """Dimension of the right null space of ``A``, with ambiguity flag.
+
+    Decides the same rank as ``kernel_basis`` from the singular values alone,
+    so no singular vectors are computed.
+    """
+    A = np.asarray(A)
+    rows, cols = A.shape
+    if cols == 0:
+        return 0, False
+    if rows == 0 or not np.any(A):
+        return cols, False
+    rank, ambiguous = numeric_rank(np.linalg.svd(A, compute_uv=False), rtol, floor)
+    return cols - rank, ambiguous
 
 
 def orthonormal_columns(A, rtol: float = RANK_RTOL,

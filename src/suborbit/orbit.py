@@ -18,7 +18,7 @@ import numpy as np
 
 from .linalg import (RANK_RTOL, Subspace, complement, full_space, intersect,
                      span, subspace_residual)
-from .lie import (LieElement, centralizer, coords_to_matrix,
+from .lie import (LieElement, centralizer, centralizer_dim, coords_to_matrix,
                   matrices_to_coords, real_form_dim, sigma, subalgebra_center)
 
 
@@ -302,7 +302,7 @@ def build_witness_x0(setup: OrbitSetup, seed: int = 0) -> tuple[LieElement, Witn
         M_orig = np.zeros((n, n))
         M_orig[np.ix_(ids, ids)] = M
         x0 = LieElement.from_matrix(M_orig.astype(complex))
-        dim = centralizer(x0, setup.k, setup.rank_tol).dim
+        dim = centralizer_dim(x0, setup.k, setup.rank_tol)[0]
         if dim == expected:
             break
     else:
@@ -315,8 +315,8 @@ def build_witness_x0(setup: OrbitSetup, seed: int = 0) -> tuple[LieElement, Witn
 
     chain_orig = np.zeros((n, n))
     chain_orig[np.ix_(ids, ids)] = chain_sorted
-    chain_dim = centralizer(LieElement.from_matrix(chain_orig.astype(complex)),
-                            setup.k, setup.rank_tol).dim
+    chain_dim = centralizer_dim(chain_orig.astype(complex), setup.k,
+                                setup.rank_tol)[0]
     if chain_dim != chain_expected:
         raise RuntimeError(
             f"chain stage has isotropy dimension {chain_dim}, expected {chain_expected}")

@@ -176,10 +176,11 @@ def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20, seed: int = 
     rng = np.random.default_rng([seed, 31])
     lams = [0.0] + list(_STRUCTURED) + list(annulus_samples(rng, n_lambda))
     eye = np.eye(n)
+    # the commutation matrix of x + lambda*a is affine in lambda
+    ad_x = np.kron(X, eye) - np.kron(eye, X.T)
+    ad_a = np.kron(setup.a.matrix, eye) - np.kron(eye, setup.a.matrix.T)
     for lam in lams:
-        w = X + complex(lam) * setup.a.matrix
-        ad = np.kron(w, eye) - np.kron(eye, w.T)
-        sv = np.linalg.svd(ad, compute_uv=False)
+        sv = np.linalg.svd(ad_x + complex(lam) * ad_a, compute_uv=False)
         rank, _ = numeric_rank(sv, rtol)
         if n * n - rank != n:
             return False

@@ -20,7 +20,7 @@ from suborbit import (CONFIRMED, LieElement, REDUCED, build_family,
                       build_x_pi, run_case, sample_element,
                       verify_regular_pencil)
 from suborbit.cli import main
-from suborbit.pencil import kernel_dim_of_form
+from suborbit.linalg import kernel_dim
 
 
 def _spectrum(p):
@@ -64,8 +64,8 @@ def test_criterion_02_kernel_identity(setup_112, dims_112):
             continue
         found += 1
         F0 = form_matrix(st, x, 0.0)
-        kd, _ = kernel_dim_of_form(F0, st.rank_tol,
-                                   floor=float(np.linalg.norm(x.matrix)))
+        kd, _ = kernel_dim(F0, st.rank_tol,
+                           floor=float(np.linalg.norm(x.matrix)))
         hits += kd == 3
     assert found == 50
     assert hits >= int(0.95 * 50)

@@ -79,7 +79,7 @@ def test_flow_run_and_outputs(tmp_path):
     assert doc["lax_residual_max"] < 1e-12
     lines = traj.read_text().strip().splitlines()
     header = lines[0].split(",")
-    # time,五 flow-space coordinates, one column per family member
+    # time, five flow-space coordinates, one column per family member
     assert header[0] == "t"
     assert header[1:6] == ["c_1", "c_2", "c_3", "c_4", "c_5"]
     assert all(h.startswith("f_") for h in header[6:])

@@ -8,6 +8,7 @@ from suborbit import (LieElement, Member, bracket, build_family,
                       involutivity_suite, pairing, poisson_bracket_can,
                       sample_element, shifted_invariant_eval, unitary_exp)
 from suborbit.invariants import shift_coeff_matrices
+from suborbit.lie import matrix_to_coords
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +193,39 @@ def test_kernel_contained_in_span_when_complete(fam_m, setup_112, dims_112):
     G = np.stack([gradient(fam_m, m, x).coords for m in fam_m.members], axis=1)
     S = span(G, 16)
     assert subspace_residual(span(kernel_vecs, 16), S) < 1e-8
+
+
+def _member_is_zero_reference(setup, space, member):
+    """Per-member pruning probe: its own seed, one recursion for the value and
+    one for the gradient at each of four points."""
+    rng = np.random.default_rng([7349, member.k, member.s])
+    a = setup.a.matrix
+    a_norm = max(1.0, setup.a.norm())
+    k, s = member.k, member.s
+    for _ in range(4):
+        x = LieElement.from_coords(space.basis @ rng.standard_normal(space.dim), setup.n)
+        scale = max(1.0, x.norm()) ** (k - s) * a_norm ** s
+        z = complex(np.trace(shift_coeff_matrices(x.matrix, a, k)[s]))
+        if abs(z.real if k % 2 == 0 else z.imag) > 1e-10 * scale:
+            return False
+        D = shift_coeff_matrices(x.matrix, a, k - 1)[s]
+        if k % 2 == 1:
+            D = -1j * D
+        g = matrix_to_coords(-k * 0.5 * (D - D.conj().T)).real
+        if np.linalg.norm(space.project(g)) > 1e-10 * k * scale:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2, 2), (1, 1, 4), (2, 3, 3)])
+@pytest.mark.parametrize("space", ["m", "m_tilde"])
+def test_pruning_matches_per_member_reference(mult, space):
+    st = build_setup(mult, (1.0, 2.0, 3.0))
+    fam = build_family(st, space)
+    members, pruned = [], []
+    for k in range(2, st.n + 1):
+        for s in range(k):
+            zero = _member_is_zero_reference(st, st.pair(space).m, Member(k, s))
+            (pruned if zero else members).append(Member(k, s))
+    assert fam.members == tuple(members)
+    assert fam.pruned == tuple(pruned)

@@ -11,7 +11,7 @@ from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
                       project, sigma, span, subspace_residual, sum_spaces,
                       build_setup)
 from suborbit.lie import (ad_in_basis, bracket_closure_residual, bracket_form,
-                          conjugate, coords_to_matrix,
+                          centralizer_dim, conjugate, coords_to_matrix,
                           derived_span, matrices_to_coords, matrix_to_coords,
                           unitary_exp)
 from suborbit.linalg import equal_spaces, kernel_basis, numeric_rank
@@ -347,3 +347,41 @@ def test_kernel_basis_tall_wide_square(rows, cols, rank, field):
     K_ref = vh[ref_rank:].conj().T
     assert K.shape == K_ref.shape == (cols, cols - rank)
     assert np.allclose(K @ K.conj().T, K_ref @ K_ref.conj().T, atol=1e-10)
+
+
+# -- centralizer_dim: the rank decision of centralizer without its basis -----
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_centralizer_dim_matches_centralizer(n):
+    rng = np.random.default_rng(80 + n)
+    g = full_space(n * n)
+    S = _random_subspace(n, n + 2, seed=90 + n)
+    empty = Subspace(n * n, np.zeros((n * n, 0)))
+    flagged = Subspace(n * n, np.eye(n * n), ambiguous=True)
+    x = LieElement.from_coords(rng.standard_normal(n * n), n)
+    # repeated anchor entries give centralizers larger than the rank
+    a = LieElement.from_matrix(np.diag(1j * np.repeat([1.0, 2.0, 3.0], n)[:n]))
+    cases = [
+        (x, g), (a, g), (x, S), (a, S),
+        (x.matrix + (0.4 - 1.1j) * a.matrix, g),
+        (x.matrix + (0.4 - 1.1j) * a.matrix, S),
+        (x, g.complexify()), (a, S.complexify()),
+        (x, empty), (x.matrix + 1j * a.matrix, empty),
+        (LieElement.zero(n), g), (LieElement.zero(n), S),
+        (x, flagged), (LieElement.zero(n), flagged),
+    ]
+    for w, within in cases:
+        c = centralizer(w, within)
+        assert centralizer_dim(w, within) == (c.dim, c.ambiguous)
+
+
+def test_centralizer_dim_carries_a_fragile_rank_decision():
+    # a gap of 2e-9 between eigenvalues sits within a decade of the cutoff
+    n = 3
+    w = LieElement.from_matrix(np.diag(1j * np.array([1.0, 1.0 + 2e-9, 2.0])))
+    g = full_space(n * n)
+    with pytest.warns(RankAmbiguityWarning):
+        c = centralizer(w, g)
+    with pytest.warns(RankAmbiguityWarning):
+        assert centralizer_dim(w, g) == (c.dim, True)
+    assert c.ambiguous

@@ -6,8 +6,10 @@ import pytest
 from suborbit import (LieElement, bracket, build_setup, centralizer,
                       conjugate, form_matrix, kronecker_test, m_of_x, pairing,
                       pencil_isotropy_check, sample_element, unitary_exp)
-from suborbit.linalg import span
-from suborbit.pencil import kernel_dim_of_form
+from suborbit import linalg
+from suborbit.generic import estimate_generic_dims, is_in_R
+from suborbit.linalg import kernel_dim, span
+from suborbit.pencil import SINGULAR, _STRUCTURED_LAMBDAS, annulus_samples
 
 
 def test_form_is_skew_and_matches_definition(setup_112):
@@ -41,8 +43,8 @@ def test_canonical_kernel_dimension_is_r(setup_112, dims_112):
     for i in range(20):
         x = sample_element(st.m, np.random.default_rng([20, i]), 4)
         F0 = form_matrix(st, x, 0.0)
-        kd, _ = kernel_dim_of_form(F0, st.rank_tol,
-                                   floor=float(np.linalg.norm(x.matrix)))
+        kd, _ = kernel_dim(F0, st.rank_tol,
+                           floor=float(np.linalg.norm(x.matrix)))
         hits += kd == dims_112["m"].r
     assert hits >= 19
 
@@ -54,8 +56,8 @@ def test_form_kernel_matches_projected_centralizer(setup_112, dims_112):
     x = sample_element(st.m_tilde, np.random.default_rng(2), 4)
     lam = 0.8 - 0.3j
     F = form_matrix(st, x, lam)
-    kd, _ = kernel_dim_of_form(F, st.rank_tol,
-                               floor=float(np.linalg.norm(x.matrix + lam * st.a.matrix)))
+    kd, _ = kernel_dim(F, st.rank_tol,
+                       floor=float(np.linalg.norm(x.matrix + lam * st.a.matrix)))
     w = x.matrix + lam * st.a.matrix
     cz = centralizer(w, st.g)
     proj = st.m.basis @ (st.m.basis.T @ cz.basis)
@@ -209,3 +211,71 @@ def test_forms_independent_generically(setup_112, dims_112):
     x = sample_element(setup_112.m_tilde, np.random.default_rng(1), 4)
     v = kronecker_test(setup_112, x, dims_112["m"], n_lambda=8, seed=2)
     assert not v.forms_dependent
+
+
+def _kronecker_reference(st, x, dims, lams, space):
+    """Per-parameter sweep: a fresh complexified centralizer and form each time."""
+    domain = m_of_x(st, x, space)
+    F_si = form_matrix(st, x, SINGULAR, space, domain)
+    si_dim, _ = kernel_dim(F_si.astype(complex), st.rank_tol,
+                           floor=float(np.linalg.norm(st.a.matrix)))
+    gC = st.pair(space).g.complexify()
+    cdims, kdims = [], []
+    for lam in lams:
+        w = x.matrix + complex(lam) * st.a.matrix
+        cdims.append(centralizer(w, gC, st.rank_tol).dim)
+        F = form_matrix(st, x, lam, space, domain)
+        kdims.append(kernel_dim(F.astype(complex), st.rank_tol,
+                                floor=float(np.linalg.norm(w)))[0])
+    kron = si_dim == dims.r and all(c == dims.q for c in cdims)
+    return si_dim, tuple(cdims), tuple(kdims), kron
+
+
+@pytest.mark.parametrize("mult, space", [((1, 1, 2), "m"), ((1, 1, 2), "m_tilde"),
+                                         ((2, 2, 2), "m"), ((1, 1, 4), "m"),
+                                         ((1, 1, 4), "m_tilde")])
+def test_affine_lambda_sweep_matches_per_lambda_reference(mult, space):
+    st = build_setup(mult, (1.0, 2.0, 3.0))
+    dims = estimate_generic_dims(st, space, 25, seed=3)
+    verdicts = set()
+    for i in range(3):
+        x = sample_element(st.pair(space).m, np.random.default_rng([70, i]), st.n)
+        assert is_in_R(st, x, space, dims)
+        v = kronecker_test(st, x, dims, n_lambda=8, seed=i, space=space)
+        lams = list(_STRUCTURED_LAMBDAS) + list(
+            annulus_samples(np.random.default_rng([i, 23]), 8))
+        assert v.lambda_samples == tuple(complex(lam) for lam in lams)
+        si_dim, cdims, kdims, kron = _kronecker_reference(st, x, dims, lams, space)
+        assert v.singular_kernel_dim == si_dim
+        assert v.centralizer_dims == cdims
+        assert v.kernel_dims == kdims
+        assert v.kronecker == kron
+        verdicts.add(v.kronecker)
+    # both verdicts are covered: these points pass on m and fail on m_tilde
+    assert verdicts == {space == "m"}
+
+
+def test_rank_only_paths_build_no_kernel_basis(monkeypatch, setup_112, dims_112):
+    import sys
+    real = linalg.kernel_basis
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("suborbit") and getattr(module, "kernel_basis", None) is real:
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    estimate_generic_dims(setup_112, "m", 25, seed=3)
+    estimate_generic_dims(setup_112, "m_tilde", 25, seed=3)
+    assert calls == []
+    x = sample_element(setup_112.m_tilde, np.random.default_rng(5), 4)
+    per_sweep = []
+    for n_lambda in (0, 20):
+        calls.clear()
+        v = kronecker_test(setup_112, x, dims_112["m"], n_lambda=n_lambda, seed=1)
+        assert v.generic and len(v.kernel_dims) == 5 + n_lambda
+        per_sweep.append(len(calls))
+    # only the slice m(x) is built as a basis, once, whatever the sweep length
+    assert per_sweep == [1, 1]
