@@ -68,9 +68,9 @@ def build_flow(setup: OrbitSetup, b_values, space: str = "m_tilde") -> FlowSpec:
         b = b_values
     else:
         b = block_scalar(setup, b_values)
-    if not setup.z_prime.contains(b.coords, 1e-12):
+    if not setup.z_of_k.contains(b.coords, 1e-12):
         raise ValueError("b must be a block-scalar imaginary diagonal "
-                         "(an element of the anti-fixed center of the isotropy algebra)")
+                         "(an element of the center of the isotropy algebra)")
     comm = bracket(setup.a, b)
     if comm.norm() > 1e-14 * max(1.0, setup.a.norm() * b.norm()):
         raise RuntimeError("anchor and b do not commute")

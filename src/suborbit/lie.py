@@ -38,34 +38,28 @@ from .linalg import (RANK_RTOL, Subspace, kernel_basis, kernel_dim,
 HERMITICITY_TOL = 1e-12
 
 
+def coordinate_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)``: the entry (j, k), j <= k, that each canonical
+    coordinate is supported on, in coordinate order; the one record of it."""
+    j, k = np.triu_indices(n, 1)
+    d = np.arange(n)
+    return np.concatenate([j, d, j]), np.concatenate([k, d, k])
+
+
 @lru_cache(maxsize=None)
 def _basis_data(n: int):
     """Stacked basis matrices of u(n), shape (n^2, n, n), plus conjugation signs."""
-    mats = []
-    signs = []
+    rows, cols = coordinate_entries(n)
+    idx = np.arange(n * n)
+    fixed = idx < real_form_dim(n)
     s = 1.0 / np.sqrt(2.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            M = np.zeros((n, n), dtype=complex)
-            M[j, k] = s
-            M[k, j] = -s
-            mats.append(M)
-            signs.append(1.0)
-    for j in range(n):
-        M = np.zeros((n, n), dtype=complex)
-        M[j, j] = 1j
-        mats.append(M)
-        signs.append(-1.0)
-    for j in range(n):
-        for k in range(j + 1, n):
-            M = np.zeros((n, n), dtype=complex)
-            M[j, k] = 1j * s
-            M[k, j] = 1j * s
-            mats.append(M)
-            signs.append(-1.0)
-    B = np.stack(mats)
+    upper = np.where(rows == cols, 1j, np.where(fixed, s, 1j * s))
+    lower = np.where(fixed, -s, upper)
+    B = np.zeros((n * n, n, n), dtype=complex)
+    B[idx, rows, cols] = upper
+    B[idx, cols, rows] = lower
     B.setflags(write=False)
-    sg = np.asarray(signs)
+    sg = np.where(fixed, 1.0, -1.0)
     sg.setflags(write=False)
     return B, sg
 
@@ -134,6 +128,17 @@ class LieElement:
         object.__setattr__(self, "coords", v)
 
     @classmethod
+    def _trusted(cls, n: int, M: np.ndarray, v: np.ndarray) -> "LieElement":
+        """Wrap fresh arrays that lie in u(n) by construction, unchecked: the
+        round-off of a sum or bracket is relative to its operands, so the check
+        of ``__post_init__``, scaled by the result, could reject a cancelling sum."""
+        M.setflags(write=False)
+        v.setflags(write=False)
+        X = object.__new__(cls)
+        X.__dict__.update(n=n, matrix=M, coords=v)
+        return X
+
+    @classmethod
     def from_matrix(cls, M: np.ndarray) -> "LieElement":
         M = np.asarray(M, dtype=complex)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -157,18 +162,18 @@ class LieElement:
 
     def __add__(self, other: "LieElement") -> "LieElement":
         _check_same_n(self, other)
-        return LieElement(self.n, self.matrix + other.matrix, self.coords + other.coords)
+        return LieElement._trusted(self.n, self.matrix + other.matrix, self.coords + other.coords)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         _check_same_n(self, other)
-        return LieElement(self.n, self.matrix - other.matrix, self.coords - other.coords)
+        return LieElement._trusted(self.n, self.matrix - other.matrix, self.coords - other.coords)
 
     def __neg__(self) -> "LieElement":
-        return LieElement(self.n, -self.matrix, -self.coords)
+        return LieElement._trusted(self.n, -self.matrix, -self.coords)
 
     def __mul__(self, c: float) -> "LieElement":
         c = float(c)
-        return LieElement(self.n, c * self.matrix, c * self.coords)
+        return LieElement._trusted(self.n, c * self.matrix, c * self.coords)
 
     __rmul__ = __mul__
 
@@ -182,7 +187,7 @@ def bracket(X: LieElement, Y: LieElement) -> LieElement:
     """Matrix commutator [X, Y] = XY - YX."""
     _check_same_n(X, Y)
     M = X.matrix @ Y.matrix - Y.matrix @ X.matrix
-    return LieElement(X.n, M, matrix_to_coords(M).real)
+    return LieElement._trusted(X.n, M, matrix_to_coords(M).real)
 
 
 def pairing(X: LieElement, Y: LieElement) -> float:
@@ -196,7 +201,7 @@ def sigma(X: LieElement) -> LieElement:
     M = X.matrix.conj()
     n = X.n
     _, signs = _basis_data(n)
-    return LieElement(n, M, signs * X.coords)
+    return LieElement._trusted(n, M, signs * X.coords)
 
 
 def sigma_signs(n: int) -> np.ndarray:

@@ -4,10 +4,13 @@ Given multiplicities (n_1, ..., n_p) and a spectrum of pairwise distinct reals,
 the anchor is a = diag(i*l_1 repeated n_1 times, ..., i*l_p repeated n_p
 times).  Its isotropy algebra k is the block-diagonal sum of the u(n_j), m is
 the pairing-orthogonal complement, and entrywise conjugation splits everything
-into fixed (real, so(n)-type) and anti-fixed (i*symmetric) parts.  The module
-also builds the explicit real element of the fixed part of m whose isotropy
-algebra inside k has the smallest possible dimension; that element anchors
-all genericity and reduction arguments downstream.
+into fixed (real, so(n)-type) and anti-fixed (i*symmetric) parts.  As a is
+diagonal, these are coordinate masks over ``lie.coordinate_entries``: k holds
+the coordinates whose row and column share a block, the fixed part the ones
+conjugation keeps.  z(k) is spanned by the block identities and z(g) by iI.
+The module also builds the explicit real element of the fixed part of m
+whose isotropy algebra inside k has the smallest possible dimension; that
+element anchors all genericity and reduction arguments downstream.
 """
 
 from __future__ import annotations
@@ -16,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (RANK_RTOL, Subspace, complement, full_space, intersect,
-                     span, subspace_residual)
-from .lie import (LieElement, centralizer, centralizer_dim, coords_to_matrix,
-                  matrices_to_coords, real_form_dim, sigma, subalgebra_center)
+from .linalg import RANK_RTOL, Subspace, equal_spaces, full_space
+from .lie import (LieElement, centralizer, centralizer_dim, coordinate_entries,
+                  coords_to_matrix, matrices_to_coords, sigma, sigma_signs)
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,6 @@ class OrbitSetup:
     m_tilde: Subspace
     m_prime: Subspace
     z_of_k: Subspace
-    z_tilde: Subspace
-    z_prime: Subspace
     z_of_g: Subspace
     blocks: dict
     ad_a_m: np.ndarray
@@ -113,29 +113,18 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
         raise ValueError("need total dimension n >= 2")
 
     a = block_scalar(mult, spec)
-    N = n * n
-    g = full_space(N)
-    r = real_form_dim(n)
-    g_tilde = Subspace(N, np.eye(N)[:, :r])
-    g_prime = Subspace(N, np.eye(N)[:, r:])
-
-    k = centralizer(a, g, rank_tol)
-    dim_k = sum(m * m for m in mult)
-    if k.dim != dim_k:
-        raise RuntimeError(f"isotropy algebra has dimension {k.dim}, expected {dim_k}")
-    m = complement(k, rtol=rank_tol)
-
-    k_tilde = intersect(k, g_tilde, rank_tol)
-    k_prime = intersect(k, g_prime, rank_tol)
-    m_tilde = intersect(m, g_tilde, rank_tol)
-    m_prime = intersect(m, g_prime, rank_tol)
-
-    z_of_k = subalgebra_center(k, rank_tol)
-    z_tilde = intersect(z_of_k, g_tilde, rank_tol)
-    z_prime = intersect(z_of_k, g_prime, rank_tol)
-    z_of_g = subalgebra_center(g, rank_tol)
-
-    blocks = _block_modules(mult, n)
+    rows, cols = coordinate_entries(n)
+    owner = np.repeat(np.arange(len(mult)), mult)
+    in_k = owner[rows] == owner[cols]
+    fixed = sigma_signs(n) > 0
+    g = full_space(n * n)
+    g_tilde, g_prime = _coordinates(fixed), _coordinates(~fixed)
+    k, m = _coordinates(in_k), _coordinates(~in_k)
+    k_tilde, k_prime = _coordinates(in_k & fixed), _coordinates(in_k & ~fixed)
+    m_tilde, m_prime = _coordinates(~in_k & fixed), _coordinates(~in_k & ~fixed)
+    z_of_k = _block_identities(owner, rows, cols)
+    z_of_g = _block_identities(np.zeros(n, dtype=int), rows, cols)
+    blocks = _block_modules(owner, rows, cols)
 
     ad_a_m = _operator_on(m, lambda Ys: a.matrix @ Ys - Ys @ a.matrix)
     ad_a_m_inv = np.linalg.inv(ad_a_m)
@@ -143,9 +132,8 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
         raise RuntimeError("ad a is numerically singular on m")
 
     setup = OrbitSetup(n, mult, spec, a, g, g_tilde, g_prime, k, m,
-                       k_tilde, k_prime, m_tilde, m_prime,
-                       z_of_k, z_tilde, z_prime, z_of_g, blocks,
-                       ad_a_m, ad_a_m_inv, rank_tol)
+                       k_tilde, k_prime, m_tilde, m_prime, z_of_k, z_of_g,
+                       blocks, ad_a_m, ad_a_m_inv, rank_tol)
     _validate_setup(setup)
     return setup
 
@@ -159,35 +147,34 @@ def _operator_on(S: Subspace, apply_matrix) -> np.ndarray:
     return S.coeffs(matrices_to_coords(apply_matrix(Ys)).real)
 
 
-def _block_modules(mult, n) -> dict:
+def _coordinates(mask) -> Subspace:
+    """Span of the canonical coordinates that a boolean mask selects."""
+    return Subspace(mask.size, np.eye(mask.size)[:, mask])
+
+
+def _block_identities(owner, rows, cols) -> Subspace:
+    """Normalised i*I_b for each block label b of ``owner`` (one per diagonal position)."""
+    diag = np.flatnonzero(rows == cols)
+    block = owner[rows[diag]]
+    Z = np.zeros((rows.size, owner.max() + 1))
+    Z[diag, block] = 1.0 / np.sqrt(np.bincount(owner)[block])
+    return Subspace(rows.size, Z)
+
+
+def _block_modules(owner, rows, cols) -> dict:
     """Coordinate subspaces of the block positions (bj, bl), 1-based block labels."""
-    p = len(mult)
-    offs = np.concatenate([[0], np.cumsum(mult)])
-    owner = np.empty(n, dtype=int)
-    for b in range(p):
-        owner[offs[b]:offs[b + 1]] = b
-    # canonical coordinate index -> (row, col) of the supporting entry
-    entries = []
-    for j in range(n):
-        for kk in range(j + 1, n):
-            entries.append((j, kk))
-    for j in range(n):
-        entries.append((j, j))
-    for j in range(n):
-        for kk in range(j + 1, n):
-            entries.append((j, kk))
-    blocks = {}
-    eye = np.eye(n * n)
-    for b1 in range(p):
-        for b2 in range(b1, p):
-            idx = [i for i, (rj, ck) in enumerate(entries)
-                   if {owner[rj], owner[ck]} == ({b1, b2} if b1 != b2 else {b1})]
-            blocks[(b1 + 1, b2 + 1)] = Subspace(n * n, eye[:, idx])
-    return blocks
+    # rows <= cols and the blocks are contiguous, so bj <= bl
+    bj, bl = owner[rows], owner[cols]
+    p = owner.max() + 1
+    return {(b1 + 1, b2 + 1): _coordinates((bj == b1) & (bl == b2))
+            for b1 in range(p) for b2 in range(b1, p)}
 
 
 def _validate_setup(st: OrbitSetup):
     checks = []
+    # the k mask against the definition of k as the centralizer of a
+    checks.append(("k = centralizer of a",
+                   equal_spaces(centralizer(st.a, st.g, st.rank_tol), st.k)))
     # anchor location and conjugation behavior
     checks.append(("a in k_prime", st.k_prime.contains(st.a.coords, 1e-12)))
     checks.append(("a in z(k)", st.z_of_k.contains(st.a.coords, 1e-12)))

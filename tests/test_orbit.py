@@ -1,12 +1,19 @@
 """Orbit context construction and the minimal-isotropy witness."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from suborbit import (block_scalar, bracket, build_setup,
-                      build_witness_x0, centralizer, pairing, sigma,
+                      build_witness_x0, centralizer, complement, full_space,
+                      intersect, pairing, sigma, subalgebra_center,
                       subspace_residual)
+from suborbit import linalg
+from suborbit.cli import _partitions
 from suborbit.generic import sample_element
+from suborbit.lie import _basis_data, coordinate_entries
+from suborbit.linalg import Subspace, equal_spaces
 from suborbit.orbit import ad_a_inverse_apply
 
 
@@ -161,9 +168,9 @@ def test_witness_dimensions_beyond_rank_six(mult, expected):
 
 
 def test_build_setup_memory_stays_small():
-    # the center of u(n) is found from an n^4 x n^2 stacked adjoint matrix;
-    # asking its SVD for the unused n^4 x n^4 left factor costs about 340 MB
-    # of traced allocations at n = 9
+    # the setup holds n^2 x d coordinate bases and n^2 x n^2 adjoint matrices,
+    # under 1 MB of traced allocations at n = 9; the bound is there to catch
+    # any O(n^8) allocation, since one n^4 x n^4 array takes 344 MB at n = 9
     import tracemalloc
     build_setup((1, 2), (1.0, 2.0))            # warm the basis cache of small n
     tracemalloc.start()
@@ -173,3 +180,122 @@ def test_build_setup_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 200 * 2**20
+
+
+# -- the coordinate layout and the closed-form setup spaces ------------------
+
+
+def _loop_entries(n):
+    """The coordinate order as it is written out in the ``lie`` docstring."""
+    upper = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    return upper + [(j, j) for j in range(n)] + upper
+
+
+def _loop_basis_data(n):
+    """The canonical basis built one matrix at a time."""
+    mats, signs = [], []
+    s = 1.0 / np.sqrt(2.0)
+    for j in range(n):
+        for k in range(j + 1, n):
+            M = np.zeros((n, n), dtype=complex)
+            M[j, k] = s
+            M[k, j] = -s
+            mats.append(M)
+            signs.append(1.0)
+    for j in range(n):
+        M = np.zeros((n, n), dtype=complex)
+        M[j, j] = 1j
+        mats.append(M)
+        signs.append(-1.0)
+    for j in range(n):
+        for k in range(j + 1, n):
+            M = np.zeros((n, n), dtype=complex)
+            M[j, k] = 1j * s
+            M[k, j] = 1j * s
+            mats.append(M)
+            signs.append(-1.0)
+    return np.stack(mats), np.asarray(signs)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_basis_data_matches_loop_construction(n):
+    rows, cols = coordinate_entries(n)
+    assert list(zip(rows.tolist(), cols.tolist())) == _loop_entries(n)
+    B, signs = _basis_data(n)
+    B_ref, signs_ref = _loop_basis_data(n)
+    assert B.dtype == B_ref.dtype and signs.dtype == signs_ref.dtype
+    assert B.tobytes() == B_ref.tobytes()
+    assert signs.tobytes() == signs_ref.tobytes()
+
+
+def _svd_setup_spaces(mult, spectrum):
+    """The setup spaces computed from their definitions with SVD machinery."""
+    n = sum(mult)
+    N = n * n
+    a = block_scalar(mult, spectrum)
+    g = full_space(N)
+    r = n * (n - 1) // 2
+    g_tilde = Subspace(N, np.eye(N)[:, :r])
+    g_prime = Subspace(N, np.eye(N)[:, r:])
+    k = centralizer(a, g)
+    m = complement(k)
+    z_of_k = subalgebra_center(k)
+    spaces = {"g": g, "g_tilde": g_tilde, "g_prime": g_prime, "k": k, "m": m,
+              "k_tilde": intersect(k, g_tilde), "k_prime": intersect(k, g_prime),
+              "m_tilde": intersect(m, g_tilde), "m_prime": intersect(m, g_prime),
+              "z_of_k": z_of_k, "z_of_g": subalgebra_center(g)}
+    owner = np.repeat(np.arange(len(mult)), mult)
+    entries = _loop_entries(n)
+    blocks = {}
+    for b1 in range(len(mult)):
+        for b2 in range(b1, len(mult)):
+            idx = [i for i, (j, kk) in enumerate(entries)
+                   if {owner[j], owner[kk]} == {b1, b2}]
+            blocks[(b1 + 1, b2 + 1)] = Subspace(N, np.eye(N)[:, idx])
+    return spaces, blocks
+
+
+SETUP_PARTITIONS = [p for n in range(2, 8) for p in _partitions(n)] + [(4, 4)]
+
+
+@pytest.mark.parametrize("mult", SETUP_PARTITIONS, ids=str)
+def test_closed_form_spaces_match_svd_construction(mult):
+    spectrum = tuple(float(j + 1) for j in range(len(mult)))
+    st = build_setup(mult, spectrum)
+    spaces, blocks = _svd_setup_spaces(mult, spectrum)
+    for name, ref in spaces.items():
+        assert equal_spaces(getattr(st, name), ref), name
+    assert st.blocks.keys() == blocks.keys()
+    for key, ref in blocks.items():
+        assert np.array_equal(st.blocks[key].basis, ref.basis), key
+    # the centre of k has no fixed part, so its anti-fixed part is all of it
+    assert intersect(spaces["z_of_k"], spaces["g_tilde"]).dim == 0
+    assert equal_spaces(intersect(spaces["z_of_k"], spaces["g_prime"]), st.z_of_k)
+
+
+@pytest.mark.parametrize("mult", [(1, 1), (1, 1, 2), (2, 3, 3), (1,) * 6])
+def test_setup_spaces_are_unit_coordinate_columns(mult):
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    for name in ("g_tilde", "g_prime", "k", "m", "k_tilde", "k_prime",
+                 "m_tilde", "m_prime"):
+        B = getattr(st, name).basis
+        assert np.all((B == 0.0) | (B == 1.0)), name
+        assert np.all(B.sum(axis=0) == 1.0), name
+        # distinct coordinates, in increasing order
+        assert np.all(np.diff(np.argmax(B, axis=0)) > 0), name
+
+
+def test_build_setup_computes_one_kernel_basis(monkeypatch):
+    real = linalg.kernel_basis
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("suborbit") and getattr(module, "kernel_basis", None) is real:
+            monkeypatch.setattr(module, "kernel_basis", counting)
+    build_setup((1, 2, 3), (1.0, 2.0, 3.0))
+    # the one centralizer that checks the k mask, on all of u(6)
+    assert calls == [(36, 36)]
