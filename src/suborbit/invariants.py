@@ -6,7 +6,9 @@ generating set for the whole shifted family (evaluating the polynomial at any
 t is a linear combination of the coefficients).  Coefficients are extracted
 exactly by convolving matrix word expansions, never by numerical fitting, and
 gradients come from exact differentiation of the word expansion followed by a
-skew-Hermitian split and a pairing-orthogonal projection.
+skew-Hermitian split and a pairing-orthogonal projection.  At each point one
+shift recursion, run up to the largest power, gives the values of every
+member, and one gives all of their gradients.
 
 Traces of odd powers are purely imaginary on skew-Hermitian matrices, so the
 real-valued member for odd k takes the imaginary part; this rescales the
@@ -20,14 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import (LieElement, bracket, bracket_form, coords_to_matrix,
-                  matrices_to_coords, pairing, project)
-from .linalg import Subspace, numeric_rank, orthonormal_columns
+                  matrices_to_coords, pairing)
+from .linalg import Subspace, orthonormal_columns, subspace_residual
 from .generic import GenericDims, is_in_R, m_of_x
 from .orbit import AlgebraPair, OrbitSetup
-
-_PROBE_SEED = 7349
-_PROBES = 4
-_PRUNE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -114,59 +112,55 @@ def _raw_gradient_matrix(k: int, D: np.ndarray) -> np.ndarray:
     return -k * 0.5 * (D - D.conj().T)
 
 
+def _member_gradients(family: IntegralFamily, x: LieElement,
+                      members=None) -> np.ndarray:
+    """In-space gradient coordinates (N, M) at x of ``members`` (default: the
+    family's), from one shift recursion: its state after k-1 steps holds the
+    word derivatives of power k."""
+    members = family.members if members is None else members
+    if not members:
+        return np.zeros((family.setup.ambient_dim, 0))
+    k_max = max(m.k for m in members)
+    C = list(_shift_coeff_powers(x.matrix, family.setup.a.matrix, k_max - 1))
+    raws = np.stack([_raw_gradient_matrix(m.k, C[m.k - 1][m.s]) for m in members])
+    return family.domain.project(matrices_to_coords(raws).real)
+
+
 def gradient(family: IntegralFamily, member: Member, x: LieElement) -> LieElement:
     """Pairing gradient of the member inside the family's space."""
-    C = shift_coeff_matrices(x.matrix, family.setup.a.matrix, member.k - 1)
-    raw = _raw_gradient_matrix(member.k, C[member.s])
-    return project(LieElement.from_matrix(raw), family.domain)
-
-
-def _nonvanishing(setup: OrbitSetup, space: Subspace, candidates) -> np.ndarray:
-    """Mask of the candidate members that do not vanish identically on ``space``.
-
-    A member vanishes when its value and its in-space gradient are zero,
-    relative to the scale |x|^(k-s) |a|^s, at every probe point.  One shift
-    recursion per probe point serves all candidates: its state after k steps
-    gives the values of power k, its state after k-1 steps their gradients.
-    """
-    ks = np.array([m.k for m in candidates], dtype=int)
-    ss = np.array([m.s for m in candidates], dtype=int)
-    alive = np.zeros(len(candidates), dtype=bool)
-    if not candidates:
-        return alive
-    a = setup.a.matrix
-    a_norm = max(1.0, setup.a.norm())
-    rng = np.random.default_rng(_PROBE_SEED)
-    for _ in range(_PROBES):
-        x = space.basis @ rng.standard_normal(space.dim)
-        C = list(_shift_coeff_powers(coords_to_matrix(x, setup.n), a, int(ks.max())))
-        vals = np.array([_real_part(k, complex(np.trace(C[k][s])))
-                         for k, s in zip(ks, ss)])
-        raws = np.stack([_raw_gradient_matrix(k, C[k - 1][s]) for k, s in zip(ks, ss)])
-        grads = np.linalg.norm(space.coeffs(matrices_to_coords(raws).real), axis=0)
-        scale = max(1.0, float(np.linalg.norm(x))) ** (ks - ss) * a_norm ** ss
-        alive |= (np.abs(vals) > _PRUNE_TOL * scale) | (grads > _PRUNE_TOL * ks * scale)
-        if alive.all():
-            break
-    return alive
+    return LieElement.from_coords(_member_gradients(family, x, (member,))[:, 0],
+                                  family.setup.n)
 
 
 def build_family(setup: OrbitSetup, space, max_power: int | None = None) -> IntegralFamily:
     """All nonvanishing shift coefficients of powers 2..n on the chosen space.
 
-    Coefficients that vanish identically on the space are pruned: the top
-    coefficient of each power is constant, the order k-1 coefficient pairs x
-    against a power of the anchor inside the isotropy algebra, and on the
-    fixed part every coefficient of the wrong parity dies because conjugation
-    flips the sign of the shift.
+    Member (k, s) sums the words with k-s letters x and s letters a.  It
+    vanishes identically on the space, and is pruned, exactly when
+    - the space lies in m and s = k-1: the member is k tr(x a^(k-1)), and x
+      has no block-diagonal part;
+    - the space lies in the fixed part and k-s is odd: a transposed word has
+      x^T = -x and a^T = a, so the member is (-1)^(k-s) times itself;
+    - the space lies in m, there are two blocks and k-s is odd: a is affine
+      in J = diag(I, -I) and J x J = -x, so conjugating by J flips its sign;
+    - the space is zero: every member has degree k-s >= 1 in x.
+    That no other member vanishes is checked against random probes in tests.
     """
     kmax = setup.n if max_power is None else max_power
     pair = setup.pair(space)
+    in_m = subspace_residual(pair.m, setup.m) < 1e-10
+    fixed = subspace_residual(pair.m, setup.g_tilde) < 1e-10
+    two_blocks = len(setup.multiplicities) == 2
+
+    def vanishes(k, s):
+        odd = (k - s) % 2 == 1
+        return (pair.m.dim == 0 or (in_m and (s == k - 1 or (two_blocks and odd)))
+                or (fixed and odd))
+
     candidates = [Member(k, s) for k in range(2, kmax + 1) for s in range(k)]
-    alive = _nonvanishing(setup, pair.m, candidates)
     return IntegralFamily(setup, space if isinstance(space, AlgebraPair) else pair.name,
-                          tuple(m for m, ok in zip(candidates, alive) if ok),
-                          tuple(m for m, ok in zip(candidates, alive) if not ok))
+                          tuple(m for m in candidates if not vanishes(m.k, m.s)),
+                          tuple(m for m in candidates if vanishes(m.k, m.s)))
 
 
 def as_gradient_fn(family: IntegralFamily, f):
@@ -195,10 +189,8 @@ def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
     """
     if n_points < 1:
         raise ValueError("need at least one sample point")
-    grads = [as_gradient_fn(family, m) for m in family.members]
-    if extra is not None:
-        grads.append(as_gradient_fn(family, extra))
-    if not grads:
+    extra_fn = None if extra is None else as_gradient_fn(family, extra)
+    if not family.members and extra_fn is None:
         return 0.0
     space = family.domain
     n = family.setup.n
@@ -206,10 +198,12 @@ def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
     for i in range(n_points):
         rng = np.random.default_rng([seed, 11, i])
         x = LieElement.from_coords(space.basis @ rng.standard_normal(space.dim), n)
-        gs = [g(x) for g in grads]
+        G = _member_gradients(family, x)
+        if extra_fn is not None:
+            G = np.column_stack([G, extra_fn(x).coords])
         # {f, g}(x) = -<x, [grad f, grad g]> = Re tr(x [grad f, grad g])
-        vals = np.abs(bracket_form(x.matrix, np.stack([g.matrix for g in gs])).real)
-        norms = np.array([g.norm() for g in gs])
+        vals = np.abs(bracket_form(x.matrix, coords_to_matrix(G, n)).real)
+        norms = np.linalg.norm(G, axis=0)
         worst = max(worst, float(np.max(vals / np.maximum(1.0, np.outer(norms, norms)))))
     return worst
 
@@ -236,19 +230,16 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily, x: LieElement,
     space = family.space if space is None else space
     if not is_in_R(setup, x, space, dims):
         raise ValueError("point is not generic for the selected space")
-    grads = [gradient(family, m, x) for m in family.members]
-    G = np.stack([g.coords for g in grads], axis=1)
-    sv = np.linalg.svd(G, compute_uv=False)
-    span_dim, amb = numeric_rank(sv, setup.rank_tol)
+    G = _member_gradients(family, x)
+    # one rank decision gives the span dimension and an orthonormal span
+    Q, amb = orthonormal_columns(G, setup.rank_tol)
+    span_dim = Q.shape[1]
     mx = m_of_x(setup, x, space)
     target = (dims.r + mx.dim) / 2
     target_dim = int(round(target))
-    # orthonormalize the span and evaluate the form on it
-    Q, _ = orthonormal_columns(G, setup.rank_tol)
     F = bracket_form(x.matrix, coords_to_matrix(Q, setup.n))
     iso = float(np.max(np.abs(F.real), initial=0.0))
-    memb = max((float(np.linalg.norm(g.coords - mx.project(g.coords)))
-                for g in grads), default=0.0)
+    memb = float(np.max(np.linalg.norm(G - mx.project(G), axis=0), initial=0.0))
     complete = span_dim == target_dim and abs(target - target_dim) < 1e-9
     return CompletenessReport(span_dim, target_dim, complete, iso, mx.dim, memb,
                               amb or mx.ambiguous)

@@ -51,10 +51,12 @@ def build_moment_data(setup: OrbitSetup, space: str = "m") -> MomentData:
     if pair.m is setup.m_tilde:
         raise ValueError("ad a maps m_tilde onto m_prime, so it has no inverse on "
                          "m_tilde; moment data exist only on m")
-    a = setup.a.matrix
-    A = (setup.ad_a_m if pair.m is setup.m
-         else _operator_on(pair.m, lambda Ys: a @ Ys - Ys @ a))
-    A_inv = np.linalg.inv(A)
+    if pair.m is setup.m:
+        A, A_inv = setup.ad_a_m, setup.ad_a_m_inv
+    else:
+        a = setup.a.matrix
+        A = _operator_on(pair.m, lambda Ys: a @ Ys - Ys @ a)
+        A_inv = np.linalg.inv(A)
     if np.max(np.abs(A @ A_inv - np.eye(pair.m.dim))) > 1e-10:
         raise RuntimeError("ad a is numerically singular on the chosen space")
     beta = A_inv

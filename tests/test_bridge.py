@@ -99,12 +99,14 @@ def test_inconclusive_rank_eight_case_says_why():
 
 
 # Integer, boolean and verdict fields of run_case on small partitions,
-# recorded while the setup spaces were still built with SVDs.  A change of
-# basis moves every sampled point and hence every float residual, but none of
-# these fields may move.
+# recorded while the setup spaces were still built with SVDs; the two-block
+# cases, which reach the p = 2 pruning rule, were recorded while the family
+# was still pruned by random probes.  A change of basis moves every sampled
+# point and hence every float residual, but none of these fields may move.
 PINNED_FIELDS = json.loads(
     Path(__file__).with_name("run_case_fields.json").read_text())
-PINNED_CASES = [(1, 1, 2), (1, 1, 4), (1, 2, 3), (2, 2, 2), (1, 1, 1, 1)]
+PINNED_CASES = [(1, 1, 2), (1, 1, 4), (1, 2, 3), (2, 2, 2), (1, 1, 1, 1),
+                (2, 2), (1, 3), (3, 3)]
 
 
 def decided_fields(obj, key=None):

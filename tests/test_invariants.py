@@ -1,5 +1,7 @@
 """Shifted trace integrals: values, gradients, brackets, completeness."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from suborbit import (LieElement, Member, bracket, build_family,
                       build_setup, completeness_check, conjugate, gradient,
                       involutivity_suite, pairing, poisson_bracket_can,
                       sample_element, shifted_invariant_eval, unitary_exp)
-from suborbit.invariants import shift_coeff_matrices
+from suborbit.cli import _partitions
+from suborbit.invariants import _member_gradients, shift_coeff_matrices
 from suborbit.lie import matrix_to_coords
 
 
@@ -217,15 +220,112 @@ def _member_is_zero_reference(setup, space, member):
     return True
 
 
-@pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2, 2), (1, 1, 4), (2, 3, 3)])
+def _reference_split(setup, space):
+    """Members and pruned members of powers 2..n, decided by the probe."""
+    members, pruned = [], []
+    for k in range(2, setup.n + 1):
+        for s in range(k):
+            zero = _member_is_zero_reference(setup, setup.pair(space).m, Member(k, s))
+            (pruned if zero else members).append(Member(k, s))
+    return tuple(members), tuple(pruned)
+
+
+# the first four cases come first so that their test ids stay mult0..mult3;
+# then every partition with n <= 7, larger cases, and the single block (4,),
+# whose space m is zero
+PRUNING_CASES = list(dict.fromkeys(
+    [(1, 1, 2), (2, 2, 2), (1, 1, 4), (2, 3, 3)]
+    + [tuple(p) for n in range(2, 8) for p in _partitions(n)]
+    + [(1,) * 8, (1,) * 6 + (2,), (4, 4), (4,)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _pruning_setups(mult):
+    """Setups at spectrum 1..p and at one seeded random spectrum."""
+    rand = np.random.default_rng([17, *mult]).uniform(-3.0, 3.0, len(mult))
+    return (build_setup(mult, tuple(float(j + 1) for j in range(len(mult)))),
+            build_setup(mult, tuple(rand)))
+
+
+@pytest.mark.parametrize("mult", PRUNING_CASES)
 @pytest.mark.parametrize("space", ["m", "m_tilde"])
 def test_pruning_matches_per_member_reference(mult, space):
-    st = build_setup(mult, (1.0, 2.0, 3.0))
-    fam = build_family(st, space)
-    members, pruned = [], []
-    for k in range(2, st.n + 1):
-        for s in range(k):
-            zero = _member_is_zero_reference(st, st.pair(space).m, Member(k, s))
-            (pruned if zero else members).append(Member(k, s))
-    assert fam.members == tuple(members)
-    assert fam.pruned == tuple(pruned)
+    for st in _pruning_setups(mult):
+        fam = build_family(st, space)
+        assert (fam.members, fam.pruned) == _reference_split(st, space)
+
+
+@pytest.fixture(scope="module")
+def reduced_114(setup_114, dims_114):
+    from suborbit import build_witness_x0, perturb_into_R, reduction_data
+    st = setup_114
+    x0, _ = build_witness_x0(st, seed=0)
+    x0, _ = perturb_into_R(st, x0, dims_114["m"], dims_114["m_tilde"], seed=1)
+    return reduction_data(st, x0, dims_114["m"], dims_114["m_tilde"], seed=2)
+
+
+@pytest.mark.parametrize("space", ["m0", "m0_tilde"])
+def test_pruning_matches_reference_on_reduced_pair(reduced_114, space):
+    st = reduced_114.setup
+    pair = reduced_114.pair(space)
+    fam = build_family(st, pair)
+    assert (fam.members, fam.pruned) == _reference_split(st, pair)
+
+
+def _gradient_reference(family, member, x):
+    """Per-member gradient: its own shift recursion, one column at a time."""
+    D = shift_coeff_matrices(x.matrix, family.setup.a.matrix, member.k - 1)[member.s]
+    if member.k % 2 == 1:
+        D = -1j * D
+    raw = -member.k * 0.5 * (D - D.conj().T)
+    return family.domain.project(matrix_to_coords(raw).real)
+
+
+def _check_member_gradients(family, seed):
+    st = family.setup
+    x = sample_element(family.domain, np.random.default_rng(seed), st.n)
+    G = _member_gradients(family, x)
+    assert G.shape == (st.ambient_dim, len(family.members))
+    for j, member in enumerate(family.members):
+        ref = _gradient_reference(family, member, x)
+        for g in (G[:, j], gradient(family, member, x).coords):
+            assert np.linalg.norm(g - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2, 2), (1, 1, 4), (2, 3, 3)])
+@pytest.mark.parametrize("space", ["m", "m_tilde"])
+def test_member_gradients_match_per_member_reference(mult, space):
+    st = _pruning_setups(mult)[0]
+    _check_member_gradients(build_family(st, space), seed=len(mult) + st.n)
+
+
+@pytest.mark.parametrize("space", ["m0", "m0_tilde"])
+def test_member_gradients_match_reference_on_reduced_pair(reduced_114, space):
+    pair = reduced_114.pair(space)
+    _check_member_gradients(build_family(reduced_114.setup, pair), seed=12)
+
+
+def test_one_shift_recursion_per_point(monkeypatch, fam_m, setup_112, dims_112):
+    # every member gradient at a point comes out of one recursion, and no
+    # LieElement is built per member
+    import suborbit.invariants as inv
+    recursions, elements = [], []
+    shift = inv._shift_coeff_powers
+    post_init = LieElement.__post_init__
+    monkeypatch.setattr(inv, "_shift_coeff_powers",
+                        lambda *args: recursions.append(args) or shift(*args))
+    monkeypatch.setattr(LieElement, "__post_init__",
+                        lambda self: elements.append(self) or post_init(self))
+    assert len(fam_m.members) > 1
+    involutivity_suite(fam_m, n_points=7, seed=0)
+    assert len(recursions) == len(elements) == 7
+
+    x = sample_element(setup_112.m, np.random.default_rng(11), 4)
+    built = []
+    for fam in (fam_m, inv.IntegralFamily(setup_112, "m", fam_m.members[:1], ())):
+        recursions.clear()
+        elements.clear()
+        completeness_check(setup_112, fam, x, dims_112["m"])
+        assert len(recursions) == 1
+        built.append(len(elements))
+    assert built[0] == built[1]
