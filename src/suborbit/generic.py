@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import (LieElement, ad_in_basis, bracket_closure_residual,
-                  centralizer, centralizer_dim, coords_to_matrix, derived_span,
-                  sigma_signs, stacked_centralizer, subalgebra_center)
+                  centralizer, centralizer_dim, centralizer_dims,
+                  coords_to_matrix, derived_span, sigma_signs,
+                  stacked_centralizer, subalgebra_center)
 from .linalg import (Subspace, equal_spaces, intersect, kernel_basis,
                      subspace_residual)
 from .orbit import AlgebraPair, OrbitSetup
@@ -44,33 +45,46 @@ def sample_element(space: Subspace, rng, n: int) -> LieElement:
     return LieElement.from_coords(space.basis @ coeffs, n)
 
 
+def sample_coords(space: Subspace, seed: int, stream: int, samples: int) -> np.ndarray:
+    """Coordinate columns (N, samples) of the elements ``sample_element`` draws
+    from the generators ``default_rng([seed, stream, i])``, i < samples."""
+    return np.stack([space.basis @ np.random.default_rng([seed, stream, i])
+                     .standard_normal(space.dim) for i in range(samples)], axis=1)
+
+
 def estimate_generic_dims(setup: OrbitSetup, space, samples: int = 25,
                           seed: int = 0) -> GenericDims:
     """Minimal centralizer dimensions over Gaussian samples of the space."""
     if samples < 10:
         raise ValueError("need at least 10 samples for a stable estimate")
     pair = setup.pair(space)
-    qs = np.empty(samples, dtype=int)
-    ps = np.empty(samples, dtype=int)
-    for i in range(samples):
-        rng = np.random.default_rng([seed, 7, i])
-        x = sample_element(pair.m, rng, setup.n)
-        qs[i] = centralizer_dim(x, pair.g, setup.rank_tol)[0]
-        ps[i] = centralizer_dim(x, pair.k, setup.rank_tol)[0]
+    xs = coords_to_matrix(sample_coords(pair.m, seed, 7, samples), setup.n)
+    qs = centralizer_dims(xs, pair.g, setup.rank_tol)[0]
+    ps = centralizer_dims(xs, pair.k, setup.rank_tol)[0]
     q = int(qs.min())
     p = int(ps.min())
     hit = np.mean((qs == q) & (ps == p))
     return GenericDims(pair.name, q, p, q - p, samples, bool(hit >= 0.8))
 
 
-def is_in_R(setup: OrbitSetup, x: LieElement, space, dims: GenericDims) -> bool:
-    """Whether both centralizer dimensions of x attain the generic minima."""
+def in_R_mask(setup: OrbitSetup, mats: np.ndarray, space, dims: GenericDims) -> np.ndarray:
+    """``is_in_R`` for each matrix of a (S, n, n) stack.
+
+    q is decided for the whole stack, p only where q matched, so exactly the
+    rank decisions of ``is_in_R`` are made.
+    """
     if not dims.stabilized:
         raise ValueError("generic dimensions did not stabilize; resample first")
     pair = setup.pair(space)
-    if centralizer_dim(x, pair.g, setup.rank_tol)[0] != dims.q:
-        return False
-    return centralizer_dim(x, pair.k, setup.rank_tol)[0] == dims.p
+    hit = centralizer_dims(mats, pair.g, setup.rank_tol)[0] == dims.q
+    if hit.any():
+        hit[hit] = centralizer_dims(mats[hit], pair.k, setup.rank_tol)[0] == dims.p
+    return hit
+
+
+def is_in_R(setup: OrbitSetup, x: LieElement, space, dims: GenericDims) -> bool:
+    """Whether both centralizer dimensions of x attain the generic minima."""
+    return bool(in_R_mask(setup, x.matrix[None], space, dims)[0])
 
 
 def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
@@ -212,12 +226,8 @@ def _sigma_stable(S: Subspace, n: int) -> bool:
 
 def _generic_dim_within(space: Subspace, algebra: Subspace, setup: OrbitSetup,
                         seed: int, samples: int = 12) -> int:
-    best = algebra.dim
-    for i in range(samples):
-        rng = np.random.default_rng([seed, 29, i])
-        x = sample_element(space, rng, setup.n)
-        best = min(best, centralizer_dim(x, algebra, setup.rank_tol)[0])
-    return best
+    xs = coords_to_matrix(sample_coords(space, seed, 29, samples), setup.n)
+    return min(algebra.dim, int(centralizer_dims(xs, algebra, setup.rank_tol)[0].min()))
 
 
 def _anchor_consistency(setup, x0, kx, gx_dim, pair0, dims_m, samples, seed, g0):

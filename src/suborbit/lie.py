@@ -21,8 +21,12 @@ and ``matrices_to_coords`` reads the results back as columns.
 G_ij = tr(w Y_i Y_j), instead of one commutator per pair.
 
 ``centralizer`` and ``stacked_centralizer`` return a basis of the centralizer
-as a ``Subspace``; ``centralizer_dim`` returns only its dimension and
-ambiguity flag, from the singular values of the same adjoint matrix.
+as a ``Subspace``.  ``centralizer_dims`` decides the centralizer dimension
+and ambiguity flag of every matrix of a (S, n, n) stack in one call, without
+a basis: on the whole u(n), and on so(n) for real x, from one stacked
+``eigvalsh`` of -i x (ad x is normal in these coordinates); elsewhere from
+one stacked SVD of the adjoint matrices.  ``centralizer_dim`` is its
+one-matrix case.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (RANK_RTOL, Subspace, kernel_basis, kernel_dim,
+from .linalg import (RANK_RTOL, Subspace, kernel_basis, numeric_rank,
                      orthonormal_columns)
 
 HERMITICITY_TOL = 1e-12
@@ -222,20 +226,21 @@ def _as_matrix(x, n: int | None = None) -> np.ndarray:
     return M
 
 
-def _is_skew_hermitian(M: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-    return float(np.max(np.abs(M + M.conj().T))) <= 1e-12 * scale
+def _skew_hermitian_mask(mats: np.ndarray) -> np.ndarray:
+    """Per matrix of a (m, n, n) stack: skew-Hermitian up to round-off of its scale."""
+    defect = np.max(np.abs(mats + mats.conj().swapaxes(1, 2)), axis=(1, 2))
+    scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
+    return defect <= HERMITICITY_TOL * scale
 
 
 def _ad_stack(mats: np.ndarray, within: Subspace) -> np.ndarray:
-    """``ad_in_basis`` for each w of a (m, n, n) stack, blocks stacked row-wise."""
+    """(m, N, d) stack of ``ad_in_basis`` for each w of a (m, n, n) stack."""
     m, n, _ = mats.shape
     N, d = within.ambient_dim, within.dim
-    real_mode = (not within.is_complex
-                 and all(_is_skew_hermitian(W) for W in mats))
+    real_mode = not within.is_complex and bool(_skew_hermitian_mask(mats).all())
     Ys, W = coords_to_matrix(within.basis, n)[None], mats[:, None]
     C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n))
-    A = C.reshape(N, m, d).transpose(1, 0, 2).reshape(m * N, d)
+    A = C.reshape(N, m, d).transpose(1, 0, 2)
     return A.real if real_mode else A
 
 
@@ -247,7 +252,7 @@ def ad_in_basis(w, within: Subspace) -> np.ndarray:
     to a real matrix, otherwise it stays complex and realizes the complexified
     adjoint action on the complex span of the basis.
     """
-    return _ad_stack(_as_matrix(w)[None], within)
+    return _ad_stack(_as_matrix(w)[None], within)[0]
 
 
 def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
@@ -267,15 +272,64 @@ def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
                     ambiguous=amb or within.ambiguous)
 
 
-def centralizer_dim(x, within: Subspace, rtol: float = RANK_RTOL) -> tuple[int, bool]:
-    """``(dim, ambiguous)`` of ``centralizer(x, within, rtol)`` without its basis.
+def _spectral_singular_values(mats: np.ndarray, within: Subspace):
+    """Singular values of ad x on u(n) or so(n) read from the spectrum of x.
 
-    The same adjoint matrix and the same rank floor decide the dimension, but
-    no kernel basis or ``Subspace`` is built.
+    With the orthonormal canonical coordinates ad x of a skew-Hermitian x is
+    skew-symmetric, hence normal, so its singular values are the moduli of
+    its eigenvalues.  With lambda the eigenvalues of -i x these are
+    |lambda_i - lambda_j| over all (i, j) on u(n), and, for real x,
+    |lambda_i + lambda_j| over i < j on so(n) (ad x acts there as x on the
+    exterior square).  Returns them sorted descending, one row per matrix,
+    or None when ``within`` is neither space or some x does not qualify.
     """
-    W = _as_matrix(x)
-    dim, amb = kernel_dim(ad_in_basis(W, within), rtol, floor=float(np.linalg.norm(W)))
-    return dim, amb or within.ambiguous
+    S, n, _ = mats.shape
+    N, d = within.ambient_dim, within.dim
+    whole = d == N
+    if (within.is_complex
+            or not (whole or (d == real_form_dim(n) and not np.any(mats.imag)))
+            or not np.array_equal(within.basis, np.eye(N, d))
+            or not _skew_hermitian_mask(mats).all()):
+        return None
+    lam = np.linalg.eigvalsh(-1j * mats)
+    if whole:
+        s = np.abs(lam[:, :, None] - lam[:, None, :]).reshape(S, N)
+    else:
+        i, j = np.triu_indices(n, 1)
+        s = np.abs(lam[:, i] + lam[:, j])
+    return -np.sort(-s, axis=1)
+
+
+def centralizer_dims(mats, within: Subspace,
+                     rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """``(dims, ambiguous)`` of ``centralizer(x, within, rtol)`` for each x of
+    a (S, n, n) stack, without any kernel basis.
+
+    On the whole u(n), and on so(n) for real x, the singular values of ad x
+    come from one stacked ``eigvalsh`` (``_spectral_singular_values``); on any
+    other space, or for complex x, from one stacked SVD of the adjoint
+    matrices.  Either way each rank is decided by ``numeric_rank`` with the
+    floor |x|_F, as ``centralizer`` decides it, and each matrix keeps its own
+    ambiguity flag and warning.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    s = _spectral_singular_values(mats, within)
+    if s is None:
+        s = np.linalg.svd(_ad_stack(mats, within), compute_uv=False)
+    floors = np.linalg.norm(mats, axis=(1, 2))
+    dims = np.empty(len(mats), dtype=int)
+    amb = np.empty(len(mats), dtype=bool)
+    for i, (si, floor) in enumerate(zip(s, floors)):
+        rank, amb[i] = numeric_rank(si, rtol, floor)
+        dims[i] = within.dim - rank
+    return dims, amb | within.ambiguous
+
+
+def centralizer_dim(x, within: Subspace, rtol: float = RANK_RTOL) -> tuple[int, bool]:
+    """``(dim, ambiguous)`` of ``centralizer(x, within, rtol)`` without its
+    basis: the one-matrix case of ``centralizer_dims``."""
+    dims, amb = centralizer_dims(_as_matrix(x)[None], within, rtol)
+    return int(dims[0]), bool(amb[0])
 
 
 def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
@@ -284,7 +338,7 @@ def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -
     if not mats:
         return within
     mats = np.stack(mats)
-    A = _ad_stack(mats, within)
+    A = _ad_stack(mats, within).reshape(-1, within.dim)
     floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
     K, amb = kernel_basis(A, rtol, floor=floor)
     return Subspace(within.ambient_dim, within.basis @ K,

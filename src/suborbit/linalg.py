@@ -14,6 +14,11 @@ that nothing reads; for the stacked adjoint matrix of a center computation
 that factor has n^4 x n^4 entries.  ``kernel_dim`` makes the same rank
 decision from the singular values alone, for callers that need only the
 dimension.
+
+``numeric_rank`` decides one set of singular values at a time.  Over a
+stack, the caller computes all singular values in one call and then decides
+each row with it, so every row keeps its own ambiguity flag and warning;
+``lie.centralizer_dims`` does this for stacks of centralizer dimensions.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ def numeric_rank(singular_values, rtol: float = RANK_RTOL,
                  floor: float = 0.0) -> tuple[int, bool]:
     """Count singular values above ``rtol * max(sigma_max, floor)``.
 
+    The values may come in any order; sigma_max is their largest.
+
     ``floor`` anchors the threshold to the scale of the input data; without
     it a matrix that is mathematically zero (all singular values round-off)
     would be measured against its own noise and look full rank.  Returns
@@ -46,7 +53,7 @@ def numeric_rank(singular_values, rtol: float = RANK_RTOL,
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0:
         return 0, False
-    smax = max(float(s[0]), float(floor))
+    smax = max(float(s.max()), float(floor))
     if smax == 0.0:
         return 0, False
     cut = rtol * smax

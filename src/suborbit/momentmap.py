@@ -24,9 +24,10 @@ import numpy as np
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
 from .lie import (LieElement, ad_in_basis, bracket, centralizer,  # noqa: F401
-                  centralizer_dim, project)
+                  centralizer_dim, centralizer_dims, coords_to_matrix, project)
 from .linalg import Subspace, intersect, span
-from .generic import GenericDims, is_in_R, m_of_x, sample_element
+from .generic import (GenericDims, in_R_mask, m_of_x, sample_coords,
+                      sample_element)
 from .orbit import AlgebraPair, OrbitSetup, _operator_on
 
 
@@ -105,28 +106,21 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
         raise ValueError(
             "moment route needs the generic isotropy centralizer to be the center "
             f"(dim {dim_z}), got generic dimension {dims.p}; reduce the pair first")
-    best = None
-    checked = 0
-    accepted = 0
-    for i in range(samples):
-        rng = np.random.default_rng([seed, 43, i])
-        x = sample_element(V, rng, setup.n)
-        if not is_in_R(setup, x, data.pair, dims):
-            continue
-        accepted += 1
-        alpha = moment_beta(data, x)
-        val = centralizer_dim(alpha, data.pair.k, setup.rank_tol)[0] - dim_z
-        if checked < cross_checks:
-            direct = _direct_intersection_dim(data, x)
-            if direct != val:
-                raise RuntimeError(
-                    f"moment route ({val}) disagrees with the direct "
-                    f"intersection ({direct}) at a sampled point")
-            checked += 1
-        best = val if best is None else min(best, val)
-    if accepted == 0:
+    n = setup.n
+    C = sample_coords(V, seed, 43, samples)
+    accepted = np.flatnonzero(in_R_mask(setup, coords_to_matrix(C, n), data.pair, dims))
+    if accepted.size == 0:
         raise ValueError("no sample of V attained the generic centralizer dimensions")
-    return int(best)
+    xs = [LieElement.from_coords(C[:, i], n) for i in accepted]
+    alphas = np.stack([moment_beta(data, x).matrix for x in xs])
+    vals = centralizer_dims(alphas, data.pair.k, setup.rank_tol)[0] - dim_z
+    for x, val in zip(xs[:cross_checks], vals):
+        direct = _direct_intersection_dim(data, x)
+        if direct != val:
+            raise RuntimeError(
+                f"moment route ({val}) disagrees with the direct "
+                f"intersection ({direct}) at a sampled point")
+    return int(vals.min())
 
 
 def _direct_intersection_dim(data: MomentData, x: LieElement) -> int:

@@ -8,7 +8,8 @@ from suborbit import (AlgebraPair, LieElement, bracket, build_setup,
                       estimate_generic_dims, intersect, is_in_R, m_of_x,
                       pairing, perturb_into_R, reduction_data, sample_element,
                       span, subspace_residual, sum_spaces)
-from suborbit.lie import ad_in_basis, derived_span
+from suborbit.generic import sample_coords
+from suborbit.lie import ad_in_basis, coords_to_matrix, derived_span
 from suborbit.linalg import equal_spaces
 
 
@@ -209,3 +210,43 @@ def test_reduced_pair_full_machinery(setup_114, dims_114):
     rept = completeness_check(st, fam0t, witness, dims0t)
     assert rept.span_dim == rept.target_dim == 3
     assert rept.complete
+
+
+# -- stacked rank decisions ---------------------------------------------------
+
+def test_sample_coords_draw_the_sample_element_streams(setup_112):
+    st = setup_112
+    general = span(np.random.default_rng(16).standard_normal((16, 5)), 16)
+    for space in (st.m, st.m_tilde, general):
+        C = sample_coords(space, 3, 7, 6)
+        Ms = coords_to_matrix(C, st.n)
+        for i in range(6):
+            x = sample_element(space, np.random.default_rng([3, 7, i]), st.n)
+            assert np.array_equal(C[:, i], x.coords)
+            assert np.array_equal(Ms[i], x.matrix)
+
+
+@pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2), (1, 2, 3), (2, 2, 2), (1, 1, 4)])
+def test_generic_dims_match_the_per_sample_loop(mult):
+    # reference: one sample and one centralizer basis at a time
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    for space in ("m", "m_tilde"):
+        pair = st.pair(space)
+        qs, ps = [], []
+        for i in range(25):
+            x = sample_element(pair.m, np.random.default_rng([0, 7, i]), st.n)
+            qs.append(centralizer(x, pair.g).dim)
+            ps.append(centralizer(x, pair.k).dim)
+        hit = np.mean((np.array(qs) == min(qs)) & (np.array(ps) == min(ps)))
+        d = estimate_generic_dims(st, space, 25, seed=0)
+        assert (d.q, d.p, d.stabilized) == (min(qs), min(ps), hit >= 0.8)
+
+
+@pytest.mark.parametrize("samples", [10, 25])
+def test_generic_dims_make_one_svd_call_per_space(svd_calls, samples):
+    # q on u(n) or so(n) takes the spectral rule; p is one stacked SVD over k
+    st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
+    for space in ("m", "m_tilde"):
+        svd_calls.clear()
+        estimate_generic_dims(st, space, samples, seed=0)
+        assert svd_calls == [(samples, st.ambient_dim, st.pair(space).k.dim)]

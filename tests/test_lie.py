@@ -1,5 +1,7 @@
 """Bracket, pairing, involution, and subspace arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +12,12 @@ from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
                       centralizer, complement, full_space, intersect, pairing,
                       project, sigma, span, subspace_residual, sum_spaces,
                       build_setup)
-from suborbit.lie import (ad_in_basis, bracket_closure_residual, bracket_form,
-                          centralizer_dim, conjugate, coords_to_matrix,
-                          derived_span, matrices_to_coords, matrix_to_coords,
-                          unitary_exp)
+from suborbit.lie import (_spectral_singular_values, ad_in_basis,
+                          bracket_closure_residual, bracket_form,
+                          centralizer_dim, centralizer_dims, conjugate,
+                          coords_to_matrix, derived_span, matrices_to_coords,
+                          matrix_to_coords, real_form_dim, unitary_exp)
+from suborbit.orbit import build_witness_x0
 from suborbit.linalg import equal_spaces, kernel_basis, numeric_rank
 
 
@@ -377,6 +381,56 @@ def test_centralizer_dim_matches_centralizer(n):
     for w, within in cases:
         c = centralizer(w, within)
         assert centralizer_dim(w, within) == (c.dim, c.ambiguous)
+    # the same decisions over stacks: so(n) and u(n) stacks of skew-Hermitian
+    # (so(n): real) matrices take the spectral rule, the rest the stacked SVD
+    so_n = Subspace(n * n, np.eye(n * n, real_form_dim(n)))
+    xr = LieElement.from_coords(np.where(np.arange(n * n) < real_form_dim(n),
+                                         x.coords, 0.0), n)
+    shifted = x.matrix + (0.4 - 1.1j) * a.matrix
+    jordan = np.eye(n, k=1)     # nilpotent, so no spectrum to read
+    zero = LieElement.zero(n)
+    stacks = [
+        ([x, a, zero, x * 1e-3], g), ([x, shifted, a], g), ([a, jordan], g),
+        ([xr, zero, xr * 7.0], so_n), ([xr, x, a], so_n),
+        ([x, a, zero], S), ([shifted, x], S),
+        ([x, a], g.complexify()), ([a, xr], S.complexify()),
+        ([x, shifted], empty), ([x, zero], flagged), ([xr, zero], flagged),
+    ]
+    for ws, within in stacks:
+        mats = np.stack([getattr(w, "matrix", w) for w in ws])
+        refs = [centralizer(w, within) for w in ws]
+        dims, amb = centralizer_dims(mats, within)
+        assert dims.tolist() == [c.dim for c in refs]
+        assert amb.tolist() == [c.ambiguous for c in refs]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_spectral_singular_values_match_the_adjoint_svd(n):
+    # ad x is normal in the orthonormal coordinates, so its singular values
+    # are read from the spectrum of x; repeated eigenvalues included
+    rng = np.random.default_rng(100 + n)
+    g = full_space(n * n)
+    g_tilde = Subspace(n * n, np.eye(n * n, real_form_dim(n)))
+    mult = tuple(sorted((1, 1) + (2,) * ((n - 2) // 2) + (1,) * (n % 2)))
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    x0 = build_witness_x0(st, seed=n)[0]
+    xr = LieElement.from_coords(np.where(np.arange(n * n) < real_form_dim(n),
+                                         rng.standard_normal(n * n), 0.0), n)
+    x = LieElement.from_coords(rng.standard_normal(n * n), n)
+    for space, elems in ((g, [x, st.a, x0, xr, LieElement.zero(n)]),
+                         (g_tilde, [xr, x0, LieElement.zero(n)])):
+        mats = np.stack([w.matrix for w in elems])
+        s = _spectral_singular_values(mats, space)
+        assert s is not None and s.shape == (len(elems), space.dim)
+        for si, w in zip(s, elems):
+            ref = np.linalg.svd(ad_in_basis(w, space), compute_uv=False)
+            assert np.max(np.abs(si - ref)) <= 1e-13 * ref.max()
+    assert not np.any(x0.matrix.imag)
+    # a complex x, or a space other than u(n) and so(n), has no spectral rule
+    assert _spectral_singular_values(np.stack([x.matrix]), g_tilde) is None
+    assert _spectral_singular_values(np.stack([x.matrix]), g.complexify()) is None
+    S = _random_subspace(n, n + 2, seed=110 + n)
+    assert _spectral_singular_values(np.stack([x.matrix]), S) is None
 
 
 def test_centralizer_dim_carries_a_fragile_rank_decision():
@@ -389,3 +443,32 @@ def test_centralizer_dim_carries_a_fragile_rank_decision():
     with pytest.warns(RankAmbiguityWarning):
         assert centralizer_dim(w, g) == (c.dim, True)
     assert c.ambiguous
+
+
+def test_centralizer_dims_flag_only_the_fragile_row():
+    # one near-cutoff matrix in a stack warns once and flags its row alone,
+    # on the spectral rule (u(n)) and on the stacked SVD (complexified u(n))
+    n = 3
+    rng = np.random.default_rng(5)
+    fragile = np.diag(1j * np.array([1.0, 1.0 + 2e-9, 2.0]))
+    mats = np.stack([LieElement.from_coords(rng.standard_normal(n * n), n).matrix,
+                     fragile, np.diag(1j * np.array([1.0, 2.0, 4.0]))])
+    for within in (full_space(n * n), full_space(n * n).complexify()):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dims, amb = centralizer_dims(mats, within)
+        assert [w.category for w in caught] == [RankAmbiguityWarning]
+        assert amb.tolist() == [False, True, False]
+        # the 2e-9 gap lies below the cutoff 1e-9 |w| = 2.4e-9
+        assert dims.tolist() == [3, 5, 3]
+
+
+def test_numeric_rank_reads_the_largest_value_in_any_order():
+    s = np.array([3.0, 2.0, 5e-9, 1e-12, 0.0])
+    for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert numeric_rank(s[perm]) == numeric_rank(s) == (3, True)
+        assert len(caught) == 2
+    assert numeric_rank(np.array([0.0, 1e-8, 1.0])) == numeric_rank(
+        np.array([1.0, 1e-8, 0.0])) == (2, False)

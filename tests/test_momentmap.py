@@ -8,6 +8,7 @@ from suborbit import (LieElement, bracket, build_moment_data, build_setup,
                       m_a_estimate, m_of_x, moment_beta, moment_differential,
                       pairing, regular_in_kprime_test, sample_element, span,
                       unitary_exp)
+from suborbit import momentmap
 from suborbit.momentmap import ad_a_inverse, beta_form
 from suborbit.lie import ad_in_basis
 
@@ -179,3 +180,20 @@ def test_minimal_defect_over_antifixed_part(data_112, setup_112, dims_112):
     direct = best - st.z_of_g.dim
     routed = m_a_estimate(data_112, st.m_tilde, dims_112["m"], samples=20, seed=5)
     assert direct == routed == 3
+
+
+def test_m_a_screen_makes_at_most_two_svd_calls(monkeypatch, svd_calls, data_112,
+                                                 setup_112, dims_112):
+    # q for every sample, then p for those whose q matched
+    screens = []
+    screen = momentmap.in_R_mask
+
+    def counting_screen(*args):
+        before = len(svd_calls)
+        out = screen(*args)
+        screens.append(len(svd_calls) - before)
+        return out
+    monkeypatch.setattr(momentmap, "in_R_mask", counting_screen)
+    assert m_a_estimate(data_112, setup_112.m_tilde, dims_112["m"],
+                        samples=20, seed=5) == 3
+    assert len(screens) == 1 and screens[0] <= 2
