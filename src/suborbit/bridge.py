@@ -48,6 +48,14 @@ class Budgets:
     okr_attempts: int = 12
     moment_samples: int = 20
 
+    def __post_init__(self):
+        # zero okr attempts is a budget that is exhausted at once (INCONCLUSIVE)
+        for name, least in (("dim_samples", 10), ("lambda_samples", 0),
+                            ("okr_attempts", 0), ("moment_samples", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
+
 
 @dataclass
 class VerificationCase:

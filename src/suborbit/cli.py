@@ -211,15 +211,16 @@ def _partitions(n: int):
 
 
 def cmd_sweep(args) -> int:
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
+    budgets = Budgets(dim_samples=args.samples, lambda_samples=args.lambda_samples)
     t0 = time.perf_counter()
     cases = []
     worst = 0
     for n in range(2, args.max_n + 1):
         for part in _partitions(n):
             spectrum = [float(j + 1) for j in range(len(part))]
-            case = run_case(part, spectrum, seed=args.seed,
-                            budgets=Budgets(dim_samples=args.samples,
-                                            lambda_samples=args.lambda_samples))
+            case = run_case(part, spectrum, seed=args.seed, budgets=budgets)
             cases.append({
                 "partition": part,
                 "n": n,

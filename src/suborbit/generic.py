@@ -45,11 +45,37 @@ def sample_element(space: Subspace, rng, n: int) -> LieElement:
     return LieElement.from_coords(space.basis @ coeffs, n)
 
 
+# key -> the longest standard normal draw made from default_rng(key) so far
+_NORMALS: dict = {}
+_NORMALS_MAX_KEYS = 4096
+
+
+def seeded_normals(key, size: int) -> np.ndarray:
+    """``default_rng(key).standard_normal(size)``, read-only.
+
+    The generator fills its draws one value after another, so a shorter draw
+    from the same key is a prefix of a longer one: each key is drawn once at
+    the longest size asked for and shorter draws are served as its prefix.
+    A run reuses few keys across many spaces and points, so most draws after
+    the first pass come from the cache; its oldest keys are dropped beyond
+    ``_NORMALS_MAX_KEYS``.
+    """
+    key = tuple(key)
+    z = _NORMALS.get(key)
+    if z is None or len(z) < size:
+        if z is None and len(_NORMALS) >= _NORMALS_MAX_KEYS:
+            del _NORMALS[next(iter(_NORMALS))]
+        z = np.random.default_rng(key).standard_normal(size)
+        z.setflags(write=False)
+        _NORMALS[key] = z
+    return z[:size]
+
+
 def sample_coords(space: Subspace, seed: int, stream: int, samples: int) -> np.ndarray:
     """Coordinate columns (N, samples) of the elements ``sample_element`` draws
     from the generators ``default_rng([seed, stream, i])``, i < samples."""
-    return np.stack([space.basis @ np.random.default_rng([seed, stream, i])
-                     .standard_normal(space.dim) for i in range(samples)], axis=1)
+    return np.stack([space.basis @ seeded_normals((seed, stream, i), space.dim)
+                     for i in range(samples)], axis=1)
 
 
 def estimate_generic_dims(setup: OrbitSetup, space, samples: int = 25,

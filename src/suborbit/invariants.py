@@ -8,7 +8,8 @@ exactly by convolving matrix word expansions, never by numerical fitting, and
 gradients come from exact differentiation of the word expansion followed by a
 skew-Hermitian split and a pairing-orthogonal projection.  At each point one
 shift recursion, run up to the largest power, gives the values of every
-member, and one gives all of their gradients.
+member, and one gives all of their gradients; ``involutivity_suite`` runs
+one recursion over the stack of all its points.
 
 Traces of odd powers are purely imaginary on skew-Hermitian matrices, so the
 real-valued member for odd k takes the imaginary part; this rescales the
@@ -24,7 +25,7 @@ import numpy as np
 from .lie import (LieElement, bracket, bracket_form, coords_to_matrix,
                   matrices_to_coords, pairing)
 from .linalg import Subspace, orthonormal_columns, subspace_residual
-from .generic import GenericDims, is_in_R, m_of_x
+from .generic import GenericDims, is_in_R, m_of_x, sample_coords
 from .orbit import AlgebraPair, OrbitSetup
 
 
@@ -53,12 +54,15 @@ class IntegralFamily:
 
 
 def _shift_coeff_powers(x_mat: np.ndarray, a_mat: np.ndarray, k_max: int):
-    """Yield the matrix coefficients of (x + t*a)^k for k = 0, 1, ..., k_max."""
-    n = x_mat.shape[0]
-    coeffs = [np.eye(n, dtype=complex)]
+    """Yield the matrix coefficients of (x + t*a)^k for k = 0, 1, ..., k_max.
+
+    ``x_mat`` may be one matrix or a (P, n, n) stack; for a stack every
+    coefficient after the first is a (P, n, n) stack as well.
+    """
+    coeffs = [np.eye(x_mat.shape[-1], dtype=complex)]
     yield coeffs
     for _ in range(k_max):
-        nxt = [c @ x_mat for c in coeffs] + [np.zeros((n, n), dtype=complex)]
+        nxt = [c @ x_mat for c in coeffs] + [np.zeros(x_mat.shape, dtype=complex)]
         for s in range(1, len(coeffs) + 1):
             nxt[s] = nxt[s] + coeffs[s - 1] @ a_mat
         coeffs = nxt
@@ -109,21 +113,26 @@ def _raw_gradient_matrix(k: int, D: np.ndarray) -> np.ndarray:
     """
     if k % 2 == 1:
         D = -1j * D
-    return -k * 0.5 * (D - D.conj().T)
+    return -k * 0.5 * (D - D.conj().swapaxes(-1, -2))
 
 
-def _member_gradients(family: IntegralFamily, x: LieElement,
-                      members=None) -> np.ndarray:
+def _member_gradients(family: IntegralFamily, x, members=None) -> np.ndarray:
     """In-space gradient coordinates (N, M) at x of ``members`` (default: the
     family's), from one shift recursion: its state after k-1 steps holds the
-    word derivatives of power k."""
+    word derivatives of power k.  For a (P, n, n) stack of points ``x`` the
+    one recursion runs over the whole stack and the result is (N, P, M)."""
     members = family.members if members is None else members
+    X = x.matrix if isinstance(x, LieElement) else x
+    lead = X.shape[:-2]
+    N = family.setup.ambient_dim
     if not members:
-        return np.zeros((family.setup.ambient_dim, 0))
+        return np.zeros((N,) + lead + (0,))
     k_max = max(m.k for m in members)
-    C = list(_shift_coeff_powers(x.matrix, family.setup.a.matrix, k_max - 1))
-    raws = np.stack([_raw_gradient_matrix(m.k, C[m.k - 1][m.s]) for m in members])
-    return family.domain.project(matrices_to_coords(raws).real)
+    C = list(_shift_coeff_powers(X, family.setup.a.matrix, k_max - 1))
+    raws = np.stack([_raw_gradient_matrix(m.k, C[m.k - 1][m.s]) for m in members],
+                    axis=-3)
+    G = family.domain.project(matrices_to_coords(raws.reshape(-1, *X.shape[-2:])).real)
+    return G.reshape((N,) + lead + (len(members),))
 
 
 def gradient(family: IntegralFamily, member: Member, x: LieElement) -> LieElement:
@@ -185,27 +194,27 @@ def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
 
     The residual for a pair is |{f, g}(x)| divided by the product of the
     gradient norms (floored at one), which makes the verdict insensitive to
-    the overall scale of the family members.
+    the overall scale of the family members.  The points are drawn as one
+    coordinate array and every member gradient at all of them comes from one
+    shift recursion over their (P, n, n) stack; only ``extra`` sees one
+    ``LieElement`` per point.
     """
     if n_points < 1:
         raise ValueError("need at least one sample point")
     extra_fn = None if extra is None else as_gradient_fn(family, extra)
     if not family.members and extra_fn is None:
         return 0.0
-    space = family.domain
     n = family.setup.n
-    worst = 0.0
-    for i in range(n_points):
-        rng = np.random.default_rng([seed, 11, i])
-        x = LieElement.from_coords(space.basis @ rng.standard_normal(space.dim), n)
-        G = _member_gradients(family, x)
-        if extra_fn is not None:
-            G = np.column_stack([G, extra_fn(x).coords])
-        # {f, g}(x) = -<x, [grad f, grad g]> = Re tr(x [grad f, grad g])
-        vals = np.abs(bracket_form(x.matrix, coords_to_matrix(G, n)).real)
-        norms = np.linalg.norm(G, axis=0)
-        worst = max(worst, float(np.max(vals / np.maximum(1.0, np.outer(norms, norms)))))
-    return worst
+    C = sample_coords(family.domain, seed, 11, n_points)
+    xs = coords_to_matrix(C, n)
+    G = _member_gradients(family, xs)
+    if extra_fn is not None:
+        extra_G = [extra_fn(LieElement.from_coords(c, n)).coords for c in C.T]
+        G = np.concatenate([G, np.stack(extra_G, axis=1)[:, :, None]], axis=2)
+    # {f, g}(x) = -<x, [grad f, grad g]> = Re tr(x [grad f, grad g])
+    vals = np.abs(bracket_form(xs, coords_to_matrix(G, n)).real)
+    norms = np.linalg.norm(G, axis=0)
+    return float(np.max(vals / np.maximum(1.0, norms[:, :, None] * norms[:, None, :])))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ as a ``Subspace``.  ``centralizer_dims`` decides the centralizer dimension
 and ambiguity flag of every matrix of a (S, n, n) stack in one call, without
 a basis: on the whole u(n), and on so(n) for real x, from one stacked
 ``eigvalsh`` of -i x (ad x is normal in these coordinates); elsewhere from
-one stacked SVD of the adjoint matrices.  ``centralizer_dim`` is its
-one-matrix case.
+one stacked SVD of the adjoint matrices, and decides every row with one
+``linalg.numeric_ranks`` call.  ``centralizer_dim`` is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import (RANK_RTOL, Subspace, kernel_basis, numeric_rank,
+from .linalg import (RANK_RTOL, Subspace, kernel_basis, numeric_ranks,
                      orthonormal_columns)
 
 HERMITICITY_TOL = 1e-12
@@ -103,10 +103,11 @@ def bracket_form(w: np.ndarray, Ys: np.ndarray) -> np.ndarray:
     """Skew matrix F_ij = tr(w [Y_i, Y_j]) of a (d, n, n) stack ``Ys``.
 
     With G_ij = tr(w Y_i Y_j), cyclicity gives tr(w Y_j Y_i) = G_ji, so the
-    form is G - G^T and its diagonal is exactly zero.
+    form is G - G^T and its diagonal is exactly zero.  A (P, n, n) stack of
+    ``w`` with a (P, d, n, n) stack of ``Ys`` gives the (P, d, d) forms.
     """
-    G = np.einsum("iab,jba->ij", w @ Ys, Ys)
-    return G - G.T
+    G = np.einsum("...iab,...jba->...ij", w[..., None, :, :] @ Ys, Ys)
+    return G - G.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -308,21 +309,16 @@ def centralizer_dims(mats, within: Subspace,
     On the whole u(n), and on so(n) for real x, the singular values of ad x
     come from one stacked ``eigvalsh`` (``_spectral_singular_values``); on any
     other space, or for complex x, from one stacked SVD of the adjoint
-    matrices.  Either way each rank is decided by ``numeric_rank`` with the
-    floor |x|_F, as ``centralizer`` decides it, and each matrix keeps its own
-    ambiguity flag and warning.
+    matrices.  Either way the ranks are decided by one ``numeric_ranks`` call
+    with the floors |x|_F, as ``centralizer`` decides each, and each matrix
+    keeps its own ambiguity flag and warning.
     """
     mats = np.asarray(mats, dtype=complex)
     s = _spectral_singular_values(mats, within)
     if s is None:
         s = np.linalg.svd(_ad_stack(mats, within), compute_uv=False)
-    floors = np.linalg.norm(mats, axis=(1, 2))
-    dims = np.empty(len(mats), dtype=int)
-    amb = np.empty(len(mats), dtype=bool)
-    for i, (si, floor) in enumerate(zip(s, floors)):
-        rank, amb[i] = numeric_rank(si, rtol, floor)
-        dims[i] = within.dim - rank
-    return dims, amb | within.ambiguous
+    ranks, amb = numeric_ranks(s, rtol, np.linalg.norm(mats, axis=(1, 2)))
+    return within.dim - ranks, amb | within.ambiguous
 
 
 def centralizer_dim(x, within: Subspace, rtol: float = RANK_RTOL) -> tuple[int, bool]:

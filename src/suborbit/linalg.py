@@ -15,10 +15,13 @@ that factor has n^4 x n^4 entries.  ``kernel_dim`` makes the same rank
 decision from the singular values alone, for callers that need only the
 dimension.
 
-``numeric_rank`` decides one set of singular values at a time.  Over a
-stack, the caller computes all singular values in one call and then decides
-each row with it, so every row keeps its own ambiguity flag and warning;
-``lie.centralizer_dims`` does this for stacks of centralizer dimensions.
+``numeric_rank`` decides one set of singular values; ``numeric_ranks``
+decides every row of a (S, r) stack at once by the same rule, each row with
+its own floor, ambiguity flag and warning.  Callers that decide many ranks
+collect the singular values into one such stack and decide it in one call:
+``lie.centralizer_dims`` for a stack of centralizer dimensions, and
+``pencil_kernel_dims`` for the kernel dimensions of A0 + lambda*A1 over the
+parameters of a lambda-sweep, each parameter's 2-D SVD written into one row.
 """
 
 from __future__ import annotations
@@ -69,6 +72,28 @@ def numeric_rank(singular_values, rtol: float = RANK_RTOL,
     return rank, ambiguous
 
 
+def numeric_ranks(s, rtol: float = RANK_RTOL,
+                  floors=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``numeric_rank`` of every row of a (S, r) stack of singular values.
+
+    Returns ``(ranks, ambiguous)``, two arrays of length S; row i is decided
+    against ``rtol * max(max(s[i]), floors[i])`` (``floors`` may be a scalar)
+    and warns once when it is ambiguous, exactly as ``numeric_rank`` would.
+    """
+    s = np.asarray(s, dtype=float)
+    smax = np.maximum(s.max(axis=1, initial=0.0), floors)
+    cut = (rtol * smax)[:, None]
+    ranks = np.count_nonzero(s > cut, axis=1)
+    ambiguous = np.any((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND), axis=1)
+    for _ in range(int(np.count_nonzero(ambiguous))):
+        warnings.warn(
+            "singular value within a decade of the rank cutoff, dimension verdict is fragile",
+            RankAmbiguityWarning,
+            stacklevel=3,
+        )
+    return ranks, ambiguous
+
+
 def kernel_basis(A, rtol: float = RANK_RTOL,
                  floor: float = 0.0) -> tuple[np.ndarray, bool]:
     """Orthonormal basis of the right null space of ``A`` (columns), with ambiguity flag."""
@@ -99,6 +124,27 @@ def kernel_dim(A, rtol: float = RANK_RTOL,
         return cols, False
     rank, ambiguous = numeric_rank(np.linalg.svd(A, compute_uv=False), rtol, floor)
     return cols - rank, ambiguous
+
+
+def pencil_kernel_dims(A0, A1, lams, rtol: float = RANK_RTOL,
+                       floors=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel_dim(A0 + lam * A1, rtol, floor)`` for each parameter of
+    ``lams`` and its floor, as ``(dims, ambiguous)`` arrays.
+
+    Each parameter takes one 2-D SVD, written into one row of a (L, r) stack
+    of singular values that ``numeric_ranks`` decides in one call; a stacked
+    (L, rows, cols) SVD would hold every matrix and its workspace at once.  A
+    zero pencil takes no SVD.
+    """
+    A0, A1 = np.asarray(A0), np.asarray(A1)
+    rows, cols = A0.shape
+    if rows == 0 or cols == 0 or not (np.any(A0) or np.any(A1)):
+        return np.full(len(lams), cols), np.zeros(len(lams), dtype=bool)
+    s = np.empty((len(lams), min(rows, cols)))
+    for i, lam in enumerate(lams):
+        s[i] = np.linalg.svd(A0 + lam * A1, compute_uv=False)
+    ranks, ambiguous = numeric_ranks(s, rtol, floors)
+    return cols - ranks, ambiguous
 
 
 def orthonormal_columns(A, rtol: float = RANK_RTOL,

@@ -24,7 +24,8 @@ import numpy as np
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
 from .lie import (LieElement, ad_in_basis, bracket, centralizer,  # noqa: F401
-                  centralizer_dim, centralizer_dims, coords_to_matrix, project)
+                  centralizer_dim, centralizer_dims, coords_to_matrix,
+                  matrices_to_coords, project)
 from .linalg import Subspace, intersect, span
 from .generic import (GenericDims, in_R_mask, m_of_x, sample_coords,
                       sample_element)
@@ -97,7 +98,8 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
     Returns min dim k^(mu(x)) - dim z(g) over samples x in V that attain the
     generic centralizer dimensions.  Only valid in the regime where the
     generic isotropy centralizer is the center of the algebra; other setups
-    must be reduced first.  The first few accepted samples are cross-checked
+    must be reduced first.  The moment values of all accepted samples are
+    computed as one stack; the first few accepted samples are cross-checked
     against the direct intersection dim(m(x) ^ ad_a^(-1) ad x (k)).
     """
     setup = data.setup
@@ -108,19 +110,28 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
             f"(dim {dim_z}), got generic dimension {dims.p}; reduce the pair first")
     n = setup.n
     C = sample_coords(V, seed, 43, samples)
-    accepted = np.flatnonzero(in_R_mask(setup, coords_to_matrix(C, n), data.pair, dims))
+    xs = coords_to_matrix(C, n)
+    accepted = np.flatnonzero(in_R_mask(setup, xs, data.pair, dims))
     if accepted.size == 0:
         raise ValueError("no sample of V attained the generic centralizer dimensions")
-    xs = [LieElement.from_coords(C[:, i], n) for i in accepted]
-    alphas = np.stack([moment_beta(data, x).matrix for x in xs])
+    alphas = _moment_stack(data, C[:, accepted], xs[accepted])
     vals = centralizer_dims(alphas, data.pair.k, setup.rank_tol)[0] - dim_z
-    for x, val in zip(xs[:cross_checks], vals):
-        direct = _direct_intersection_dim(data, x)
+    for i, val in zip(accepted[:cross_checks], vals):
+        direct = _direct_intersection_dim(data, LieElement.from_coords(C[:, i], n))
         if direct != val:
             raise RuntimeError(
                 f"moment route ({val}) disagrees with the direct "
                 f"intersection ({direct}) at a sampled point")
     return int(vals.min())
+
+
+def _moment_stack(data: MomentData, C: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``moment_beta`` of every point as a (S, n, n) stack, from the coordinate
+    columns ``C`` (N, S) of the points and their matrices ``xs`` (S, n, n)."""
+    space, n = data.space, data.setup.n
+    ys = coords_to_matrix(space.basis @ (data.ad_a_inv @ space.coeffs(C)), n)
+    half = 0.5 * matrices_to_coords(ys @ xs - xs @ ys).real
+    return coords_to_matrix(data.pair.k.project(half), n)
 
 
 def _direct_intersection_dim(data: MomentData, x: LieElement) -> int:

@@ -29,7 +29,7 @@ import numpy as np
 from .lie import (LieElement, ad_in_basis, bracket_form, centralizer,  # noqa: F401
                   coords_to_matrix)
 from .linalg import (RANK_RTOL, Subspace, kernel_basis, kernel_dim,
-                     numeric_rank, orthonormal_columns)
+                     numeric_rank, orthonormal_columns, pencil_kernel_dims)
 from .generic import GenericDims, is_in_R, m_of_x
 from .orbit import OrbitSetup
 
@@ -180,30 +180,22 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
     singular_ok = si_dim == dims.r
 
     rng = np.random.default_rng([seed, 23])
-    lams = list(_STRUCTURED_LAMBDAS) + list(annulus_samples(rng, n_lambda))
-    cdims = []
-    kdims = []
-    fragile = []
-    pencil_ok = True
+    lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])
+    floors = np.linalg.norm(x.matrix + lams[:, None, None] * setup.a.matrix,
+                            axis=(1, 2))
     ad_x = ad_in_basis(x, pair.g)
     ad_a = ad_in_basis(setup.a, pair.g)
-    for lam in lams:
-        lam = complex(lam)
-        floor = float(np.linalg.norm(x.matrix + lam * setup.a.matrix))
-        cd, c_amb = kernel_dim(ad_x + lam * ad_a, setup.rank_tol, floor)
-        cdims.append(cd)
-        if cd != dims.q:
-            pencil_ok = False
-        kd, amb = kernel_dim(F0 + lam * F_si, setup.rank_tol, floor)
-        kdims.append(kd)
-        if amb or c_amb or pair.g.ambiguous:
-            fragile.append(lam)
-            ambiguous = True
+    cdims, c_amb = pencil_kernel_dims(ad_x, ad_a, lams, setup.rank_tol, floors)
+    kdims, k_amb = pencil_kernel_dims(F0, F_si, lams, setup.rank_tol, floors)
+    fragile = c_amb | k_amb | pair.g.ambiguous
+    pencil_ok = bool(np.all(cdims == dims.q))
     return KroneckerVerdict(True, singular_ok, pencil_ok,
                             singular_ok and pencil_ok, dims.r, dims.q, si_dim,
-                            tuple(complex(l) for l in lams), tuple(cdims),
-                            tuple(kdims), ambiguous, forms_dependent,
-                            tuple(fragile))
+                            tuple(complex(l) for l in lams),
+                            tuple(int(d) for d in cdims),
+                            tuple(int(d) for d in kdims),
+                            ambiguous or bool(fragile.any()), forms_dependent,
+                            tuple(complex(l) for l in lams[fragile]))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import LieElement, real_form_dim
-from .linalg import Subspace, numeric_rank
+from .linalg import Subspace, pencil_kernel_dims
 from .orbit import OrbitSetup
 from .pencil import annulus_samples
 
@@ -169,19 +169,15 @@ def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20, seed: int = 
     at lambda = 0, at four structured unit values, and at random draws from a
     complex annulus; the centralizer dimension is computed from the vectorized
     commutation equations, independent of the basis machinery used elsewhere.
+    The whole sweep is decided by one ``linalg.pencil_kernel_dims`` call.
     """
     rtol = setup.rank_tol if rtol is None else rtol
     X = x.matrix if isinstance(x, LieElement) else np.asarray(x, dtype=complex)
     n = setup.n
     rng = np.random.default_rng([seed, 31])
-    lams = [0.0] + list(_STRUCTURED) + list(annulus_samples(rng, n_lambda))
+    lams = np.concatenate([[0.0], _STRUCTURED, annulus_samples(rng, n_lambda)])
     eye = np.eye(n)
     # the commutation matrix of x + lambda*a is affine in lambda
     ad_x = np.kron(X, eye) - np.kron(eye, X.T)
     ad_a = np.kron(setup.a.matrix, eye) - np.kron(eye, setup.a.matrix.T)
-    for lam in lams:
-        sv = np.linalg.svd(ad_x + complex(lam) * ad_a, compute_uv=False)
-        rank, _ = numeric_rank(sv, rtol)
-        if n * n - rank != n:
-            return False
-    return True
+    return bool(np.all(pencil_kernel_dims(ad_x, ad_a, lams, rtol)[0] == n))

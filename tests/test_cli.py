@@ -44,6 +44,26 @@ def test_verify_negative_seed_rejected():
                  "--seed", "-3"]) == 1
 
 
+def test_verify_too_few_samples_exit_one(capsys):
+    # fewer than 10 dimension samples is an input error, not an inconclusive run
+    assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                 "--samples", "5"]) == 1
+    assert "dim_samples" in capsys.readouterr().err
+
+
+def test_verify_negative_lambda_samples_exit_one(capsys):
+    assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                 "--lambda-samples", "-3"]) == 1
+    assert "lambda_samples" in capsys.readouterr().err
+
+
+def test_sweep_max_n_below_two_exit_one(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--max-n", "1", "--out", str(out)]) == 1
+    assert "--max-n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_deterministic_output(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -8,7 +8,8 @@ from suborbit import (AlgebraPair, LieElement, bracket, build_setup,
                       estimate_generic_dims, intersect, is_in_R, m_of_x,
                       pairing, perturb_into_R, reduction_data, sample_element,
                       span, subspace_residual, sum_spaces)
-from suborbit.generic import sample_coords
+from suborbit import generic
+from suborbit.generic import sample_coords, seeded_normals
 from suborbit.lie import ad_in_basis, coords_to_matrix, derived_span
 from suborbit.linalg import equal_spaces
 
@@ -250,3 +251,20 @@ def test_generic_dims_make_one_svd_call_per_space(svd_calls, samples):
         svd_calls.clear()
         estimate_generic_dims(st, space, samples, seed=0)
         assert svd_calls == [(samples, st.ambient_dim, st.pair(space).k.dim)]
+
+
+def test_seeded_normals_equal_fresh_draws_as_sizes_grow_and_shrink(monkeypatch):
+    monkeypatch.setattr(generic, "_NORMALS", {})
+    for size in (3, 10, 4, 25, 1, 0, 25, 26):
+        for key in ((911, 5, 0), (911, 5, 1)):
+            z = seeded_normals(key, size)
+            assert np.array_equal(z, np.random.default_rng(key).standard_normal(size))
+            assert not z.flags.writeable
+            with pytest.raises(ValueError):
+                z[...] = 0.0
+    # the oldest keys give way beyond the cap; later draws are still exact
+    monkeypatch.setattr(generic, "_NORMALS_MAX_KEYS", 2)
+    for i in range(5):
+        z = seeded_normals((912, i), 6)
+        assert np.array_equal(z, np.random.default_rng((912, i)).standard_normal(6))
+    assert list(generic._NORMALS) == [(912, 3), (912, 4)]

@@ -18,7 +18,8 @@ from suborbit.lie import (_spectral_singular_values, ad_in_basis,
                           coords_to_matrix, derived_span, matrices_to_coords,
                           matrix_to_coords, real_form_dim, unitary_exp)
 from suborbit.orbit import build_witness_x0
-from suborbit.linalg import equal_spaces, kernel_basis, numeric_rank
+from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
+                             numeric_rank, numeric_ranks)
 
 
 def _elem(coords, n):
@@ -472,3 +473,46 @@ def test_numeric_rank_reads_the_largest_value_in_any_order():
         assert len(caught) == 2
     assert numeric_rank(np.array([0.0, 1e-8, 1.0])) == numeric_rank(
         np.array([1.0, 1e-8, 0.0])) == (2, False)
+
+
+# zero, values spread over a cutoff's decades, and values just inside and
+# outside the ambiguity band of a unit largest value
+_rank_values = st.one_of(
+    st.just(0.0), st.floats(-13.0, 1.0).map(lambda e: 10.0 ** e),
+    st.sampled_from([RANK_RTOL * AMBIGUITY_BAND * 0.99, RANK_RTOL * 1.01,
+                     RANK_RTOL / AMBIGUITY_BAND * 1.01, RANK_RTOL * AMBIGUITY_BAND]))
+_rank_floors = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+def _ranks_both_ways(s, floors):
+    """``(by_row, stacked, warnings by row, warnings stacked)``."""
+    with warnings.catch_warnings(record=True) as by_row_warnings:
+        warnings.simplefilter("always")
+        by_row = [numeric_rank(si, RANK_RTOL, fl) for si, fl in zip(s, floors)]
+    with warnings.catch_warnings(record=True) as stacked_warnings:
+        warnings.simplefilter("always")
+        ranks, ambiguous = numeric_ranks(s, RANK_RTOL, floors)
+    assert all(w.category is RankAmbiguityWarning for w in stacked_warnings)
+    stacked = [(int(r), bool(a)) for r, a in zip(ranks, ambiguous)]
+    return by_row, stacked, len(by_row_warnings), len(stacked_warnings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 7), st.data())
+def test_numeric_ranks_match_row_by_row_numeric_rank(rows, width, data):
+    s = np.array([[data.draw(_rank_values) for _ in range(width)]
+                  for _ in range(rows)]).reshape(rows, width)
+    floors = np.array([data.draw(_rank_floors) for _ in range(rows)])
+    by_row, stacked, warned_by_row, warned_stacked = _ranks_both_ways(s, floors)
+    assert stacked == by_row
+    assert warned_stacked == warned_by_row == sum(a for _, a in by_row)
+
+
+def test_numeric_ranks_flag_only_the_rows_inside_the_band():
+    s = np.array([[1.0, 2e-9, 0.0], [1.0, 0.5, 1e-14], [0.0, 0.0, 0.0],
+                  [1e-12, 1e-12, 0.0]])
+    floors = np.array([0.0, 0.0, 0.0, 1e-3])
+    by_row, stacked, warned_by_row, warned_stacked = _ranks_both_ways(s, floors)
+    assert stacked == by_row == [(2, True), (2, False), (0, False), (0, True)]
+    assert warned_stacked == warned_by_row == 2
+    assert numeric_ranks(np.zeros((3, 0)), RANK_RTOL, 1.0)[0].tolist() == [0, 0, 0]

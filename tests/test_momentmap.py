@@ -10,7 +10,8 @@ from suborbit import (LieElement, bracket, build_moment_data, build_setup,
                       unitary_exp)
 from suborbit import momentmap
 from suborbit.momentmap import ad_a_inverse, beta_form
-from suborbit.lie import ad_in_basis
+from suborbit.generic import sample_coords
+from suborbit.lie import ad_in_basis, coords_to_matrix
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +198,13 @@ def test_m_a_screen_makes_at_most_two_svd_calls(monkeypatch, svd_calls, data_112
     assert m_a_estimate(data_112, setup_112.m_tilde, dims_112["m"],
                         samples=20, seed=5) == 3
     assert len(screens) == 1 and screens[0] <= 2
+
+
+def test_stacked_moment_map_matches_moment_beta(data_112, setup_112):
+    for space in (setup_112.m, setup_112.m_tilde):
+        C = sample_coords(space, 5, 43, 8)
+        alphas = momentmap._moment_stack(data_112, C, coords_to_matrix(C, 4))
+        assert alphas.shape == (8, 4, 4)
+        for i in range(8):
+            ref = moment_beta(data_112, LieElement.from_coords(C[:, i], 4))
+            np.testing.assert_allclose(alphas[i], ref.matrix, rtol=0, atol=1e-13)

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from suborbit import (LieElement, bracket, build_setup, centralizer,
+from suborbit import (LieElement, bracket, build_setup, build_x_pi, centralizer,
                       conjugate, form_matrix, kronecker_test, m_of_x, pairing,
-                      pencil_isotropy_check, sample_element, unitary_exp)
+                      pencil_isotropy_check, root_split, sample_element,
+                      unitary_exp, verify_regular_pencil)
 from suborbit import linalg
 from suborbit.generic import estimate_generic_dims, is_in_R
-from suborbit.linalg import kernel_dim, span
+from suborbit.linalg import kernel_dim, pencil_kernel_dims, span
 from suborbit.pencil import SINGULAR, _STRUCTURED_LAMBDAS, annulus_samples
 
 
@@ -279,3 +280,32 @@ def test_rank_only_paths_build_no_kernel_basis(monkeypatch, setup_112, dims_112)
         per_sweep.append(len(calls))
     # only the slice m(x) is built as a basis, once, whatever the sweep length
     assert per_sweep == [1, 1]
+
+
+def test_lambda_sweeps_keep_each_adjoint_svd_two_dimensional(svd_calls):
+    # a stacked (L, n^2, n^2) adjoint SVD would hold every parameter's matrix
+    # and its workspace at once; each sweep takes one 2-D SVD per parameter
+    st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
+    dims = estimate_generic_dims(st, "m", 25, seed=0)
+    x = sample_element(st.m_tilde, np.random.default_rng([70, 0]), st.n)
+    x_pi = build_x_pi(root_split(st))
+    svd_calls.clear()
+    assert kronecker_test(st, x, dims, n_lambda=20, seed=0).generic
+    assert verify_regular_pencil(st, x_pi, n_lambda=20, seed=0)
+    N = st.n * st.n
+    assert [s for s in svd_calls if len(s) > 2 and s[-1] == N] == []
+    assert svd_calls.count((N, N)) == 2 * 25
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (3, 7), (0, 3), (4, 0)])
+def test_pencil_kernel_dims_match_kernel_dim_per_parameter(shape):
+    rng = np.random.default_rng(shape)
+    lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, 6)])
+    # a rank-deficient pencil, a pencil that vanishes at lambda = 0, a zero one
+    A1 = rng.standard_normal(shape) @ np.diag(np.arange(shape[1]) % 3 > 0)
+    for A0, A1 in ((rng.standard_normal(shape) @ np.diag(np.arange(shape[1]) % 2 > 0), A1),
+                   (np.zeros(shape), A1), (np.zeros(shape), np.zeros(shape))):
+        floors = np.abs(lams) + 1.0
+        dims, amb = pencil_kernel_dims(A0, A1, lams, 1e-9, floors)
+        ref = [kernel_dim(A0 + lam * A1, 1e-9, fl) for lam, fl in zip(lams, floors)]
+        assert [(int(d), bool(a)) for d, a in zip(dims, amb)] == ref
