@@ -15,9 +15,8 @@ from .generic import (GenericDims, ReducedSetup, estimate_generic_dims, is_in_R,
 from .invariants import (IntegralFamily, Member, build_family, completeness_check,
                          gradient, involutivity_suite, member_values,
                          poisson_bracket_can, shifted_invariant_eval)
-from .pencil import (SINGULAR, KroneckerVerdict, PencilForm, PencilReport,
-                     form_matrix, kronecker_test, pencil_at,
-                     pencil_isotropy_check)
+from .pencil import (SINGULAR, KroneckerVerdict, PencilReport, form_matrix,
+                     kronecker_test, pencil_isotropy_check)
 from .momentmap import (MomentData, build_moment_data, m_a_estimate, moment_beta,
                         moment_differential, regular_in_kprime_test)
 from .roots import (RootDatum, anchored_permutation, build_x_pi, root_split,
@@ -41,8 +40,8 @@ __all__ = [
     "IntegralFamily", "Member", "build_family", "completeness_check", "gradient",
     "involutivity_suite", "member_values", "poisson_bracket_can",
     "shifted_invariant_eval",
-    "SINGULAR", "KroneckerVerdict", "PencilForm", "PencilReport", "form_matrix",
-    "kronecker_test", "pencil_at", "pencil_isotropy_check",
+    "SINGULAR", "KroneckerVerdict", "PencilReport", "form_matrix",
+    "kronecker_test", "pencil_isotropy_check",
     "MomentData", "build_moment_data", "m_a_estimate", "moment_beta",
     "moment_differential", "regular_in_kprime_test",
     "RootDatum", "anchored_permutation", "build_x_pi", "root_split",

@@ -21,7 +21,7 @@ Decision tree, driven by the multiset structure of the partition:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,8 +91,8 @@ class VerificationCase:
             "seed": self.seed,
             "n": self.n,
             "p": self.p,
-            "dims_m": _dims_dict(self.dims_m),
-            "dims_m_tilde": _dims_dict(self.dims_mt),
+            "dims_m": None if self.dims_m is None else asdict(self.dims_m),
+            "dims_m_tilde": None if self.dims_mt is None else asdict(self.dims_mt),
             "witness": self.witness,
             "x_pi_coords": self.x_pi_coords,
             "x_pi_regular": self.x_pi_regular,
@@ -110,20 +110,6 @@ class VerificationCase:
             "conclusion": self.conclusion,
         }
         return out
-
-
-def _dims_dict(d: GenericDims | None):
-    if d is None:
-        return None
-    return {"space": d.space, "q": d.q, "p": d.p, "r": d.r,
-            "sample_count": d.sample_count, "stabilized": d.stabilized}
-
-
-def _completeness_dict(rep):
-    return {"span_dim": rep.span_dim, "target_dim": rep.target_dim,
-            "complete": rep.complete, "isotropy_residual": rep.isotropy_residual,
-            "slice_dim": rep.slice_dim, "membership_residual": rep.membership_residual,
-            "ambiguous": rep.ambiguous}
 
 
 def _canonicalize(multiplicities, spectrum):
@@ -302,10 +288,9 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
     fam_t = build_family(setup, "m_tilde")
     fam_m = build_family(setup, "m")
     rep_t = completeness_check(setup, fam_t, okr_point, dims_mt)
-    case.completeness_mt = _completeness_dict(rep_t)
-    if is_in_R(setup, okr_point, "m", dims_m):
-        rep_m = completeness_check(setup, fam_m, okr_point, dims_m)
-        case.completeness_m = _completeness_dict(rep_m)
+    case.completeness_mt = asdict(rep_t)
+    # kronecker_test found okr_point Kronecker only after is_in_R on m with dims_m
+    case.completeness_m = asdict(completeness_check(setup, fam_m, okr_point, dims_m))
     case.involutivity_residual = involutivity_suite(fam_t, n_points=10, seed=seed)
 
     consistent = True

@@ -64,23 +64,14 @@ def _write_json(path: str, doc: dict):
     _write_atomic(path, json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
 
 
-def _parse_ints(text: str, what: str) -> list:
+def _parse_list(text: str, what: str, kind) -> list:
+    """The comma-separated values of ``text`` converted by ``kind`` (int or float)."""
     try:
-        vals = [int(t) for t in text.split(",") if t != ""]
+        vals = [kind(t) for t in text.split(",") if t != ""]
     except ValueError:
+        noun = "integers" if kind is int else "numbers"
         raise ValueError(f"could not parse {what} {text!r} as a comma-separated "
-                         "list of integers")
-    if not vals:
-        raise ValueError(f"{what} is empty")
-    return vals
-
-
-def _parse_floats(text: str, what: str) -> list:
-    try:
-        vals = [float(t) for t in text.split(",") if t != ""]
-    except ValueError:
-        raise ValueError(f"could not parse {what} {text!r} as a comma-separated "
-                         "list of numbers")
+                         f"list of {noun}")
     if not vals:
         raise ValueError(f"{what} is empty")
     return vals
@@ -88,8 +79,8 @@ def _parse_floats(text: str, what: str) -> list:
 
 def cmd_verify(args) -> int:
     try:
-        partition = _parse_ints(args.partition, "partition")
-        spectrum = _parse_floats(args.spectrum, "spectrum")
+        partition = _parse_list(args.partition, "partition", int)
+        spectrum = _parse_list(args.spectrum, "spectrum", float)
         budgets = Budgets(dim_samples=args.samples,
                           lambda_samples=args.lambda_samples)
         t0 = time.perf_counter()
@@ -122,9 +113,9 @@ def cmd_verify(args) -> int:
 
 def cmd_flow(args) -> int:
     try:
-        partition = _parse_ints(args.partition, "partition")
-        spectrum = _parse_floats(args.spectrum, "spectrum")
-        b_values = _parse_floats(args.b_spectrum, "b-spectrum")
+        partition = _parse_list(args.partition, "partition", int)
+        spectrum = _parse_list(args.spectrum, "spectrum", float)
+        b_values = _parse_list(args.b_spectrum, "b-spectrum", float)
         if len(b_values) != len(partition):
             raise ValueError(
                 f"b-spectrum has {len(b_values)} entries for {len(partition)} blocks")

@@ -33,6 +33,10 @@ from .invariants import IntegralFamily, member_values
 from .orbit import OrbitSetup, _operator_on, block_scalar
 
 
+# relative leakage out of the flow space after one step that aborts a run
+ABORT_RESIDUAL = 1e-6
+
+
 class FlowDivergenceError(RuntimeError):
     """The integrator state left the flow space beyond the abort threshold."""
 
@@ -154,7 +158,6 @@ class Trajectory:
     residuals: np.ndarray
     step: float
     space: str
-    integrator: str = "rk4"
 
     def __len__(self) -> int:
         return len(self.times)
@@ -170,13 +173,12 @@ def _rhs(spec: FlowSpec, c: np.ndarray) -> np.ndarray:
 
 
 def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
-                   record_stride: int = 1,
-                   abort_residual: float = 1e-6) -> Trajectory:
+                   record_stride: int = 1) -> Trajectory:
     """Classical fixed-step fourth-order Runge-Kutta run from x0.
 
     The state is advanced in ambient coordinates; after each step the leakage
     out of the flow space is recorded and removed.  A leakage above
-    ``abort_residual`` aborts with the offending time, as does a state that
+    ``ABORT_RESIDUAL`` aborts with the offending time, as does a state that
     is not finite or whose norm exceeds 1e50.
     """
     if dt <= 0:
@@ -209,7 +211,7 @@ def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
             proj = dom.project(c)
             r = c - proj
             res = math.sqrt(float(r @ r)) / max(1.0, math.sqrt(cc))
-            if res > abort_residual:
+            if res > ABORT_RESIDUAL:
                 raise FlowDivergenceError(t, res)
             c = proj
             if s % record_stride == 0 or s == steps:

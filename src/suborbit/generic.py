@@ -127,9 +127,14 @@ def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
                     ambiguous=amb or pair.m.ambiguous)
 
 
+# perturb_into_R halves its radius this many times, drawing this many points
+# on each sphere
+_MAX_HALVINGS = 12
+_TRIES_PER_RADIUS = 4
+
+
 def perturb_into_R(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
-                   dims_mt: GenericDims, seed: int = 0, max_halvings: int = 12,
-                   tries_per_radius: int = 4) -> tuple[LieElement, float]:
+                   dims_mt: GenericDims, seed: int = 0) -> tuple[LieElement, float]:
     """Move x0 inside the fixed part of m until it is generic for both pairs.
 
     Resamples on spheres of shrinking radius around x0 and returns the first
@@ -139,8 +144,8 @@ def perturb_into_R(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
     if is_in_R(setup, x0, "m", dims_m) and is_in_R(setup, x0, "m_tilde", dims_mt):
         return x0, 0.0
     radius = 1.0
-    for h in range(max_halvings):
-        for t in range(tries_per_radius):
+    for h in range(_MAX_HALVINGS):
+        for t in range(_TRIES_PER_RADIUS):
             rng = np.random.default_rng([seed, 19, h, t])
             d = rng.standard_normal(setup.m_tilde.dim)
             d = d / np.linalg.norm(d)
@@ -165,7 +170,6 @@ class ReducedSetup:
     g0_tilde: Subspace
     k0_tilde: Subspace
     m0_tilde: Subspace
-    k0_prime: Subspace
     z_g0: Subspace
     rank_g0: int
     dims_m0: GenericDims
@@ -180,9 +184,12 @@ class ReducedSetup:
         raise ValueError(f"unknown reduced space selector {space!r}")
 
 
+# points sampled for each generic estimate and for the anchor consistency checks
+_REDUCTION_SAMPLES = 12
+
+
 def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
-                   dims_mt: GenericDims, samples: int = 12,
-                   seed: int = 0) -> ReducedSetup:
+                   dims_mt: GenericDims, seed: int = 0) -> ReducedSetup:
     """Centralizer-of-isotropy reduction anchored at a doubly generic point.
 
     Requires x0 generic for both the full and the fixed pair; rejects other
@@ -214,7 +221,6 @@ def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
     g0_tilde = intersect(g0, setup.g_tilde, setup.rank_tol)
     k0_tilde = intersect(k0, setup.g_tilde, setup.rank_tol)
     m0_tilde = intersect(m0, setup.g_tilde, setup.rank_tol)
-    k0_prime = intersect(k0, setup.g_prime, setup.rank_tol)
     z_g0 = subalgebra_center(g0, setup.rank_tol)
 
     checks = {}
@@ -225,23 +231,23 @@ def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
     checks["g0_tilde_splits"] = g0_tilde.dim == k0_tilde.dim + m0_tilde.dim
 
     # rank of the reduced algebra: generic centralizer dimension inside g0
-    rank_g0 = _generic_dim_within(g0, g0, setup, seed)
+    rank_g0 = _generic_dim_within(g0, setup, seed)
 
     pair0 = AlgebraPair("m0", g0, k0, m0)
-    dims_m0 = estimate_generic_dims(setup, pair0, samples=max(10, samples), seed=seed)
+    dims_m0 = estimate_generic_dims(setup, pair0, _REDUCTION_SAMPLES, seed)
     checks["r_preserved"] = dims_m0.r == dims_m.r
     checks["r_equals_rank_minus_center"] = dims_m.r == rank_g0 - z_g0.dim
 
     # sampled points of the reduced transversal that are generic for the full
     # pair must reproduce the isotropy algebra and the slice of the anchor
     match_k, match_slice, semis_ok = _anchor_consistency(
-        setup, x0, kx, gx_dim, pair0, dims_m, samples, seed, g0)
+        setup, x0, kx, gx_dim, pair0, dims_m, seed, g0)
     checks["isotropy_constant_on_m0"] = match_k
     checks["slice_agrees_on_m0"] = match_slice
     checks["centralizer_splits_semisimple"] = semis_ok
 
     return ReducedSetup(setup, x0, kx, g0, k0, m0, g0_tilde, k0_tilde, m0_tilde,
-                        k0_prime, z_g0, rank_g0, dims_m0, dims_m.r, checks)
+                        z_g0, rank_g0, dims_m0, dims_m.r, checks)
 
 
 def _sigma_stable(S: Subspace, n: int) -> bool:
@@ -250,18 +256,16 @@ def _sigma_stable(S: Subspace, n: int) -> bool:
     return subspace_residual(Subspace(S.ambient_dim, B), S) < 1e-10
 
 
-def _generic_dim_within(space: Subspace, algebra: Subspace, setup: OrbitSetup,
-                        seed: int, samples: int = 12) -> int:
-    xs = coords_to_matrix(sample_coords(space, seed, 29, samples), setup.n)
+def _generic_dim_within(algebra: Subspace, setup: OrbitSetup, seed: int) -> int:
+    xs = coords_to_matrix(sample_coords(algebra, seed, 29, _REDUCTION_SAMPLES), setup.n)
     return min(algebra.dim, int(centralizer_dims(xs, algebra, setup.rank_tol)[0].min()))
 
 
-def _anchor_consistency(setup, x0, kx, gx_dim, pair0, dims_m, samples, seed, g0):
+def _anchor_consistency(setup, x0, kx, gx_dim, pair0, dims_m, seed, g0):
     match_k = True
     match_slice = True
-    mx_full = m_of_x(setup, x0, "m")
     checked = 0
-    for i in range(samples):
+    for i in range(_REDUCTION_SAMPLES):
         rng = np.random.default_rng([seed, 37, i])
         x = sample_element(pair0.m, rng, setup.n)
         if not is_in_R(setup, x, "m", dims_m):

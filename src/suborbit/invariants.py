@@ -141,7 +141,7 @@ def gradient(family: IntegralFamily, member: Member, x: LieElement) -> LieElemen
                                   family.setup.n)
 
 
-def build_family(setup: OrbitSetup, space, max_power: int | None = None) -> IntegralFamily:
+def build_family(setup: OrbitSetup, space) -> IntegralFamily:
     """All nonvanishing shift coefficients of powers 2..n on the chosen space.
 
     Member (k, s) sums the words with k-s letters x and s letters a.  It
@@ -155,7 +155,6 @@ def build_family(setup: OrbitSetup, space, max_power: int | None = None) -> Inte
     - the space is zero: every member has degree k-s >= 1 in x.
     That no other member vanishes is checked against random probes in tests.
     """
-    kmax = setup.n if max_power is None else max_power
     pair = setup.pair(space)
     in_m = subspace_residual(pair.m, setup.m) < 1e-10
     fixed = subspace_residual(pair.m, setup.g_tilde) < 1e-10
@@ -166,7 +165,7 @@ def build_family(setup: OrbitSetup, space, max_power: int | None = None) -> Inte
         return (pair.m.dim == 0 or (in_m and (s == k - 1 or (two_blocks and odd)))
                 or (fixed and odd))
 
-    candidates = [Member(k, s) for k in range(2, kmax + 1) for s in range(k)]
+    candidates = [Member(k, s) for k in range(2, setup.n + 1) for s in range(k)]
     return IntegralFamily(setup, space if isinstance(space, AlgebraPair) else pair.name,
                           tuple(m for m in candidates if not vanishes(m.k, m.s)),
                           tuple(m for m in candidates if vanishes(m.k, m.s)))

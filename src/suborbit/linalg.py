@@ -27,7 +27,7 @@ parameters of a lambda-sweep, each parameter's 2-D SVD written into one row.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

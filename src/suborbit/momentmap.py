@@ -29,18 +29,20 @@ from .lie import (LieElement, ad_in_basis, bracket, centralizer,  # noqa: F401
 from .linalg import Subspace, intersect, span
 from .generic import (GenericDims, in_R_mask, m_of_x, sample_coords,
                       sample_element)
-from .orbit import AlgebraPair, OrbitSetup, _operator_on
+from .orbit import AlgebraPair, OrbitSetup, ad_a_inverse_apply
+
+# the first accepted samples of m_a_estimate checked against the direct route
+_CROSS_CHECKS = 3
 
 
 @dataclass(frozen=True)
 class MomentData:
-    """Anchor-inversion data on the transversal space of one algebra pair."""
+    """Anchor-inversion data on m: ``ad_a_inv`` is (ad a|_m)^(-1), and also
+    the matrix of the skew form beta, in the basis of m."""
 
     setup: OrbitSetup
     pair: AlgebraPair
-    ad_a: np.ndarray
     ad_a_inv: np.ndarray
-    beta: np.ndarray
 
     @property
     def space(self) -> Subspace:
@@ -48,51 +50,38 @@ class MomentData:
 
 
 def build_moment_data(setup: OrbitSetup, space: str = "m") -> MomentData:
-    """Moment-map data for the chosen pair; validates invertibility and skewness."""
+    """Moment-map data on m; validates that the inverted anchor form is skew."""
     pair = setup.pair(space)
-    if pair.m is setup.m_tilde:
-        raise ValueError("ad a maps m_tilde onto m_prime, so it has no inverse on "
-                         "m_tilde; moment data exist only on m")
-    if pair.m is setup.m:
-        A, A_inv = setup.ad_a_m, setup.ad_a_m_inv
-    else:
-        a = setup.a.matrix
-        A = _operator_on(pair.m, lambda Ys: a @ Ys - Ys @ a)
-        A_inv = np.linalg.inv(A)
-    if np.max(np.abs(A @ A_inv - np.eye(pair.m.dim))) > 1e-10:
-        raise RuntimeError("ad a is numerically singular on the chosen space")
-    beta = A_inv
+    if pair.m is not setup.m:
+        raise ValueError(f"moment data are built only on m, got {pair.name}; ad a "
+                         "maps m_tilde onto m_prime, so it has no inverse on m_tilde")
+    beta = setup.ad_a_m_inv
     if np.max(np.abs(beta + beta.T)) > 1e-12 * max(1.0, np.max(np.abs(beta))):
         raise RuntimeError("the inverted anchor form is not skew")
-    return MomentData(setup, pair, A, A_inv, beta)
-
-
-def ad_a_inverse(data: MomentData, x: LieElement) -> LieElement:
-    c = data.space.coeffs(x.coords)
-    return LieElement.from_coords(data.space.basis @ (data.ad_a_inv @ c), data.setup.n)
+    return MomentData(setup, pair, beta)
 
 
 def beta_form(data: MomentData, y1: LieElement, y2: LieElement) -> float:
     c1 = data.space.coeffs(y1.coords)
     c2 = data.space.coeffs(y2.coords)
-    return float(c1 @ (data.beta @ c2))
+    return float(c1 @ (data.ad_a_inv @ c2))
 
 
 def moment_beta(data: MomentData, x: LieElement) -> LieElement:
     """Quadratic moment map value (1/2) [ad_a^(-1) x, x] projected to the isotropy algebra."""
-    half = 0.5 * bracket(ad_a_inverse(data, x), x)
+    half = 0.5 * bracket(ad_a_inverse_apply(data.setup, x), x)
     return project(half, data.pair.k)
 
 
 def moment_differential(data: MomentData, x0: LieElement, y: LieElement) -> LieElement:
     """Exact differential of the quadratic moment map at x0 applied to y."""
-    t1 = bracket(ad_a_inverse(data, x0), y)
-    t2 = bracket(ad_a_inverse(data, y), x0)
+    t1 = bracket(ad_a_inverse_apply(data.setup, x0), y)
+    t2 = bracket(ad_a_inverse_apply(data.setup, y), x0)
     return project(0.5 * (t1 + t2), data.pair.k)
 
 
 def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
-                 samples: int = 25, seed: int = 0, cross_checks: int = 3) -> int:
+                 samples: int = 25, seed: int = 0) -> int:
     """Minimum over generic samples of V of the centralizer defect of the moment value.
 
     Returns min dim k^(mu(x)) - dim z(g) over samples x in V that attain the
@@ -116,7 +105,7 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
         raise ValueError("no sample of V attained the generic centralizer dimensions")
     alphas = _moment_stack(data, C[:, accepted], xs[accepted])
     vals = centralizer_dims(alphas, data.pair.k, setup.rank_tol)[0] - dim_z
-    for i, val in zip(accepted[:cross_checks], vals):
+    for i, val in zip(accepted[:_CROSS_CHECKS], vals):
         direct = _direct_intersection_dim(data, LieElement.from_coords(C[:, i], n))
         if direct != val:
             raise RuntimeError(
@@ -147,24 +136,17 @@ def _direct_intersection_dim(data: MomentData, x: LieElement) -> int:
     return intersect(mx, W_inv, setup.rank_tol).dim
 
 
-def regular_in_kprime_test(setup: OrbitSetup, samples: int = 25, seed: int = 0,
-                           kprime: Subspace | None = None,
-                           k: Subspace | None = None,
-                           rank_k: int | None = None) -> bool:
+def regular_in_kprime_test(setup: OrbitSetup, samples: int = 25, seed: int = 0) -> bool:
     """Whether the anti-fixed part of the isotropy algebra contains regular elements.
 
     Samples the anti-fixed part and asks for the minimal centralizer dimension
-    inside the isotropy algebra to reach its rank (the sum of the block sizes
-    for the full setup).
+    inside the isotropy algebra to reach its rank, the sum n of the block sizes.
     """
-    kprime = setup.k_prime if kprime is None else kprime
-    k = setup.k if k is None else k
-    rank_k = setup.n if rank_k is None else rank_k
-    best = k.dim
+    best = setup.k.dim
     for i in range(samples):
         rng = np.random.default_rng([seed, 47, i])
-        xi = sample_element(kprime, rng, setup.n)
-        best = min(best, centralizer_dim(xi, k, setup.rank_tol)[0])
-        if best == rank_k:
+        xi = sample_element(setup.k_prime, rng, setup.n)
+        best = min(best, centralizer_dim(xi, setup.k, setup.rank_tol)[0])
+        if best == setup.n:
             return True
-    return best == rank_k
+    return best == setup.n

@@ -59,7 +59,6 @@ class OrbitSetup:
     m_prime: Subspace
     z_of_k: Subspace
     z_of_g: Subspace
-    blocks: dict
     ad_a_m: np.ndarray
     ad_a_m_inv: np.ndarray
     rank_tol: float = RANK_RTOL
@@ -77,12 +76,6 @@ class OrbitSetup:
         if space == "m_tilde":
             return AlgebraPair("m_tilde", self.g_tilde, self.k_tilde, self.m_tilde)
         raise ValueError(f"unknown space selector {space!r}")
-
-    def space(self, selector) -> Subspace:
-        return self.pair(selector).m
-
-    def block_offsets(self) -> list[int]:
-        return np.concatenate([[0], np.cumsum(self.multiplicities)]).tolist()
 
 
 def block_scalar(setup_or_mult, values) -> LieElement:
@@ -124,7 +117,6 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
     m_tilde, m_prime = _coordinates(~in_k & fixed), _coordinates(~in_k & ~fixed)
     z_of_k = _block_identities(owner, rows, cols)
     z_of_g = _block_identities(np.zeros(n, dtype=int), rows, cols)
-    blocks = _block_modules(owner, rows, cols)
 
     ad_a_m = _operator_on(m, lambda Ys: a.matrix @ Ys - Ys @ a.matrix)
     ad_a_m_inv = np.linalg.inv(ad_a_m)
@@ -133,7 +125,7 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
 
     setup = OrbitSetup(n, mult, spec, a, g, g_tilde, g_prime, k, m,
                        k_tilde, k_prime, m_tilde, m_prime, z_of_k, z_of_g,
-                       blocks, ad_a_m, ad_a_m_inv, rank_tol)
+                       ad_a_m, ad_a_m_inv, rank_tol)
     _validate_setup(setup)
     return setup
 
@@ -159,15 +151,6 @@ def _block_identities(owner, rows, cols) -> Subspace:
     Z = np.zeros((rows.size, owner.max() + 1))
     Z[diag, block] = 1.0 / np.sqrt(np.bincount(owner)[block])
     return Subspace(rows.size, Z)
-
-
-def _block_modules(owner, rows, cols) -> dict:
-    """Coordinate subspaces of the block positions (bj, bl), 1-based block labels."""
-    # rows <= cols and the blocks are contiguous, so bj <= bl
-    bj, bl = owner[rows], owner[cols]
-    p = owner.max() + 1
-    return {(b1 + 1, b2 + 1): _coordinates((bj == b1) & (bl == b2))
-            for b1 in range(p) for b2 in range(b1, p)}
 
 
 def _validate_setup(st: OrbitSetup):

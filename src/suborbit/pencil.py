@@ -37,36 +37,15 @@ SINGULAR = "singular"
 
 _STRUCTURED_LAMBDAS = (0.0, 1.0, -1.0, 1j, -1j)
 
-
-@dataclass(frozen=True)
-class PencilForm:
-    """The pencil of skew forms attached to one base point and one slice.
-
-    ``form(lam)`` evaluates the family member at a (possibly complex)
-    parameter; ``singular`` is the member pairing against the anchor alone.
-    """
-
-    setup: "OrbitSetup"
-    base_point: LieElement
-    domain: Subspace
-    space: str = "m"
-
-    def form(self, lam) -> np.ndarray:
-        return form_matrix(self.setup, self.base_point, lam, self.space, self.domain)
-
-    @property
-    def singular(self) -> np.ndarray:
-        return form_matrix(self.setup, self.base_point, SINGULAR, self.space,
-                           self.domain)
+# pencil_isotropy_check scans this many real and this many complex parameters
+# beyond its fixed ones
+_N_REAL = 50
+_N_COMPLEX = 24
 
 
-def pencil_at(setup: OrbitSetup, x: LieElement, space: str = "m") -> PencilForm:
-    return PencilForm(setup, x, m_of_x(setup, x, space), space)
-
-
-def annulus_samples(rng, count: int, rmin: float = 0.5, rmax: float = 2.0) -> np.ndarray:
-    """Area-uniform complex samples from the annulus rmin <= |z| <= rmax."""
-    r = np.sqrt(rng.uniform(rmin * rmin, rmax * rmax, count))
+def annulus_samples(rng, count: int) -> np.ndarray:
+    """Area-uniform complex samples from the annulus 0.5 <= |z| <= 2."""
+    r = np.sqrt(rng.uniform(0.5 ** 2, 2.0 ** 2, count))
     th = rng.uniform(0.0, 2.0 * np.pi, count)
     return r * np.exp(1j * th)
 
@@ -211,9 +190,7 @@ class PencilReport:
     minimizing_count: int
 
 
-def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
-                          n_complex: int = 24, seed: int = 0,
-                          rtol: float = RANK_RTOL) -> PencilReport:
+def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> PencilReport:
     """Kernel-sum analysis of the pencil t1*B1 + t2*B2 of real skew forms.
 
     Scans the real projective parameter line, collects kernels at the
@@ -233,7 +210,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
             raise ValueError("forms must be skew-symmetric")
     stacked = np.stack([B1.ravel(), B2.ravel()])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    rank2, _ = numeric_rank(sv, rtol)
+    rank2, _ = numeric_rank(sv, RANK_RTOL)
     if rank2 < 2:
         raise ValueError("forms are linearly dependent; the pencil is a line, not a plane")
 
@@ -241,7 +218,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
     rng = np.random.default_rng([seed, 41])
     thetas = np.concatenate([
         [0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4],
-        np.pi * (np.arange(n_real) + 0.5) / n_real,
+        np.pi * (np.arange(_N_REAL) + 0.5) / _N_REAL,
     ])
     params = [(np.cos(t), np.sin(t)) for t in thetas]
 
@@ -250,7 +227,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
     dims = []
     for t1, t2 in params:
         F = t1 * B1 + t2 * B2
-        K, _ = kernel_basis(F, rtol, floor)
+        K, _ = kernel_basis(F, RANK_RTOL, floor)
         dims.append(K.shape[1])
         kernels.append(K)
     r_min = int(min(dims))
@@ -258,7 +235,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
     vecs = [K for K, dd in zip(kernels, dims) if dd == r_min and K.shape[1] > 0]
     minimizing = sum(1 for dd in dims if dd == r_min)
     if vecs:
-        L, _ = orthonormal_columns(np.hstack(vecs), rtol)
+        L, _ = orthonormal_columns(np.hstack(vecs), RANK_RTOL)
     else:
         L = np.zeros((d, 0))
     L_dim = L.shape[1]
@@ -274,12 +251,12 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, n_real: int = 50,
 
     cc = True
     complex_params = [(1.0, 1j), (1j, 1.0), (1.0, 1.0 + 1j)]
-    zs = annulus_samples(rng, n_complex)
-    complex_params += [(1.0, z) for z in zs[: n_complex // 2]]
-    complex_params += [(z, 1.0) for z in zs[n_complex // 2:]]
+    zs = annulus_samples(rng, _N_COMPLEX)
+    complex_params += [(1.0, z) for z in zs[: _N_COMPLEX // 2]]
+    complex_params += [(z, 1.0) for z in zs[_N_COMPLEX // 2:]]
     for t1, t2 in complex_params:
         F = t1 * B1.astype(complex) + t2 * B2.astype(complex)
-        kd, _ = kernel_dim(F, rtol, floor)
+        kd, _ = kernel_dim(F, RANK_RTOL, floor)
         if kd != r_min:
             cc = False
             break

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import LieElement, real_form_dim
-from .linalg import Subspace, pencil_kernel_dims
+from .lie import LieElement
+from .linalg import pencil_kernel_dims
 from .orbit import OrbitSetup
-from .pencil import annulus_samples
-
-_STRUCTURED = (1.0, -1.0, 1j, -1j)
+from .pencil import _STRUCTURED_LAMBDAS, annulus_samples
 
 
 @dataclass(frozen=True)
@@ -32,18 +30,12 @@ class RootDatum:
     """Root bookkeeping for one orbit setup (index pairs are 0-based)."""
 
     n: int
-    cartan: "Subspace"
     block_of: tuple[int, ...]
     roots: tuple[tuple[int, int], ...]
     delta_k: tuple[tuple[int, int], ...]
     delta_m: tuple[tuple[int, int], ...]
     permutation: tuple[int, ...] | None
     pi: tuple[tuple[int, int], ...] | None
-
-    def generator(self, root: tuple[int, int]) -> np.ndarray:
-        E = np.zeros((self.n, self.n), dtype=complex)
-        E[root[0], root[1]] = 1.0
-        return E
 
 
 def root_split(setup: OrbitSetup) -> RootDatum:
@@ -54,10 +46,7 @@ def root_split(setup: OrbitSetup) -> RootDatum:
     system are left empty.
     """
     n = setup.n
-    offs = np.concatenate([[0], np.cumsum(setup.multiplicities)])
-    block_of = np.empty(n, dtype=int)
-    for b in range(len(setup.multiplicities)):
-        block_of[offs[b]:offs[b + 1]] = b
+    block_of = np.repeat(np.arange(len(setup.multiplicities)), setup.multiplicities)
     roots = [(j, k) for j in range(n) for k in range(n) if j != k]
     delta_k = tuple(r for r in roots if block_of[r[0]] == block_of[r[1]])
     delta_m = tuple(r for r in roots if block_of[r[0]] != block_of[r[1]])
@@ -66,10 +55,7 @@ def root_split(setup: OrbitSetup) -> RootDatum:
         pi = tuple((perm[j], perm[j + 1]) for j in range(n - 1))
     except ValueError:
         perm, pi = None, None
-    # the torus of imaginary diagonals occupies one canonical coordinate block
-    start = real_form_dim(n)
-    cartan = Subspace(n * n, np.eye(n * n)[:, start:start + n])
-    return RootDatum(n, cartan, tuple(int(b) for b in block_of), tuple(roots),
+    return RootDatum(n, tuple(int(b) for b in block_of), tuple(roots),
                      delta_k, delta_m, perm, pi)
 
 
@@ -161,8 +147,8 @@ def _positive_roots(datum: RootDatum):
     return {(j, k) for (j, k) in datum.roots if position[j] < position[k]}
 
 
-def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20, seed: int = 0,
-                          rtol: float | None = None) -> bool:
+def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20,
+                          seed: int = 0) -> bool:
     """Whether the complex centralizer dimension along x + lambda*a stays at n.
 
     ``x`` may be an algebra element or a plain complex matrix.  The check runs
@@ -171,13 +157,12 @@ def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20, seed: int = 
     commutation equations, independent of the basis machinery used elsewhere.
     The whole sweep is decided by one ``linalg.pencil_kernel_dims`` call.
     """
-    rtol = setup.rank_tol if rtol is None else rtol
     X = x.matrix if isinstance(x, LieElement) else np.asarray(x, dtype=complex)
     n = setup.n
     rng = np.random.default_rng([seed, 31])
-    lams = np.concatenate([[0.0], _STRUCTURED, annulus_samples(rng, n_lambda)])
+    lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])
     eye = np.eye(n)
     # the commutation matrix of x + lambda*a is affine in lambda
     ad_x = np.kron(X, eye) - np.kron(eye, X.T)
     ad_a = np.kron(setup.a.matrix, eye) - np.kron(eye, setup.a.matrix.T)
-    return bool(np.all(pencil_kernel_dims(ad_x, ad_a, lams, rtol)[0] == n))
+    return bool(np.all(pencil_kernel_dims(ad_x, ad_a, lams, setup.rank_tol)[0] == n))

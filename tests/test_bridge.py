@@ -1,12 +1,14 @@
 """The end-to-end decision tree."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from suborbit import Budgets, CONFIRMED, INCONCLUSIVE, REDUCED, run_case
+from suborbit import (Budgets, CONFIRMED, INCONCLUSIVE, REDUCED,
+                      RankAmbiguityWarning, run_case)
 from suborbit.cli import _partitions
 
 
@@ -93,10 +95,15 @@ def test_case_serializes():
 
 
 def test_inconclusive_rank_eight_case_says_why():
-    # whatever (1^8) concludes, an INCONCLUSIVE verdict names its failed stage
-    case = run_case((1,) * 8, range(1, 9), seed=42)
+    # whatever (1^8) concludes, an INCONCLUSIVE verdict names its failed stage,
+    # and a CONFIRMED or REDUCED verdict comes with no rank ambiguity warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankAmbiguityWarning)
+        case = run_case((1,) * 8, range(1, 9), seed=42)
     if case.conclusion == INCONCLUSIVE:
         assert any(note.strip() for note in case.notes)
+    else:
+        assert not [w for w in caught if w.category is RankAmbiguityWarning]
 
 
 # Integer, boolean, verdict and notes fields of run_case on small partitions,

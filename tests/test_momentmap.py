@@ -6,10 +6,11 @@ import pytest
 from suborbit import (LieElement, bracket, build_moment_data, build_setup,
                       build_witness_x0, centralizer, conjugate, intersect,
                       m_a_estimate, m_of_x, moment_beta, moment_differential,
-                      pairing, regular_in_kprime_test, sample_element, span,
-                      unitary_exp)
+                      pairing, perturb_into_R, reduction_data,
+                      regular_in_kprime_test, sample_element, span, unitary_exp)
 from suborbit import momentmap
-from suborbit.momentmap import ad_a_inverse, beta_form
+from suborbit.momentmap import beta_form
+from suborbit.orbit import ad_a_inverse_apply
 from suborbit.generic import sample_coords
 from suborbit.lie import ad_in_basis, coords_to_matrix
 
@@ -23,17 +24,22 @@ def test_hand_value_u2():
     st = build_setup((1, 1), (1.0, 3.0))
     data = build_moment_data(st, "m")
     x = LieElement.from_matrix(np.array([[0, 1], [-1, 0]], dtype=complex))
-    inv = ad_a_inverse(data, x)
+    inv = ad_a_inverse_apply(st, x)
     assert np.allclose(inv.matrix, np.array([[0, 1j], [1j, 0]]) / 2.0, atol=1e-12)
     mu = moment_beta(data, x)
     assert np.allclose(mu.matrix, np.diag([-1j, 1j]) / 2.0, atol=1e-12)
 
 
-def test_m_tilde_selector_refused(setup_112):
-    # ad a maps m_tilde onto m_prime, so there is nothing to invert on m_tilde
-    for space in ("m_tilde", setup_112.pair("m_tilde")):
+def test_m_tilde_selector_refused(setup_112, setup_114, dims_114):
+    # ad a maps m_tilde onto m_prime, so there is nothing to invert on m_tilde;
+    # moment data are built on m alone, so the reduced m0 pair is refused too
+    x0, _ = build_witness_x0(setup_114, 0)
+    x0, _ = perturb_into_R(setup_114, x0, dims_114["m"], dims_114["m_tilde"], seed=1)
+    red = reduction_data(setup_114, x0, dims_114["m"], dims_114["m_tilde"], seed=2)
+    for st, space in ((setup_112, "m_tilde"), (setup_112, setup_112.pair("m_tilde")),
+                      (setup_114, red.pair("m0"))):
         with pytest.raises(ValueError, match="m_prime"):
-            build_moment_data(setup_112, space)
+            build_moment_data(st, space)
 
 
 def test_moment_of_zero(data_112):
@@ -46,7 +52,7 @@ def test_beta_is_skew_and_nondegenerate(data_112, setup_112):
     y2 = sample_element(setup_112.m, rng, 4)
     assert beta_form(data_112, y1, y2) == pytest.approx(-beta_form(data_112, y2, y1),
                                                         abs=1e-10)
-    sv = np.linalg.svd(data_112.beta, compute_uv=False)
+    sv = np.linalg.svd(data_112.ad_a_inv, compute_uv=False)
     assert sv.min() > 1e-12
 
 

@@ -67,21 +67,6 @@ def test_bracket_k_m_containment(setup_112):
         assert st.m.contains(bracket(z, x).coords, 1e-10)
 
 
-def test_block_modules(setup_112):
-    st = setup_112
-    dims = {key: sp.dim for key, sp in st.blocks.items()}
-    assert dims == {(1, 1): 1, (2, 2): 1, (3, 3): 4,
-                    (1, 2): 2, (1, 3): 4, (2, 3): 4}
-    # every block is a module for the isotropy algebra
-    rng = np.random.default_rng(1)
-    for key, sp in st.blocks.items():
-        if sp.dim == 0:
-            continue
-        v = sample_element(sp, rng, st.n)
-        z = sample_element(st.k, rng, st.n)
-        assert sp.contains(bracket(z, v).coords, 1e-10), key
-
-
 def test_ad_a_maps_tilde_to_prime_bijectively(setup_112):
     st = setup_112
     rng = np.random.default_rng(2)
@@ -244,15 +229,7 @@ def _svd_setup_spaces(mult, spectrum):
               "k_tilde": intersect(k, g_tilde), "k_prime": intersect(k, g_prime),
               "m_tilde": intersect(m, g_tilde), "m_prime": intersect(m, g_prime),
               "z_of_k": z_of_k, "z_of_g": subalgebra_center(g)}
-    owner = np.repeat(np.arange(len(mult)), mult)
-    entries = _loop_entries(n)
-    blocks = {}
-    for b1 in range(len(mult)):
-        for b2 in range(b1, len(mult)):
-            idx = [i for i, (j, kk) in enumerate(entries)
-                   if {owner[j], owner[kk]} == {b1, b2}]
-            blocks[(b1 + 1, b2 + 1)] = Subspace(N, np.eye(N)[:, idx])
-    return spaces, blocks
+    return spaces
 
 
 SETUP_PARTITIONS = [p for n in range(2, 8) for p in _partitions(n)] + [(4, 4)]
@@ -262,12 +239,9 @@ SETUP_PARTITIONS = [p for n in range(2, 8) for p in _partitions(n)] + [(4, 4)]
 def test_closed_form_spaces_match_svd_construction(mult):
     spectrum = tuple(float(j + 1) for j in range(len(mult)))
     st = build_setup(mult, spectrum)
-    spaces, blocks = _svd_setup_spaces(mult, spectrum)
+    spaces = _svd_setup_spaces(mult, spectrum)
     for name, ref in spaces.items():
         assert equal_spaces(getattr(st, name), ref), name
-    assert st.blocks.keys() == blocks.keys()
-    for key, ref in blocks.items():
-        assert np.array_equal(st.blocks[key].basis, ref.basis), key
     # the centre of k has no fixed part, so its anti-fixed part is all of it
     assert intersect(spaces["z_of_k"], spaces["g_tilde"]).dim == 0
     assert equal_spaces(intersect(spaces["z_of_k"], spaces["g_prime"]), st.z_of_k)
