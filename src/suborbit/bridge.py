@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .generic import (GenericDims, estimate_generic_dims, is_in_R,
+from .generic import (GenericDims, GenericPoint, estimate_generic_dims, is_in_R,
                       perturb_into_R, reduction_data, sample_element)
 from .invariants import build_family, completeness_check, involutivity_suite
 from .lie import LieElement
@@ -128,6 +128,11 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
     point of the fixed part was explicitly witnessed and the gradient span is
     complete there, REDUCED when the dominant-block reduction was taken and
     the reduced case confirmed, and INCONCLUSIVE otherwise.
+
+    Replacing a by alpha*a + beta*iI (alpha > 0) changes neither k, nor the
+    orbit, nor the span of the shifted family, so the verdict is decided on
+    the spectrum mapped affinely onto [-1, 1]; the report keeps the input
+    spectrum, and the flow probe runs at the input scale.
     """
     mult, spec = _canonicalize(multiplicities, spectrum)
     if len(mult) < 2:
@@ -136,8 +141,8 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
         note_order = "blocks reordered ascending (conjugation-equivalent setup)"
     else:
         note_order = None
-    setup = build_setup(mult, spec) if rank_tol is None else build_setup(
-        mult, spec, rank_tol)
+    tol = {} if rank_tol is None else {"rank_tol": rank_tol}
+    setup = build_setup(mult, _centred(spec), **tol)
     case = VerificationCase(mult, spec, seed, setup.n, len(mult))
     if note_order:
         case.notes.append(note_order)
@@ -150,8 +155,23 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
         case.notes.append(f"verification aborted: {exc}")
         return case
     if b_spectrum is not None and case.okr_witness_coords is not None:
-        case.flow_probe = _flow_probe(setup, b_spectrum, case)
+        case.flow_probe = _flow_probe(build_setup(mult, spec, **tol), b_spectrum,
+                                      case)
     return case
+
+
+def _centred(spectrum) -> tuple:
+    """The spectrum mapped affinely onto [-1, 1], as (s - mid) / half-width.
+
+    A spectrum with fewer than two distinct finite values is returned as it
+    is, for ``build_setup`` to refuse.
+    """
+    s = np.asarray(spectrum, dtype=float)
+    lo, hi = s.min(), s.max()
+    if not (np.all(np.isfinite(s)) and lo < hi):
+        return tuple(spectrum)
+    mid, half = (lo + hi) / 2, (hi - lo) / 2
+    return tuple(float(v) for v in (s - mid) / half)
 
 
 def _flow_probe(setup, b_spectrum, case: VerificationCase) -> dict:
@@ -285,12 +305,15 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
     case.kronecker = verdict.to_dict()
     case.okr_witness_coords = okr_point.coords.tolist()
 
+    # the okr loop decided okr_point generic on m_tilde, and kronecker_test
+    # on m, where it also built the slice; completeness decides neither again
     fam_t = build_family(setup, "m_tilde")
     fam_m = build_family(setup, "m")
-    rep_t = completeness_check(setup, fam_t, okr_point, dims_mt)
+    rep_t = completeness_check(setup, fam_t, GenericPoint(okr_point, "m_tilde"),
+                               dims_mt)
     case.completeness_mt = asdict(rep_t)
-    # kronecker_test found okr_point Kronecker only after is_in_R on m with dims_m
-    case.completeness_m = asdict(completeness_check(setup, fam_m, okr_point, dims_m))
+    case.completeness_m = asdict(completeness_check(setup, fam_m, verdict.point,
+                                                    dims_m))
     case.involutivity_residual = involutivity_suite(fam_t, n_points=10, seed=seed)
 
     consistent = True

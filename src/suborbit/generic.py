@@ -113,6 +113,20 @@ def is_in_R(setup: OrbitSetup, x: LieElement, space, dims: GenericDims) -> bool:
     return bool(in_R_mask(setup, x.matrix[None], space, dims)[0])
 
 
+@dataclass(frozen=True)
+class GenericPoint:
+    """A point already found in the generic stratum of ``space``, with its
+    slice m(x) there when that was built.
+
+    A caller that has decided both at a point hands them on in one of these,
+    so the functions it calls next read them instead of deciding them again.
+    """
+
+    x: LieElement
+    space: str | AlgebraPair
+    slice: Subspace | None = None
+
+
 def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
     """The slice {y in space : [x, y] stays in the space}.
 

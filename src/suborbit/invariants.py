@@ -25,7 +25,7 @@ import numpy as np
 from .lie import (LieElement, bracket, bracket_form, coords_to_matrix,
                   matrices_to_coords, pairing)
 from .linalg import Subspace, orthonormal_columns, subspace_residual
-from .generic import GenericDims, is_in_R, m_of_x, sample_coords
+from .generic import GenericDims, GenericPoint, is_in_R, m_of_x, sample_coords
 from .orbit import AlgebraPair, OrbitSetup
 
 
@@ -227,22 +227,30 @@ class CompletenessReport:
     ambiguous: bool
 
 
-def completeness_check(setup: OrbitSetup, family: IntegralFamily, x: LieElement,
-                       dims: GenericDims, space=None) -> CompletenessReport:
+def completeness_check(setup: OrbitSetup, family: IntegralFamily,
+                       x: LieElement | GenericPoint, dims: GenericDims,
+                       space=None) -> CompletenessReport:
     """Rank of the gradient span at x against the maximal isotropic dimension.
 
     The target is (r + dim slice) / 2 where the slice is the bracket
     compatible subspace at x; the span must also be isotropic for the
-    canonical fiberwise form.  Rejects points outside the generic stratum.
+    canonical fiberwise form.  Rejects a ``LieElement`` outside the generic
+    stratum.  A ``GenericPoint`` states that membership, and its slice when
+    built, so neither is decided again; its space stands in for ``space``.
     """
-    space = family.space if space is None else space
-    if not is_in_R(setup, x, space, dims):
-        raise ValueError("point is not generic for the selected space")
+    if isinstance(x, GenericPoint):
+        space, mx, x = x.space, x.slice, x.x
+    else:
+        space = family.space if space is None else space
+        if not is_in_R(setup, x, space, dims):
+            raise ValueError("point is not generic for the selected space")
+        mx = None
+    if mx is None:
+        mx = m_of_x(setup, x, space)
     G = _member_gradients(family, x)
     # one rank decision gives the span dimension and an orthonormal span
     Q, amb = orthonormal_columns(G, setup.rank_tol)
     span_dim = Q.shape[1]
-    mx = m_of_x(setup, x, space)
     target = (dims.r + mx.dim) / 2
     target_dim = int(round(target))
     F = bracket_form(x.matrix, coords_to_matrix(Q, setup.n))

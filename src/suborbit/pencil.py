@@ -20,7 +20,7 @@ constant-rank criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .lie import (LieElement, ad_in_basis, bracket_form, centralizer,  # noqa: F
                   coords_to_matrix)
 from .linalg import (RANK_RTOL, Subspace, kernel_basis, kernel_dim,
                      numeric_rank, orthonormal_columns, pencil_kernel_dims)
-from .generic import GenericDims, is_in_R, m_of_x
+from .generic import GenericDims, GenericPoint, is_in_R, m_of_x
 from .orbit import OrbitSetup
 
 SINGULAR = "singular"
@@ -98,6 +98,8 @@ class KroneckerVerdict:
     ambiguous: bool
     forms_dependent: bool = False
     ambiguous_lambdas: tuple = ()
+    # the point with its slice, for generic points; not part of the report
+    point: GenericPoint | None = field(default=None, repr=False, compare=False)
 
     def jumps(self) -> list:
         """Parameters where the observed kernel dimension leaves the generic value."""
@@ -130,7 +132,8 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
     Points outside the generic stratum are rejected with every flag false and
     no parameter sweep.  For generic points the singular-form kernel and the
     complexified centralizers at the structured plus random parameters are
-    compared against the generic dimensions.
+    compared against the generic dimensions, and the verdict carries the
+    point with the slice it built as a ``GenericPoint``.
     """
     pair = setup.pair(space)
     if not is_in_R(setup, x, space, dims):
@@ -174,7 +177,8 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
                             tuple(int(d) for d in cdims),
                             tuple(int(d) for d in kdims),
                             ambiguous or bool(fragile.any()), forms_dependent,
-                            tuple(complex(l) for l in lams[fragile]))
+                            tuple(complex(l) for l in lams[fragile]),
+                            GenericPoint(x, space, domain))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,15 @@ of transversal roots; the sum of the corresponding (E_root - E_(-root))
 generators is a real skew-symmetric element whose whole shifted line has
 centralizer dimension equal to the rank, which certifies the constant-rank
 half of the pencil condition.
+
+That certificate is structural.  In the anchored order the witness is
+tridiagonal with a nonzero subdiagonal and the anchor is diagonal, so every
+x + lambda*a, lambda in C, is an unreduced Hessenberg matrix: deleting its
+first row and last column leaves a triangular matrix with nonzero diagonal,
+so x + lambda*a - mu has rank at least n - 1 for every mu, x + lambda*a is
+nonderogatory, and its complex centralizer has dimension exactly n.
+``verify_regular_pencil`` checks this pattern and decides any other input by
+a sampled lambda-sweep.
 """
 
 from __future__ import annotations
@@ -151,13 +160,46 @@ def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20,
                           seed: int = 0) -> bool:
     """Whether the complex centralizer dimension along x + lambda*a stays at n.
 
-    ``x`` may be an algebra element or a plain complex matrix.  The check runs
-    at lambda = 0, at four structured unit values, and at random draws from a
-    complex annulus; the centralizer dimension is computed from the vectorized
-    commutation equations, independent of the basis machinery used elsewhere.
-    The whole sweep is decided by one ``linalg.pencil_kernel_dims`` call.
+    ``x`` may be an algebra element or a plain complex matrix.  When
+    ``hessenberg_certificate`` holds, the answer is True for every finite
+    lambda, with no rank decision.  Every other input (zero, a generic
+    matrix, a setup with no anchored permutation) is decided by
+    ``regular_pencil_sweep`` over ``n_lambda`` sampled parameters.
     """
     X = x.matrix if isinstance(x, LieElement) else np.asarray(x, dtype=complex)
+    return (hessenberg_certificate(setup, X)
+            or regular_pencil_sweep(setup, X, n_lambda, seed))
+
+
+def hessenberg_certificate(setup: OrbitSetup, X: np.ndarray) -> bool:
+    """Whether x + lambda*a is an unreduced Hessenberg matrix for every lambda.
+
+    Holds when the anchor is exactly diagonal and, in the anchored
+    permutation order, X has exact zeros below its subdiagonal and every
+    subdiagonal entry above ``setup.rank_tol`` times its Frobenius norm.
+    """
+    A = setup.a.matrix
+    if np.any(A - np.diag(np.diag(A))):
+        return False
+    try:
+        perm = list(anchored_permutation(setup))
+    except ValueError:
+        return False
+    H = X[np.ix_(perm, perm)]
+    cut = setup.rank_tol * np.linalg.norm(H)
+    return not np.any(np.tril(H, -2)) and bool(np.all(np.abs(np.diag(H, -1)) > cut))
+
+
+def regular_pencil_sweep(setup: OrbitSetup, X: np.ndarray, n_lambda: int = 20,
+                         seed: int = 0) -> bool:
+    """Whether the centralizer dimension of X + lambda*a is n at sampled lambda.
+
+    The sweep runs at lambda = 0, at four structured unit values, and at
+    random draws from a complex annulus; the centralizer dimension is
+    computed from the vectorized commutation equations, independent of the
+    basis machinery used elsewhere, and the whole sweep is decided by one
+    ``linalg.pencil_kernel_dims`` call.
+    """
     n = setup.n
     rng = np.random.default_rng([seed, 31])
     lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])

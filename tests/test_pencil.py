@@ -284,17 +284,24 @@ def test_rank_only_paths_build_no_kernel_basis(monkeypatch, setup_112, dims_112)
 
 def test_lambda_sweeps_keep_each_adjoint_svd_two_dimensional(svd_calls):
     # a stacked (L, n^2, n^2) adjoint SVD would hold every parameter's matrix
-    # and its workspace at once; each sweep takes one 2-D SVD per parameter
+    # and its workspace at once; each sweep takes one 2-D SVD per parameter,
+    # and the Hessenberg-certified witness x_pi takes none
     st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
     dims = estimate_generic_dims(st, "m", 25, seed=0)
     x = sample_element(st.m_tilde, np.random.default_rng([70, 0]), st.n)
     x_pi = build_x_pi(root_split(st))
-    svd_calls.clear()
-    assert kronecker_test(st, x, dims, n_lambda=20, seed=0).generic
-    assert verify_regular_pencil(st, x_pi, n_lambda=20, seed=0)
     N = st.n * st.n
-    assert [s for s in svd_calls if len(s) > 2 and s[-1] == N] == []
-    assert svd_calls.count((N, N)) == 2 * 25
+
+    def adjoint_svds(run):
+        svd_calls.clear()
+        out = run()
+        assert [s for s in svd_calls if len(s) > 2 and s[-1] == N] == []
+        return out, svd_calls.count((N, N))
+
+    verdict, count = adjoint_svds(lambda: kronecker_test(st, x, dims, 20, seed=0))
+    assert verdict.generic and count == 25
+    assert adjoint_svds(lambda: verify_regular_pencil(st, x_pi, 20, seed=0)) == (True, 0)
+    assert adjoint_svds(lambda: verify_regular_pencil(st, x, 20, seed=0))[1] == 25
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (3, 7), (0, 3), (4, 0)])

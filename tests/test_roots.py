@@ -1,11 +1,15 @@
 """Root splitting, the anchored permutation, and the nilpotent regularity witness."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from suborbit import (LieElement, anchored_permutation, build_setup, build_x_pi,
-                      root_split, sigma, verify_regular_pencil)
-from suborbit.roots import x_pi_template, _positive_roots
+                      root_split, sample_element, sigma, verify_regular_pencil)
+from suborbit.cli import _partitions
+from suborbit.roots import (hessenberg_certificate, regular_pencil_sweep,
+                            x_pi_template, _positive_roots)
 
 
 @pytest.mark.parametrize("mult,nk,nm", [
@@ -140,3 +144,55 @@ def test_kronecker_agreement_with_regular_pencil(setup_112, dims_112):
         assert v.pencil_ok == direct
     else:
         assert direct  # regularity of the witness holds regardless
+
+
+NON_DOMINANT_N7 = [tuple(part) for n in range(2, 8) for part in _partitions(n)
+                   if 2 * max(part) <= n]
+
+
+@pytest.mark.parametrize("mult", NON_DOMINANT_N7,
+                         ids=[",".join(map(str, m)) for m in NON_DOMINANT_N7])
+def test_certificate_agrees_with_sweep_on_x_pi(mult):
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    xp = build_x_pi(root_split(st))
+    assert hessenberg_certificate(st, xp.matrix)
+    assert regular_pencil_sweep(st, xp.matrix, n_lambda=20, seed=0)
+
+
+def _uncertified_inputs(st):
+    perm = anchored_permutation(st)
+    below = build_x_pi(root_split(st)).matrix.copy()
+    below[perm[2], perm[0]] = 0.5
+    generic = sample_element(st.m_tilde, np.random.default_rng(9), st.n).matrix
+    return {"zero": np.zeros((st.n, st.n), dtype=complex),
+            "x_pi plus an entry below the subdiagonal": below,
+            "generic m_tilde element": generic}
+
+
+@pytest.mark.parametrize("which", ["zero", "x_pi plus an entry below the subdiagonal",
+                                   "generic m_tilde element"])
+def test_uncertified_inputs_take_the_sweep(setup_112, which, monkeypatch):
+    X = _uncertified_inputs(setup_112)[which]
+    assert not hessenberg_certificate(setup_112, X)
+    swept = []
+    sweep = regular_pencil_sweep
+
+    def recording(*args):
+        swept.append(sweep(*args))
+        return swept[-1]
+    monkeypatch.setattr("suborbit.roots.regular_pencil_sweep", recording)
+    assert verify_regular_pencil(setup_112, X, n_lambda=10, seed=1) == swept[0]
+    assert len(swept) == 1
+
+
+def test_certificate_needs_an_anchored_permutation_and_a_diagonal_anchor(setup_112):
+    # a tridiagonal x with nonzero subdiagonal, on a dominant setup
+    st = build_setup((1, 3), (1.0, 2.0))
+    chain = np.diag(np.ones(st.n - 1), -1) - np.diag(np.ones(st.n - 1), 1)
+    assert not hessenberg_certificate(st, chain.astype(complex))
+    # x_pi of (1,1,2) against an anchor with an off-diagonal entry
+    xp = build_x_pi(root_split(setup_112)).matrix
+    tilted = setup_112.a.matrix + 0.1 * chain
+    st_tilted = dataclasses.replace(setup_112, a=LieElement.from_matrix(tilted))
+    assert hessenberg_certificate(setup_112, xp)
+    assert not hessenberg_certificate(st_tilted, xp)
