@@ -39,19 +39,21 @@ REDUCED = "REDUCED_PATH_USED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
+_OKR_ATTEMPTS = 12  # fixed-part points tried for a Kronecker point
+_MOMENT_SAMPLES = 20  # samples of the moment route and the regular-element test
+# largest involutivity residual that still confirms; n <= 8 measures < 1e-15
+_INVOLUTIVITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Budgets:
     """Sampling budgets for one verification case."""
 
     dim_samples: int = 25
     lambda_samples: int = 20
-    okr_attempts: int = 12
-    moment_samples: int = 20
 
     def __post_init__(self):
-        # zero okr attempts is a budget that is exhausted at once (INCONCLUSIVE)
-        for name, least in (("dim_samples", 10), ("lambda_samples", 0),
-                            ("okr_attempts", 0), ("moment_samples", 1)):
+        for name, least in (("dim_samples", 10), ("lambda_samples", 0)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be at least {least}, "
                                  f"got {getattr(self, name)}")
@@ -276,9 +278,8 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
     if run_moment:
         data = build_moment_data(setup, "m")
         case.m_a_value = m_a_estimate(data, setup.m_tilde, dims_m,
-                                      budgets.moment_samples, seed)
-        case.regular_kprime = regular_in_kprime_test(setup, budgets.moment_samples,
-                                                     seed)
+                                      _MOMENT_SAMPLES, seed)
+        case.regular_kprime = regular_in_kprime_test(setup, _MOMENT_SAMPLES, seed)
 
     if run_x_pi:
         datum = root_split(setup)
@@ -290,7 +291,7 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
 
     verdict = None
     okr_point = None
-    for i in range(budgets.okr_attempts):
+    for i in range(_OKR_ATTEMPTS):
         rng = np.random.default_rng([seed, 53, i])
         x = sample_element(setup.m_tilde, rng, setup.n)
         if not is_in_R(setup, x, "m_tilde", dims_mt):
@@ -322,11 +323,19 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
         case.notes.append("moment-route value disagrees with the generic defect")
     if case.regular_kprime is False:
         consistent = False
+        case.notes.append("regular-element test found no regular element of the "
+                          "anti-fixed isotropy part")
     if case.x_pi_regular is False:
         consistent = False
         case.notes.append("nilpotent witness failed the constant-rank sweep")
+    if case.involutivity_residual > _INVOLUTIVITY_TOL:
+        consistent = False
+        case.notes.append(f"involutivity failed on m_tilde: residual "
+                          f"{case.involutivity_residual:.1e} "
+                          f"above {_INVOLUTIVITY_TOL:.0e}")
     if not rep_t.complete:
         case.notes.append(f"completeness failed on m_tilde: span_dim {rep_t.span_dim}, "
-                          f"target_dim {rep_t.target_dim}")
+                          f"target_dim {rep_t.target_dim}, isotropy_residual "
+                          f"{rep_t.isotropy_residual:.1e}")
     if rep_t.complete and verdict.kronecker and consistent:
         case.conclusion = CONFIRMED

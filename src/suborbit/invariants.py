@@ -216,6 +216,11 @@ def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
     return float(np.max(vals / np.maximum(1.0, norms[:, :, None] * norms[:, None, :])))
 
 
+# isotropy residual of a complete span, relative to max(1, |x|_F); n <= 8
+# measures < 4e-11
+_ISOTROPY_RTOL = 1e-8
+
+
 @dataclass(frozen=True)
 class CompletenessReport:
     span_dim: int
@@ -234,9 +239,10 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily,
 
     The target is (r + dim slice) / 2 where the slice is the bracket
     compatible subspace at x; the span must also be isotropic for the
-    canonical fiberwise form.  Rejects a ``LieElement`` outside the generic
-    stratum.  A ``GenericPoint`` states that membership, and its slice when
-    built, so neither is decided again; its space stands in for ``space``.
+    canonical fiberwise form, up to ``_ISOTROPY_RTOL`` times max(1, |x|_F).
+    Rejects a ``LieElement`` outside the generic stratum.  A ``GenericPoint``
+    states that membership, and its slice when built, so neither is decided
+    again; its space stands in for ``space``.
     """
     if isinstance(x, GenericPoint):
         space, mx, x = x.space, x.slice, x.x
@@ -256,6 +262,7 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily,
     F = bracket_form(x.matrix, coords_to_matrix(Q, setup.n))
     iso = float(np.max(np.abs(F.real), initial=0.0))
     memb = float(np.max(np.linalg.norm(G - mx.project(G), axis=0), initial=0.0))
-    complete = span_dim == target_dim and abs(target - target_dim) < 1e-9
+    complete = (span_dim == target_dim and abs(target - target_dim) < 1e-9
+                and iso <= _ISOTROPY_RTOL * max(1.0, float(np.linalg.norm(x.matrix))))
     return CompletenessReport(span_dim, target_dim, complete, iso, mx.dim, memb,
                               amb or mx.ambiguous)

@@ -8,9 +8,10 @@ pencil of skew forms on the slice m(x):
 
 The pencil is Kronecker at x exactly when the complexified kernels have the
 generic dimension r for every parameter value, including the singular one.
-Parameter values are tested on a deterministic structured set plus random
-draws from a complex annulus; a bad parameter set is the zero locus of a
-polynomial, so random draws miss it almost surely.
+``kronecker_test`` decides the singular form's kernel against r and the
+complexified centralizer of x + lambda*a against q at the sampled lambdas of
+``sweep_lambdas``: a structured set plus draws from a complex annulus.  A bad
+parameter set is the zero locus of a polynomial, so draws miss it almost surely.
 
 A standalone analyzer for arbitrary pairs of skew forms computes the minimal
 real kernel dimension, the sum of kernels over minimizing parameters, its
@@ -50,6 +51,13 @@ def annulus_samples(rng, count: int) -> np.ndarray:
     return r * np.exp(1j * th)
 
 
+def sweep_lambdas(seed: int, stream: int, n_lambda: int) -> np.ndarray:
+    """The structured parameters 0, 1, -1, i, -i followed by ``n_lambda``
+    annulus draws from the generator keyed by ``[seed, stream]``."""
+    rng = np.random.default_rng([seed, stream])
+    return np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])
+
+
 def form_matrix(setup: OrbitSetup, x: LieElement, lam, space: str = "m",
                 domain: Subspace | None = None) -> np.ndarray:
     """Skew matrix of the pencil form at parameter ``lam`` on the slice basis.
@@ -80,9 +88,9 @@ class KroneckerVerdict:
     """Outcome of the pencil test at one point.
 
     generic: the point attains both generic centralizer dimensions;
-    singular_ok: the singular form kernel has the generic dimension r;
-    pencil_ok: the complexified centralizer dimension stays at q for every
-    sampled parameter; kronecker = singular_ok and pencil_ok.
+    singular_ok: the singular form's kernel on m(x) has dimension r (lambda
+    at infinity); pencil_ok: the complexified centralizer of x + lambda*a has
+    dimension q at every sampled lambda; kronecker = singular_ok and pencil_ok.
     """
 
     generic: bool
@@ -94,17 +102,10 @@ class KroneckerVerdict:
     singular_kernel_dim: int
     lambda_samples: tuple
     centralizer_dims: tuple
-    kernel_dims: tuple
     ambiguous: bool
-    forms_dependent: bool = False
     ambiguous_lambdas: tuple = ()
     # the point with its slice, for generic points; not part of the report
     point: GenericPoint | None = field(default=None, repr=False, compare=False)
-
-    def jumps(self) -> list:
-        """Parameters where the observed kernel dimension leaves the generic value."""
-        return [(lam, dim) for lam, dim in zip(self.lambda_samples, self.kernel_dims)
-                if dim != self.r]
 
     def to_dict(self) -> dict:
         return {
@@ -117,10 +118,7 @@ class KroneckerVerdict:
             "singular_kernel_dim": self.singular_kernel_dim,
             "lambda_samples": [[z.real, z.imag] for z in self.lambda_samples],
             "centralizer_dims": list(self.centralizer_dims),
-            "kernel_dims": list(self.kernel_dims),
-            "jump_lambdas": [[z.real, z.imag] for z, _ in self.jumps()],
             "ambiguous": self.ambiguous,
-            "forms_dependent": self.forms_dependent,
             "ambiguous_lambdas": [[z.real, z.imag] for z in self.ambiguous_lambdas],
         }
 
@@ -130,53 +128,36 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
     """Full pencil verdict at x for the chosen pair of algebras.
 
     Points outside the generic stratum are rejected with every flag false and
-    no parameter sweep.  For generic points the singular-form kernel and the
-    complexified centralizers at the structured plus random parameters are
-    compared against the generic dimensions, and the verdict carries the
-    point with the slice it built as a ``GenericPoint``.
+    no parameter sweep.  For generic points the singular-form kernel on the
+    slice is compared against r, and the complexified centralizers at the
+    ``sweep_lambdas(seed, 23, n_lambda)`` parameters against q; the verdict
+    carries the point with the slice it built as a ``GenericPoint``.
     """
     pair = setup.pair(space)
     if not is_in_R(setup, x, space, dims):
         return KroneckerVerdict(False, False, False, False, dims.r, dims.q,
-                                -1, (), (), (), False)
+                                -1, (), (), False)
     domain = m_of_x(setup, x, space)
-    ambiguous = domain.ambiguous
-    # the form is F0 + lam * F_si and the adjoint matrix is ad x + lam * ad a,
-    # so each is built once and every parameter value is a linear combination
-    F0 = form_matrix(setup, x, 0.0, space, domain)
     F_si = form_matrix(setup, x, SINGULAR, space, domain)
-
-    # the two generating forms can degenerate to a dependent pair (for
-    # instance when the slice is commutative); reported, not classified
-    stacked = np.stack([np.asarray(F0, dtype=complex).ravel(),
-                        np.asarray(F0 + F_si, dtype=complex).ravel()])
-    pencil_rank, _ = numeric_rank(np.linalg.svd(stacked, compute_uv=False),
-                                  setup.rank_tol,
-                                  floor=float(np.linalg.norm(x.matrix)
-                                              + np.linalg.norm(setup.a.matrix)))
-    forms_dependent = pencil_rank < 2
-
-    si_dim, amb = kernel_dim(F_si.astype(complex), setup.rank_tol,
-                             floor=float(np.linalg.norm(setup.a.matrix)))
-    ambiguous = ambiguous or amb
+    si_dim, si_amb = kernel_dim(F_si.astype(complex), setup.rank_tol,
+                                floor=float(np.linalg.norm(setup.a.matrix)))
     singular_ok = si_dim == dims.r
 
-    rng = np.random.default_rng([seed, 23])
-    lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])
+    # the adjoint matrix is ad x + lam * ad a, so it is built once and every
+    # parameter value is a linear combination
+    lams = sweep_lambdas(seed, 23, n_lambda)
     floors = np.linalg.norm(x.matrix + lams[:, None, None] * setup.a.matrix,
                             axis=(1, 2))
     ad_x = ad_in_basis(x, pair.g)
     ad_a = ad_in_basis(setup.a, pair.g)
     cdims, c_amb = pencil_kernel_dims(ad_x, ad_a, lams, setup.rank_tol, floors)
-    kdims, k_amb = pencil_kernel_dims(F0, F_si, lams, setup.rank_tol, floors)
-    fragile = c_amb | k_amb | pair.g.ambiguous
+    fragile = c_amb | pair.g.ambiguous
     pencil_ok = bool(np.all(cdims == dims.q))
     return KroneckerVerdict(True, singular_ok, pencil_ok,
                             singular_ok and pencil_ok, dims.r, dims.q, si_dim,
                             tuple(complex(l) for l in lams),
                             tuple(int(d) for d in cdims),
-                            tuple(int(d) for d in kdims),
-                            ambiguous or bool(fragile.any()), forms_dependent,
+                            domain.ambiguous or si_amb or bool(fragile.any()),
                             tuple(complex(l) for l in lams[fragile]),
                             GenericPoint(x, space, domain))
 

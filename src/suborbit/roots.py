@@ -31,7 +31,7 @@ import numpy as np
 from .lie import LieElement
 from .linalg import pencil_kernel_dims
 from .orbit import OrbitSetup
-from .pencil import _STRUCTURED_LAMBDAS, annulus_samples
+from .pencil import sweep_lambdas
 
 
 @dataclass(frozen=True)
@@ -194,15 +194,14 @@ def regular_pencil_sweep(setup: OrbitSetup, X: np.ndarray, n_lambda: int = 20,
                          seed: int = 0) -> bool:
     """Whether the centralizer dimension of X + lambda*a is n at sampled lambda.
 
-    The sweep runs at lambda = 0, at four structured unit values, and at
-    random draws from a complex annulus; the centralizer dimension is
-    computed from the vectorized commutation equations, independent of the
-    basis machinery used elsewhere, and the whole sweep is decided by one
+    The sweep runs at the ``pencil.sweep_lambdas(seed, 31, n_lambda)``
+    parameters; the centralizer dimension is computed from the vectorized
+    commutation equations, independent of the basis machinery used
+    elsewhere, and the whole sweep is decided by one
     ``linalg.pencil_kernel_dims`` call.
     """
     n = setup.n
-    rng = np.random.default_rng([seed, 31])
-    lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])
+    lams = sweep_lambdas(seed, 31, n_lambda)
     eye = np.eye(n)
     # the commutation matrix of x + lambda*a is affine in lambda
     ad_x = np.kron(X, eye) - np.kron(eye, X.T)

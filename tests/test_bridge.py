@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from suborbit import (Budgets, CONFIRMED, INCONCLUSIVE, REDUCED,
-                      LieElement, RankAmbiguityWarning, build_flow, build_setup,
-                      generic, hamiltonian, run_case)
+                      LieElement, RankAmbiguityWarning, bridge, build_flow,
+                      build_setup, generic, hamiltonian, run_case)
 from suborbit.cli import _partitions
 
 
@@ -82,11 +82,28 @@ def test_invalid_inputs_raise():
         run_case((0, 2), (1.0, 2.0), seed=0)
 
 
-def test_budget_exhaustion_is_inconclusive():
-    case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0,
-                    budgets=Budgets(okr_attempts=0))
+def test_budget_exhaustion_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(bridge, "_OKR_ATTEMPTS", 0)
+    case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
     assert case.conclusion == INCONCLUSIVE
     assert any("budget" in note for note in case.notes)
+
+
+def test_failed_regular_element_test_names_its_stage(monkeypatch):
+    monkeypatch.setattr(bridge, "regular_in_kprime_test", lambda *args: False)
+    case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
+    assert case.regular_kprime is False
+    assert case.conclusion == INCONCLUSIVE
+    assert case.notes == ["regular-element test found no regular element of the "
+                          "anti-fixed isotropy part"]
+
+
+def test_involutivity_residual_above_tolerance_is_inconclusive(monkeypatch):
+    monkeypatch.setattr(bridge, "involutivity_suite", lambda *args, **kwargs: 1e-6)
+    case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
+    assert case.involutivity_residual == 1e-6
+    assert case.conclusion == INCONCLUSIVE
+    assert case.notes == ["involutivity failed on m_tilde: residual 1.0e-06 above 1e-09"]
 
 
 def test_case_serializes():
@@ -170,9 +187,7 @@ def _assert_pinned(mult, seed):
     assert decided_fields(case.to_dict()) == PINNED_FIELDS[_pinned_key(mult, seed)]
 
 
-@pytest.mark.parametrize("field, value", [
-    ("dim_samples", 9), ("lambda_samples", -1), ("okr_attempts", -1),
-    ("moment_samples", 0)])
+@pytest.mark.parametrize("field, value", [("dim_samples", 9), ("lambda_samples", -1)])
 def test_budgets_reject_values_below_their_least(field, value):
     with pytest.raises(ValueError, match=field):
         Budgets(**{field: value})

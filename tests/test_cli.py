@@ -75,7 +75,6 @@ def test_verify_deterministic_output(tmp_path):
 
 
 def test_report_matches_schema(tmp_path):
-    jsonschema = pytest.importorskip("jsonschema")
     out = tmp_path / "report.json"
     main(["verify", "--partition", "1,1,4", "--spectrum", "1,2,3",
           "--seed", "1", "--out", str(out)])
@@ -83,6 +82,15 @@ def test_report_matches_schema(tmp_path):
     schema_path = os.path.join(os.path.dirname(__file__), "..", "schemas",
                                "report.json")
     schema = json.loads(open(schema_path).read())
+    # the schema does not forbid extra keys, so a report field it does not
+    # list, or a listed one the report lost, is caught here
+    inner = doc["case"]["inner_case"]
+    defs = schema["definitions"]
+    for name, report in (("kronecker", inner["kronecker"]),
+                         ("completeness", inner["completeness_m"]),
+                         ("completeness", inner["completeness_m_tilde"])):
+        assert sorted(defs[name]["properties"]) == sorted(report), name
+    jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(doc, schema)
 
 

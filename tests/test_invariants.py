@@ -160,6 +160,28 @@ def test_completeness_values(fam_m, fam_t, setup_112, dims_112):
     assert rep_t.complete and rep_t.isotropy_residual < 1e-9
 
 
+def test_completeness_requires_an_isotropic_span(monkeypatch, fam_t, setup_112,
+                                                dims_112):
+    # gradients replaced by a span of the same dimension inside the slice,
+    # but not isotropic for the canonical form there: the count still
+    # matches the target, and completeness fails on the residual alone
+    import suborbit.invariants as inv
+    from suborbit import m_of_x
+    st = setup_112
+    x = sample_element(st.m_tilde, np.random.default_rng(8), 4)
+    rep = completeness_check(st, fam_t, x, dims_112["m_tilde"])
+    assert rep.complete
+    rng = np.random.default_rng(9)
+    mx = m_of_x(st, x, "m_tilde")
+    G = mx.basis @ rng.standard_normal((mx.dim, rep.span_dim)) @ rng.standard_normal(
+        (rep.span_dim, len(fam_t.members)))
+    monkeypatch.setattr(inv, "_member_gradients", lambda *args: G)
+    bad = completeness_check(st, fam_t, x, dims_112["m_tilde"])
+    assert (bad.span_dim, bad.target_dim) == (rep.span_dim, rep.target_dim)
+    assert bad.isotropy_residual > 1e-3
+    assert not bad.complete
+
+
 def test_completeness_rejects_nongeneric(fam_m, setup_112, dims_112):
     with pytest.raises(ValueError):
         completeness_check(setup_112, fam_m, LieElement.zero(4), dims_112["m"])

@@ -76,7 +76,15 @@ def test_kronecker_verdict_at_fixed_points(setup_112, dims_112):
             hits += 1
             assert v.singular_kernel_dim == dims_112["m"].r
             assert set(v.centralizer_dims) == {dims_112["m"].q}
-            assert set(v.kernel_dims) == {dims_112["m"].r}
+            # the verdict reads only centralizers, but at a Kronecker point
+            # every form of the pencil on m(x) has the generic kernel r too
+            mx = v.point.slice
+            form_kernels = {
+                kernel_dim(form_matrix(st, x, lam, domain=mx).astype(complex),
+                           st.rank_tol,
+                           floor=float(np.linalg.norm(x.matrix + lam * st.a.matrix)))[0]
+                for lam in v.lambda_samples}
+            assert form_kernels == {dims_112["m"].r}
     assert hits >= 9
 
 
@@ -195,41 +203,49 @@ def test_canonical_kernel_equals_projected_centralizer_subspace(setup_112, dims_
     assert equal_spaces(kernel_space, projected, 1e-8)
 
 
-def test_dependent_forms_flag_on_symmetric_case():
+def _generating_forms_rank(st, x):
+    """Rank of the pair F(0), F(0) + F(singular) of pencil forms on m(x), as
+    flattened vectors, against the scale |x| + |a|."""
+    mx = m_of_x(st, x, "m")
+    F0 = form_matrix(st, x, 0.0, domain=mx)
+    F1 = F0 + form_matrix(st, x, SINGULAR, domain=mx)
+    stacked = np.stack([F0.ravel(), F1.ravel()])
+    floor = float(np.linalg.norm(x.matrix) + np.linalg.norm(st.a.matrix))
+    return linalg.numeric_rank(np.linalg.svd(stacked.astype(complex), compute_uv=False),
+                               st.rank_tol, floor=floor)[0]
+
+
+def test_dependent_forms_on_symmetric_case():
     # on a two-equal-block setup the slice at a fixed-part point is a
     # commutative subspace, so every pencil form vanishes there and the two
-    # generators are a dependent pair; the verdict reports the degeneracy
+    # generators are a dependent pair; the pencil is still Kronecker
     from suborbit import estimate_generic_dims
     st = build_setup((2, 2), (1.0, 2.0))
     dm = estimate_generic_dims(st, "m", 25, seed=3)
     x = sample_element(st.m_tilde, np.random.default_rng(1), 4)
     v = kronecker_test(st, x, dm, n_lambda=8, seed=2)
     assert v.generic and v.kronecker
-    assert v.forms_dependent
+    assert _generating_forms_rank(st, x) < 2
 
 
 def test_forms_independent_generically(setup_112, dims_112):
     x = sample_element(setup_112.m_tilde, np.random.default_rng(1), 4)
     v = kronecker_test(setup_112, x, dims_112["m"], n_lambda=8, seed=2)
-    assert not v.forms_dependent
+    assert v.generic
+    assert _generating_forms_rank(setup_112, x) == 2
 
 
 def _kronecker_reference(st, x, dims, lams, space):
-    """Per-parameter sweep: a fresh complexified centralizer and form each time."""
+    """Per-parameter sweep: a fresh complexified centralizer each time."""
     domain = m_of_x(st, x, space)
     F_si = form_matrix(st, x, SINGULAR, space, domain)
     si_dim, _ = kernel_dim(F_si.astype(complex), st.rank_tol,
                            floor=float(np.linalg.norm(st.a.matrix)))
     gC = st.pair(space).g.complexify()
-    cdims, kdims = [], []
-    for lam in lams:
-        w = x.matrix + complex(lam) * st.a.matrix
-        cdims.append(centralizer(w, gC, st.rank_tol).dim)
-        F = form_matrix(st, x, lam, space, domain)
-        kdims.append(kernel_dim(F.astype(complex), st.rank_tol,
-                                floor=float(np.linalg.norm(w)))[0])
+    cdims = [centralizer(x.matrix + complex(lam) * st.a.matrix, gC, st.rank_tol).dim
+             for lam in lams]
     kron = si_dim == dims.r and all(c == dims.q for c in cdims)
-    return si_dim, tuple(cdims), tuple(kdims), kron
+    return si_dim, tuple(cdims), kron
 
 
 @pytest.mark.parametrize("mult, space", [((1, 1, 2), "m"), ((1, 1, 2), "m_tilde"),
@@ -246,10 +262,9 @@ def test_affine_lambda_sweep_matches_per_lambda_reference(mult, space):
         lams = list(_STRUCTURED_LAMBDAS) + list(
             annulus_samples(np.random.default_rng([i, 23]), 8))
         assert v.lambda_samples == tuple(complex(lam) for lam in lams)
-        si_dim, cdims, kdims, kron = _kronecker_reference(st, x, dims, lams, space)
+        si_dim, cdims, kron = _kronecker_reference(st, x, dims, lams, space)
         assert v.singular_kernel_dim == si_dim
         assert v.centralizer_dims == cdims
-        assert v.kernel_dims == kdims
         assert v.kronecker == kron
         verdicts.add(v.kronecker)
     # both verdicts are covered: these points pass on m and fail on m_tilde
@@ -276,7 +291,7 @@ def test_rank_only_paths_build_no_kernel_basis(monkeypatch, setup_112, dims_112)
     for n_lambda in (0, 20):
         calls.clear()
         v = kronecker_test(setup_112, x, dims_112["m"], n_lambda=n_lambda, seed=1)
-        assert v.generic and len(v.kernel_dims) == 5 + n_lambda
+        assert v.generic and len(v.centralizer_dims) == 5 + n_lambda
         per_sweep.append(len(calls))
     # only the slice m(x) is built as a basis, once, whatever the sweep length
     assert per_sweep == [1, 1]
@@ -302,6 +317,18 @@ def test_lambda_sweeps_keep_each_adjoint_svd_two_dimensional(svd_calls):
     assert verdict.generic and count == 25
     assert adjoint_svds(lambda: verify_regular_pencil(st, x_pi, 20, seed=0)) == (True, 0)
     assert adjoint_svds(lambda: verify_regular_pencil(st, x, 20, seed=0))[1] == 25
+
+
+def test_kronecker_test_takes_one_svd_per_decision(svd_calls):
+    # stratum screen, slice, singular-form kernel, then one adjoint SVD per
+    # parameter: 3 + 25 at a (2,2,2) point with the default 20 draws
+    st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
+    dims = estimate_generic_dims(st, "m", 25, seed=0)
+    x = sample_element(st.m_tilde, np.random.default_rng([70, 0]), st.n)
+    svd_calls.clear()
+    v = kronecker_test(st, x, dims, 20, seed=0)
+    assert v.generic and len(v.lambda_samples) == 25
+    assert len(svd_calls) == 28
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (9, 4), (3, 7), (0, 3), (4, 0)])
