@@ -47,7 +47,8 @@ _INVOLUTIVITY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Budgets:
-    """Sampling budgets for one verification case."""
+    """Sampling budgets for one verification case; lambda_samples sizes only
+    ``roots.regular_pencil_sweep``, the x_pi check without Hessenberg pattern."""
 
     dim_samples: int = 25
     lambda_samples: int = 20
@@ -87,7 +88,7 @@ class VerificationCase:
     conclusion: str = INCONCLUSIVE
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "multiplicities": list(self.multiplicities),
             "spectrum": list(self.spectrum),
             "seed": self.seed,
@@ -111,7 +112,6 @@ class VerificationCase:
             "notes": list(self.notes),
             "conclusion": self.conclusion,
         }
-        return out
 
 
 def _canonicalize(multiplicities, spectrum):
@@ -127,9 +127,10 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
     """Run the full decision tree for one partition and spectrum.
 
     Returns a VerificationCase whose conclusion is CONFIRMED when a Kronecker
-    point of the fixed part was explicitly witnessed and the gradient span is
-    complete there, REDUCED when the dominant-block reduction was taken and
-    the reduced case confirmed, and INCONCLUSIVE otherwise.
+    point of the fixed part was explicitly witnessed and the gradient spans
+    on m and on m_tilde are complete there, REDUCED when the dominant-block
+    reduction was taken and the reduced case confirmed, and INCONCLUSIVE
+    otherwise.
 
     Replacing a by alpha*a + beta*iI (alpha > 0) changes neither k, nor the
     orbit, nor the span of the shifted family, so the verdict is decided on
@@ -225,7 +226,9 @@ def _run_decision_tree(setup, case: VerificationCase, seed,
     case.witness = _witness_dict(x0, wrep)
     x0g, radius = perturb_into_R(setup, x0, dims_m, dims_mt, seed)
     case.witness["perturbation_radius"] = radius
-    red = reduction_data(setup, x0g, dims_m, dims_mt, seed=seed)
+    # perturb_into_R decided x0g generic for both pairs
+    red = reduction_data(setup, GenericPoint(x0g, ("m", "m_tilde")), dims_m,
+                         dims_mt, seed=seed)
     n1 = sum(mult[:-1])
     expected_dim_g0 = (2 * n1) ** 2 + 1
     case.reduction = {
@@ -296,7 +299,7 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
         x = sample_element(setup.m_tilde, rng, setup.n)
         if not is_in_R(setup, x, "m_tilde", dims_mt):
             continue
-        v = kronecker_test(setup, x, dims_m, budgets.lambda_samples, seed)
+        v = kronecker_test(setup, x, dims_m, seed)
         if v.kronecker:
             verdict, okr_point = v, x
             break
@@ -312,9 +315,9 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
     fam_m = build_family(setup, "m")
     rep_t = completeness_check(setup, fam_t, GenericPoint(okr_point, "m_tilde"),
                                dims_mt)
+    rep_m = completeness_check(setup, fam_m, verdict.point, dims_m)
     case.completeness_mt = asdict(rep_t)
-    case.completeness_m = asdict(completeness_check(setup, fam_m, verdict.point,
-                                                    dims_m))
+    case.completeness_m = asdict(rep_m)
     case.involutivity_residual = involutivity_suite(fam_t, n_points=10, seed=seed)
 
     consistent = True
@@ -333,9 +336,10 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
         case.notes.append(f"involutivity failed on m_tilde: residual "
                           f"{case.involutivity_residual:.1e} "
                           f"above {_INVOLUTIVITY_TOL:.0e}")
-    if not rep_t.complete:
-        case.notes.append(f"completeness failed on m_tilde: span_dim {rep_t.span_dim}, "
-                          f"target_dim {rep_t.target_dim}, isotropy_residual "
-                          f"{rep_t.isotropy_residual:.1e}")
-    if rep_t.complete and verdict.kronecker and consistent:
+    for name, rep in (("m_tilde", rep_t), ("m", rep_m)):
+        if not rep.complete:
+            case.notes.append(f"completeness failed on {name}: span_dim "
+                              f"{rep.span_dim}, target_dim {rep.target_dim}, "
+                              f"isotropy_residual {rep.isotropy_residual:.1e}")
+    if rep_t.complete and rep_m.complete and verdict.kronecker and consistent:
         case.conclusion = CONFIRMED

@@ -251,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated distinct block values, e.g. 1,2,3")
     v.add_argument("--samples", type=int, default=25)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--lambda-samples", type=int, default=20)
+    v.add_argument("--lambda-samples", type=int, default=20,
+                   help="annulus draws of the x_pi check without Hessenberg pattern")
     v.add_argument("--tolerance-rank", type=float, default=1e-9)
     v.add_argument("--out", default=None, help="write the JSON report here")
     v.set_defaults(func=cmd_verify)
@@ -276,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-n", type=int, default=6)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=25)
-    s.add_argument("--lambda-samples", type=int, default=20)
+    s.add_argument("--lambda-samples", type=int, default=20,
+                   help="annulus draws of the x_pi check without Hessenberg pattern")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_sweep)
     return ap

@@ -120,10 +120,11 @@ class GenericPoint:
 
     A caller that has decided both at a point hands them on in one of these,
     so the functions it calls next read them instead of deciding them again.
+    The space ("m", "m_tilde") states a point generic for both pairs.
     """
 
     x: LieElement
-    space: str | AlgebraPair
+    space: str | AlgebraPair | tuple
     slice: Subspace | None = None
 
 
@@ -202,31 +203,28 @@ class ReducedSetup:
 _REDUCTION_SAMPLES = 12
 
 
-def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
-                   dims_mt: GenericDims, seed: int = 0) -> ReducedSetup:
+def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
+                   dims_m: GenericDims, dims_mt: GenericDims,
+                   seed: int = 0) -> ReducedSetup:
     """Centralizer-of-isotropy reduction anchored at a doubly generic point.
 
-    Requires x0 generic for both the full and the fixed pair; rejects other
-    anchors, reporting which centralizer dimension failed.  The returned
+    Requires x0 generic for both the full and the fixed pair, and rejects
+    other anchors.  A ``GenericPoint`` of space ("m", "m_tilde") states both
+    memberships, so only the isotropy algebra k^x0, whose basis the reduction
+    needs, is computed at x0.  The returned
     bundle carries consistency checks: the reduced ambient space is a
     conjugation-stable subalgebra containing the anchor element of the orbit,
     sampled generic points of the reduced transversal reproduce the witness
     isotropy algebra and the full slice, and the defect r is preserved.
     """
-    pair_m = setup.pair("m")
-    gx_dim = centralizer_dim(x0, pair_m.g, setup.rank_tol)[0]
-    kx = centralizer(x0, pair_m.k, setup.rank_tol)
-    if gx_dim != dims_m.q or kx.dim != dims_m.p:
-        raise ValueError(
-            f"anchor is not generic for the full pair: dim g^x = {gx_dim} "
-            f"(generic {dims_m.q}), dim k^x = {kx.dim} (generic {dims_m.p})")
-    pair_t = setup.pair("m_tilde")
-    gtx = centralizer_dim(x0, pair_t.g, setup.rank_tol)[0]
-    ktx = centralizer_dim(x0, pair_t.k, setup.rank_tol)[0]
-    if gtx != dims_mt.q or ktx != dims_mt.p:
-        raise ValueError(
-            f"anchor is not generic for the fixed pair: dim = {gtx} "
-            f"(generic {dims_mt.q}), isotropy dim = {ktx} (generic {dims_mt.p})")
+    if isinstance(x0, GenericPoint):
+        if x0.space != ("m", "m_tilde"):
+            raise ValueError(f"anchor stated generic for {x0.space!r}, "
+                             "not for both pairs")
+        x0 = x0.x
+    elif not (is_in_R(setup, x0, "m", dims_m) and is_in_R(setup, x0, "m_tilde", dims_mt)):
+        raise ValueError("anchor is not generic for both the full and the fixed pair")
+    kx = centralizer(x0, setup.k, setup.rank_tol)
 
     n = setup.n
     g0 = stacked_centralizer(coords_to_matrix(kx.basis, n), setup.g, setup.rank_tol)
@@ -255,7 +253,7 @@ def reduction_data(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
     # sampled points of the reduced transversal that are generic for the full
     # pair must reproduce the isotropy algebra and the slice of the anchor
     match_k, match_slice, semis_ok = _anchor_consistency(
-        setup, x0, kx, gx_dim, pair0, dims_m, seed, g0)
+        setup, x0, kx, pair0, dims_m, seed, g0)
     checks["isotropy_constant_on_m0"] = match_k
     checks["slice_agrees_on_m0"] = match_slice
     checks["centralizer_splits_semisimple"] = semis_ok
@@ -275,7 +273,7 @@ def _generic_dim_within(algebra: Subspace, setup: OrbitSetup, seed: int) -> int:
     return min(algebra.dim, int(centralizer_dims(xs, algebra, setup.rank_tol)[0].min()))
 
 
-def _anchor_consistency(setup, x0, kx, gx_dim, pair0, dims_m, seed, g0):
+def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
     match_k = True
     match_slice = True
     checked = 0
@@ -297,5 +295,5 @@ def _anchor_consistency(setup, x0, kx, gx_dim, pair0, dims_m, seed, g0):
     # dim g^x0 must split as the reduced centralizer plus the semisimple part
     g0x0_dim = centralizer_dim(x0, g0, setup.rank_tol)[0]
     semis = derived_span(kx, setup.rank_tol)
-    semis_ok = gx_dim == g0x0_dim + semis.dim
+    semis_ok = dims_m.q == g0x0_dim + semis.dim
     return match_k and checked > 0, match_slice and checked > 0, semis_ok

@@ -40,6 +40,13 @@ class RankAmbiguityWarning(UserWarning):
     """A singular value fell within a decade of the rank cutoff."""
 
 
+def warn_fragile(what: str = "singular value within a decade of the rank cutoff"):
+    """Warn that a verdict rests on a value near its cutoff, attributed to the
+    caller of the caller of the function that warns."""
+    warnings.warn(f"{what}, dimension verdict is fragile", RankAmbiguityWarning,
+                  stacklevel=4)
+
+
 def numeric_rank(singular_values, rtol: float = RANK_RTOL,
                  floor: float = 0.0) -> tuple[int, bool]:
     """Count singular values above ``rtol * max(sigma_max, floor)``.
@@ -64,11 +71,7 @@ def numeric_rank(singular_values, rtol: float = RANK_RTOL,
     near = int(np.count_nonzero((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND)))
     ambiguous = near > 0
     if ambiguous:
-        warnings.warn(
-            "singular value within a decade of the rank cutoff, dimension verdict is fragile",
-            RankAmbiguityWarning,
-            stacklevel=3,
-        )
+        warn_fragile()
     return rank, ambiguous
 
 
@@ -86,11 +89,7 @@ def numeric_ranks(s, rtol: float = RANK_RTOL,
     ranks = np.count_nonzero(s > cut, axis=1)
     ambiguous = np.any((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND), axis=1)
     for _ in range(int(np.count_nonzero(ambiguous))):
-        warnings.warn(
-            "singular value within a decade of the rank cutoff, dimension verdict is fragile",
-            RankAmbiguityWarning,
-            stacklevel=3,
-        )
+        warn_fragile()
     return ranks, ambiguous
 
 

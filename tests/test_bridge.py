@@ -227,18 +227,35 @@ def test_flow_probe_runs_at_the_input_scale():
 
 
 def _count_decisions(monkeypatch) -> Counter:
-    """Calls of ``is_in_R`` and ``m_of_x`` per (function, point, space), through
-    every suborbit module that holds them."""
+    """Decisions per point: ``m_of_x`` per (point, space), through every
+    suborbit module that holds it, and per (point, algebra) the centralizer
+    ranks that ``is_in_R`` decides on the ambient and the isotropy algebra of
+    its pair, through every module, and ``centralizer_dim`` in ``generic``."""
     calls = Counter()
-    for name in ("is_in_R", "m_of_x"):
+
+    def point(x):
+        return np.asarray(getattr(x, "matrix", x)).tobytes()
+
+    def slice_keys(setup, x, space):
+        return [("m_of_x", point(x), space if isinstance(space, str) else space.name)]
+
+    def rank_keys(setup, x, space, dims):
+        pair = setup.pair(space)
+        return [("rank", point(x), S.basis.tobytes()) for S in (pair.g, pair.k)]
+
+    def dim_keys(x, within, *args):
+        return [("rank", point(x), within.basis.tobytes())]
+
+    for name, keys in (("m_of_x", slice_keys), ("is_in_R", rank_keys),
+                       ("centralizer_dim", dim_keys)):
         orig = getattr(generic, name)
 
-        def counting(setup, x, space, *args, _name=name, _orig=orig):
-            key = space if isinstance(space, str) else space.name
-            calls[(_name, x.coords.tobytes(), key)] += 1
-            return _orig(setup, x, space, *args)
+        def counting(*args, _orig=orig, _keys=keys):
+            calls.update(_keys(*args))
+            return _orig(*args)
         for mod_name, mod in list(sys.modules.items()):
-            if mod_name.startswith("suborbit") and getattr(mod, name, None) is orig:
+            if (mod_name.startswith("suborbit") and getattr(mod, name, None) is orig
+                    and (name != "centralizer_dim" or mod is generic)):
                 monkeypatch.setattr(mod, name, counting)
     return calls
 
@@ -247,8 +264,27 @@ def _count_decisions(monkeypatch) -> Counter:
                                               ((1, 1, 4), REDUCED)],
                          ids=["2,2,2", "1,1,4"])
 def test_each_point_decision_is_made_once(monkeypatch, mult, conclusion):
+    # the reduced anchor is decided generic for both pairs by perturb_into_R,
+    # and reduction_data takes that as stated
     calls = _count_decisions(monkeypatch)
     case = run_case(mult, (1.0, 2.0, 3.0), seed=0)
     assert case.conclusion == conclusion
-    assert {name for name, _, _ in calls} == {"is_in_R", "m_of_x"}
+    assert {name for name, _, _ in calls} == {"rank", "m_of_x"}
     assert [k for k, c in calls.items() if c > 1] == []
+
+
+def test_incomplete_span_on_m_is_inconclusive(monkeypatch):
+    from dataclasses import replace
+    real = bridge.completeness_check
+
+    def incomplete_on_m(setup, family, x, dims):
+        rep = real(setup, family, x, dims)
+        return replace(rep, complete=False) if x.space == "m" else rep
+    monkeypatch.setattr(bridge, "completeness_check", incomplete_on_m)
+    case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
+    assert case.completeness_m["complete"] is False
+    assert case.completeness_mt["complete"] is True
+    assert case.conclusion == INCONCLUSIVE
+    assert case.notes == ["completeness failed on m: span_dim 4, target_dim 4, "
+                          "isotropy_residual "
+                          f"{case.completeness_m['isotropy_residual']:.1e}"]

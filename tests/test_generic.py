@@ -180,8 +180,9 @@ def test_reduction_rejects_nongeneric_anchor(setup_112, dims_112):
 def test_reduced_pair_full_machinery(setup_114, dims_114):
     # run the pencil and completeness machinery on the concrete reduced
     # subspaces, independently of the equivalent-partition recursion
-    from suborbit import (build_family, completeness_check, kronecker_test,
-                          estimate_generic_dims)
+    from suborbit import build_family, completeness_check, estimate_generic_dims
+    from suborbit.linalg import kernel_dim
+    from suborbit.pencil import SINGULAR, form_matrix, genuine_eigenvalues
     st = setup_114
     x0, _ = build_witness_x0(st, seed=0)
     x0, _ = perturb_into_R(st, x0, dims_114["m"], dims_114["m_tilde"], seed=1)
@@ -193,13 +194,24 @@ def test_reduced_pair_full_machinery(setup_114, dims_114):
     assert (dims0.q, dims0.p, dims0.r) == (5, 2, 3)
     assert (dims0t.q, dims0t.p, dims0t.r) == (2, 0, 2)
 
+    # a lies in k0, so as on the full pair the pencil on the reduced slice
+    # m0(x) carries the centralizer pencil of x + lambda*a in g0: it is
+    # Kronecker when its singular form has kernel r and it has no finite
+    # eigenvalue
     witness = None
     for i in range(10):
         x = sample_element(red.m0_tilde, np.random.default_rng([70, i]), 6)
-        v = kronecker_test(st, x, dims0, n_lambda=10, seed=4, space=pair0)
-        if v.kronecker:
+        if not is_in_R(st, x, pair0, dims0):
+            continue
+        mx = m_of_x(st, x, pair0)
+        F_a = form_matrix(st, x, SINGULAR, pair0, mx)
+        si_dim, _ = kernel_dim(F_a, st.rank_tol, floor=float(np.linalg.norm(st.a.matrix)))
+        if si_dim != dims0.r:
+            continue
+        count, _, _ = genuine_eigenvalues(form_matrix(st, x, 0.0, pair0, mx), F_a,
+                                          dims0.r, np.random.default_rng([4, 23]))
+        if count == 0:
             witness = x
-            assert v.singular_kernel_dim == 3
             break
     assert witness is not None
 

@@ -128,7 +128,7 @@ def test_u3_witness_passes_all_pencil_flags(setup_111):
     st = setup_111
     dims = estimate_generic_dims(st, "m", 25, seed=3)
     xp = build_x_pi(root_split(st))
-    v = kronecker_test(st, xp, dims, n_lambda=20, seed=6)
+    v = kronecker_test(st, xp, dims, seed=6)
     assert v.generic and v.singular_ok and v.pencil_ok and v.kronecker
 
 
@@ -138,7 +138,7 @@ def test_kronecker_agreement_with_regular_pencil(setup_112, dims_112):
     from suborbit import kronecker_test
     rd = root_split(setup_112)
     xp = build_x_pi(rd)
-    v = kronecker_test(setup_112, xp, dims_112["m"], n_lambda=10, seed=5)
+    v = kronecker_test(setup_112, xp, dims_112["m"], seed=5)
     direct = verify_regular_pencil(setup_112, xp, 10, seed=5)
     if v.generic:
         assert v.pencil_ok == direct
