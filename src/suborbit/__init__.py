@@ -24,8 +24,7 @@ from .roots import (RootDatum, anchored_permutation, build_x_pi, root_split,
 from .flows import (FlowDivergenceError, FlowSpec, Trajectory, build_flow,
                     conservation_report, energy_drift, hamiltonian,
                     integrate_flow, lax_residual, phi_ab, phi_spectrum)
-from .bridge import (CONFIRMED, INCONCLUSIVE, REDUCED, Budgets, VerificationCase,
-                     run_case)
+from .bridge import CONFIRMED, INCONCLUSIVE, REDUCED, VerificationCase, run_case
 
 __all__ = [
     "__version__",
@@ -49,6 +48,5 @@ __all__ = [
     "FlowDivergenceError", "FlowSpec", "Trajectory", "build_flow",
     "conservation_report", "energy_drift", "hamiltonian", "integrate_flow",
     "lax_residual", "phi_ab", "phi_spectrum",
-    "CONFIRMED", "INCONCLUSIVE", "REDUCED", "Budgets", "VerificationCase",
-    "run_case",
+    "CONFIRMED", "INCONCLUSIVE", "REDUCED", "VerificationCase", "run_case",
 ]

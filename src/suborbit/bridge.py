@@ -45,21 +45,6 @@ _MOMENT_SAMPLES = 20  # samples of the moment route and the regular-element test
 _INVOLUTIVITY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Sampling budgets for one verification case; lambda_samples sizes only
-    ``roots.regular_pencil_sweep``, the x_pi check without Hessenberg pattern."""
-
-    dim_samples: int = 25
-    lambda_samples: int = 20
-
-    def __post_init__(self):
-        for name, least in (("dim_samples", 10), ("lambda_samples", 0)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, "
-                                 f"got {getattr(self, name)}")
-
-
 @dataclass
 class VerificationCase:
     """Everything produced while verifying one partition."""
@@ -122,7 +107,7 @@ def _canonicalize(multiplicities, spectrum):
 
 
 def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
-             budgets: Budgets = Budgets(), rank_tol: float | None = None,
+             dim_samples: int = 25, rank_tol: float | None = None,
              _depth: int = 0) -> VerificationCase:
     """Run the full decision tree for one partition and spectrum.
 
@@ -136,7 +121,12 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
     orbit, nor the span of the shifted family, so the verdict is decided on
     the spectrum mapped affinely onto [-1, 1]; the report keeps the input
     spectrum, and the flow probe runs at the input scale.
+
+    ``dim_samples`` sizes the generic-dimension estimates and must be at
+    least 10.
     """
+    if dim_samples < 10:
+        raise ValueError(f"dim_samples must be at least 10, got {dim_samples}")
     mult, spec = _canonicalize(multiplicities, spectrum)
     if len(mult) < 2:
         raise ValueError("need at least two blocks; one block gives a trivial quotient")
@@ -150,7 +140,7 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
     if note_order:
         case.notes.append(note_order)
     try:
-        _run_decision_tree(setup, case, seed, budgets, rank_tol, _depth)
+        _run_decision_tree(setup, case, seed, dim_samples, rank_tol, _depth)
     except (ValueError, RuntimeError) as exc:
         # input validation happened before this point, so anything raised here
         # is a numerical-state failure of the verification itself
@@ -191,10 +181,10 @@ def _flow_probe(setup, b_spectrum, case: VerificationCase) -> dict:
 
 
 def _run_decision_tree(setup, case: VerificationCase, seed,
-                       budgets: Budgets, rank_tol, _depth: int):
+                       dim_samples: int, rank_tol, _depth: int):
     mult, spec = case.multiplicities, case.spectrum
-    dims_m = estimate_generic_dims(setup, "m", budgets.dim_samples, seed)
-    dims_mt = estimate_generic_dims(setup, "m_tilde", budgets.dim_samples, seed)
+    dims_m = estimate_generic_dims(setup, "m", dim_samples, seed)
+    dims_mt = estimate_generic_dims(setup, "m_tilde", dim_samples, seed)
     case.dims_m, case.dims_mt = dims_m, dims_mt
     if not (dims_m.stabilized and dims_mt.stabilized):
         case.notes.append("generic dimension estimates did not stabilize")
@@ -208,14 +198,13 @@ def _run_decision_tree(setup, case: VerificationCase, seed,
             "two-block case: the quotient is a symmetric space, every invariant "
             "Hamiltonian flow on it is integrable; the pencil verdict below is "
             "independent numerical confirmation")
-        _direct_verification(setup, case, budgets, seed,
+        _direct_verification(setup, case, seed,
                              run_moment=(dims_m.p == setup.z_of_g.dim),
                              run_x_pi=not dominant)
         return
 
     if not dominant:
-        _direct_verification(setup, case, budgets, seed, run_moment=True,
-                             run_x_pi=True)
+        _direct_verification(setup, case, seed, run_moment=True, run_x_pi=True)
         return
 
     # dominant largest block: reduce once
@@ -245,7 +234,7 @@ def _run_decision_tree(setup, case: VerificationCase, seed,
     if not all(red.checks.values()):
         case.notes.append("reduction consistency checks failed")
         return
-    inner = run_case(list(mult[:-1]) + [n1], spec, None, seed, budgets,
+    inner = run_case(list(mult[:-1]) + [n1], spec, None, seed, dim_samples,
                      rank_tol, _depth + 1)
     case.inner_case = inner
     if inner.conclusion == CONFIRMED:
@@ -269,8 +258,8 @@ def _witness_dict(x0: LieElement, wrep) -> dict:
     }
 
 
-def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
-                         seed: int, run_moment: bool, run_x_pi: bool):
+def _direct_verification(setup, case: VerificationCase, seed: int,
+                         run_moment: bool, run_x_pi: bool):
     """Direct route: witness, moment criterion, nilpotent witness, sampled
     Kronecker point, completeness at that point."""
     dims_m, dims_mt = case.dims_m, case.dims_mt
@@ -289,8 +278,7 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
         if datum.pi is not None:
             x_pi = build_x_pi(datum)
             case.x_pi_coords = x_pi.coords.tolist()
-            case.x_pi_regular = verify_regular_pencil(
-                setup, x_pi, budgets.lambda_samples, seed)
+            case.x_pi_regular = verify_regular_pencil(setup, x_pi)
 
     verdict = None
     okr_point = None
@@ -330,7 +318,7 @@ def _direct_verification(setup, case: VerificationCase, budgets: Budgets,
                           "anti-fixed isotropy part")
     if case.x_pi_regular is False:
         consistent = False
-        case.notes.append("nilpotent witness failed the constant-rank sweep")
+        case.notes.append("nilpotent witness has no Hessenberg certificate")
     if case.involutivity_residual > _INVOLUTIVITY_TOL:
         consistent = False
         case.notes.append(f"involutivity failed on m_tilde: residual "

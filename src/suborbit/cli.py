@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .bridge import Budgets, CONFIRMED, INCONCLUSIVE, REDUCED, run_case
+from .bridge import CONFIRMED, INCONCLUSIVE, REDUCED, run_case
 from .flows import (FlowDivergenceError, build_flow, conservation_report,
                     energy_drift, integrate_flow, lax_residual, phi_spectrum)
 from .invariants import build_family, member_values
@@ -81,11 +81,9 @@ def cmd_verify(args) -> int:
     try:
         partition = _parse_list(args.partition, "partition", int)
         spectrum = _parse_list(args.spectrum, "spectrum", float)
-        budgets = Budgets(dim_samples=args.samples,
-                          lambda_samples=args.lambda_samples)
         t0 = time.perf_counter()
-        case = run_case(partition, spectrum, seed=args.seed, budgets=budgets,
-                        rank_tol=args.tolerance_rank)
+        case = run_case(partition, spectrum, seed=args.seed,
+                        dim_samples=args.samples, rank_tol=args.tolerance_rank)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -97,7 +95,6 @@ def cmd_verify(args) -> int:
             "spectrum": spectrum,
             "seed": args.seed,
             "samples": args.samples,
-            "lambda_samples": args.lambda_samples,
             "rank_tol": args.tolerance_rank,
         },
         "case": case.to_dict(),
@@ -204,14 +201,14 @@ def _partitions(n: int):
 def cmd_sweep(args) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
-    budgets = Budgets(dim_samples=args.samples, lambda_samples=args.lambda_samples)
     t0 = time.perf_counter()
     cases = []
     worst = 0
     for n in range(2, args.max_n + 1):
         for part in _partitions(n):
             spectrum = [float(j + 1) for j in range(len(part))]
-            case = run_case(part, spectrum, seed=args.seed, budgets=budgets)
+            case = run_case(part, spectrum, seed=args.seed,
+                            dim_samples=args.samples)
             cases.append({
                 "partition": part,
                 "n": n,
@@ -223,8 +220,7 @@ def cmd_sweep(args) -> int:
             print(f"  {part} -> {case.conclusion}", file=sys.stderr)
     doc = {
         "tool": {"name": "suborbit", "version": __version__},
-        "inputs": {"max_n": args.max_n, "seed": args.seed,
-                   "samples": args.samples, "lambda_samples": args.lambda_samples},
+        "inputs": {"max_n": args.max_n, "seed": args.seed, "samples": args.samples},
         "cases": cases,
         "all_confirmed": worst == 0,
     }
@@ -251,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated distinct block values, e.g. 1,2,3")
     v.add_argument("--samples", type=int, default=25)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--lambda-samples", type=int, default=20,
-                   help="annulus draws of the x_pi check without Hessenberg pattern")
     v.add_argument("--tolerance-rank", type=float, default=1e-9)
     v.add_argument("--out", default=None, help="write the JSON report here")
     v.set_defaults(func=cmd_verify)
@@ -277,15 +271,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-n", type=int, default=6)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--samples", type=int, default=25)
-    s.add_argument("--lambda-samples", type=int, default=20,
-                   help="annulus draws of the x_pi check without Hessenberg pattern")
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_sweep)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse exits 2 on a usage error, which is the inconclusive code
+        # here; --help exits 0
+        return 1 if e.code else 0
     if getattr(args, "seed", 0) < 0:
         print("error: seed must be non-negative", file=sys.stderr)
         return 1

@@ -17,11 +17,9 @@ dimension.
 
 ``numeric_rank`` decides one set of singular values; ``numeric_ranks``
 decides every row of a (S, r) stack at once by the same rule, each row with
-its own floor, ambiguity flag and warning.  Callers that decide many ranks
-collect the singular values into one such stack and decide it in one call:
-``lie.centralizer_dims`` for a stack of centralizer dimensions, and
-``pencil_kernel_dims`` for the kernel dimensions of A0 + lambda*A1 over the
-parameters of a lambda-sweep, each parameter's 2-D SVD written into one row.
+its own floor, ambiguity flag and warning.  ``lie.centralizer_dims`` collects
+the singular values of a stack of centralizers into one such stack and
+decides it in one call.
 """
 
 from __future__ import annotations
@@ -123,27 +121,6 @@ def kernel_dim(A, rtol: float = RANK_RTOL,
         return cols, False
     rank, ambiguous = numeric_rank(np.linalg.svd(A, compute_uv=False), rtol, floor)
     return cols - rank, ambiguous
-
-
-def pencil_kernel_dims(A0, A1, lams, rtol: float = RANK_RTOL,
-                       floors=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``kernel_dim(A0 + lam * A1, rtol, floor)`` for each parameter of
-    ``lams`` and its floor, as ``(dims, ambiguous)`` arrays.
-
-    Each parameter takes one 2-D SVD, written into one row of a (L, r) stack
-    of singular values that ``numeric_ranks`` decides in one call; a stacked
-    (L, rows, cols) SVD would hold every matrix and its workspace at once.  A
-    zero pencil takes no SVD.
-    """
-    A0, A1 = np.asarray(A0), np.asarray(A1)
-    rows, cols = A0.shape
-    if rows == 0 or cols == 0 or not (np.any(A0) or np.any(A1)):
-        return np.full(len(lams), cols), np.zeros(len(lams), dtype=bool)
-    s = np.empty((len(lams), min(rows, cols)))
-    for i, lam in enumerate(lams):
-        s[i] = np.linalg.svd(A0 + lam * A1, compute_uv=False)
-    ranks, ambiguous = numeric_ranks(s, rtol, floors)
-    return cols - ranks, ambiguous
 
 
 def orthonormal_columns(A, rtol: float = RANK_RTOL,

@@ -104,6 +104,8 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
     n = sum(mult)
     if n < 2:
         raise ValueError("need total dimension n >= 2")
+    if not 0.0 < rank_tol < np.inf:
+        raise ValueError(f"rank tolerance must be positive and finite, got {rank_tol}")
 
     a = block_scalar(mult, spec)
     rows, cols = coordinate_entries(n)

@@ -36,24 +36,8 @@ from .orbit import OrbitSetup
 
 SINGULAR = "singular"
 
-_STRUCTURED_LAMBDAS = (0.0, 1.0, -1.0, 1j, -1j)
-
 # pencil_isotropy_check scans this many real parameters beyond its fixed ones
 _N_REAL = 50
-
-
-def annulus_samples(rng, count: int) -> np.ndarray:
-    """Area-uniform complex samples from the annulus 0.5 <= |z| <= 2."""
-    r = np.sqrt(rng.uniform(0.5 ** 2, 2.0 ** 2, count))
-    th = rng.uniform(0.0, 2.0 * np.pi, count)
-    return r * np.exp(1j * th)
-
-
-def sweep_lambdas(seed: int, stream: int, n_lambda: int) -> np.ndarray:
-    """The structured parameters 0, 1, -1, i, -i followed by ``n_lambda``
-    annulus draws from the generator keyed by ``[seed, stream]``."""
-    rng = np.random.default_rng([seed, stream])
-    return np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, n_lambda)])
 
 
 def form_matrix(setup: OrbitSetup, x: LieElement, lam, space: str = "m",

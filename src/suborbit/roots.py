@@ -18,8 +18,8 @@ x + lambda*a, lambda in C, is an unreduced Hessenberg matrix: deleting its
 first row and last column leaves a triangular matrix with nonzero diagonal,
 so x + lambda*a - mu has rank at least n - 1 for every mu, x + lambda*a is
 nonderogatory, and its complex centralizer has dimension exactly n.
-``verify_regular_pencil`` checks this pattern and decides any other input by
-a sampled lambda-sweep.
+``verify_regular_pencil`` checks this pattern and nothing else: it makes no
+rank decision, and an input without the pattern is left uncertified.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import LieElement
-from .linalg import pencil_kernel_dims
 from .orbit import OrbitSetup
-from .pencil import sweep_lambdas
 
 
 @dataclass(frozen=True)
@@ -156,28 +154,19 @@ def _positive_roots(datum: RootDatum):
     return {(j, k) for (j, k) in datum.roots if position[j] < position[k]}
 
 
-def verify_regular_pencil(setup: OrbitSetup, x, n_lambda: int = 20,
-                          seed: int = 0) -> bool:
-    """Whether the complex centralizer dimension along x + lambda*a stays at n.
+def verify_regular_pencil(setup: OrbitSetup, x) -> bool:
+    """Whether x + lambda*a is certified nonderogatory for every lambda in C.
 
-    ``x`` may be an algebra element or a plain complex matrix.  When
-    ``hessenberg_certificate`` holds, the answer is True for every finite
-    lambda, with no rank decision.  Every other input (zero, a generic
-    matrix, a setup with no anchored permutation) is decided by
-    ``regular_pencil_sweep`` over ``n_lambda`` sampled parameters.
+    ``x`` may be an algebra element or a plain complex matrix.  True means
+    x + lambda*a is an unreduced Hessenberg matrix for every lambda, so its
+    complex centralizer has dimension exactly n on the whole line: the anchor
+    is exactly diagonal and, in the anchored permutation order, X has exact
+    zeros below its subdiagonal and every subdiagonal entry above
+    ``setup.rank_tol`` times its Frobenius norm.  False means only that no
+    certificate exists (zero, a generic matrix, a setup with no anchored
+    permutation); it does not say that some x + lambda*a is derogatory.
     """
     X = x.matrix if isinstance(x, LieElement) else np.asarray(x, dtype=complex)
-    return (hessenberg_certificate(setup, X)
-            or regular_pencil_sweep(setup, X, n_lambda, seed))
-
-
-def hessenberg_certificate(setup: OrbitSetup, X: np.ndarray) -> bool:
-    """Whether x + lambda*a is an unreduced Hessenberg matrix for every lambda.
-
-    Holds when the anchor is exactly diagonal and, in the anchored
-    permutation order, X has exact zeros below its subdiagonal and every
-    subdiagonal entry above ``setup.rank_tol`` times its Frobenius norm.
-    """
     A = setup.a.matrix
     if np.any(A - np.diag(np.diag(A))):
         return False
@@ -188,22 +177,3 @@ def hessenberg_certificate(setup: OrbitSetup, X: np.ndarray) -> bool:
     H = X[np.ix_(perm, perm)]
     cut = setup.rank_tol * np.linalg.norm(H)
     return not np.any(np.tril(H, -2)) and bool(np.all(np.abs(np.diag(H, -1)) > cut))
-
-
-def regular_pencil_sweep(setup: OrbitSetup, X: np.ndarray, n_lambda: int = 20,
-                         seed: int = 0) -> bool:
-    """Whether the centralizer dimension of X + lambda*a is n at sampled lambda.
-
-    The sweep runs at the ``pencil.sweep_lambdas(seed, 31, n_lambda)``
-    parameters; the centralizer dimension is computed from the vectorized
-    commutation equations, independent of the basis machinery used
-    elsewhere, and the whole sweep is decided by one
-    ``linalg.pencil_kernel_dims`` call.
-    """
-    n = setup.n
-    lams = sweep_lambdas(seed, 31, n_lambda)
-    eye = np.eye(n)
-    # the commutation matrix of x + lambda*a is affine in lambda
-    ad_x = np.kron(X, eye) - np.kron(eye, X.T)
-    ad_a = np.kron(setup.a.matrix, eye) - np.kron(eye, setup.a.matrix.T)
-    return bool(np.all(pencil_kernel_dims(ad_x, ad_a, lams, setup.rank_tol)[0] == n))

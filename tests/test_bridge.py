@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suborbit import (Budgets, CONFIRMED, INCONCLUSIVE, REDUCED,
+from suborbit import (CONFIRMED, INCONCLUSIVE, REDUCED,
                       LieElement, RankAmbiguityWarning, bridge, build_flow,
                       build_setup, generic, hamiltonian, run_case)
 from suborbit.cli import _partitions
@@ -187,10 +187,10 @@ def _assert_pinned(mult, seed):
     assert decided_fields(case.to_dict()) == PINNED_FIELDS[_pinned_key(mult, seed)]
 
 
-@pytest.mark.parametrize("field, value", [("dim_samples", 9), ("lambda_samples", -1)])
+@pytest.mark.parametrize("field, value", [("dim_samples", 9)])
 def test_budgets_reject_values_below_their_least(field, value):
     with pytest.raises(ValueError, match=field):
-        Budgets(**{field: value})
+        run_case((1, 1, 2), (1.0, 2.0, 3.0), **{field: value})
 
 
 SWEEP_N6 = [tuple(part) for n in range(2, 7) for part in _partitions(n)]

@@ -51,10 +51,30 @@ def test_verify_too_few_samples_exit_one(capsys):
     assert "dim_samples" in capsys.readouterr().err
 
 
-def test_verify_negative_lambda_samples_exit_one(capsys):
+def test_verify_unknown_option_exit_one(capsys):
+    # argparse's own usage-error code 2 is the inconclusive code here
     assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
-                 "--lambda-samples", "-3"]) == 1
-    assert "lambda_samples" in capsys.readouterr().err
+                 "--lambda-samples", "20"]) == 1
+    assert "--lambda-samples" in capsys.readouterr().err
+
+
+def test_verify_missing_spectrum_exit_one(capsys):
+    assert main(["verify", "--partition", "1,1,2"]) == 1
+    assert "--spectrum" in capsys.readouterr().err
+
+
+def test_help_exit_zero(capsys):
+    assert main(["verify", "--help"]) == 0
+    assert "--tolerance-rank" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_verify_rank_tolerance_not_positive_exit_one(tol, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                 "--tolerance-rank", tol, "--out", str(out)]) == 1
+    assert "error: rank tolerance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_max_n_below_two_exit_one(tmp_path, capsys):
@@ -84,6 +104,9 @@ def test_report_matches_schema(tmp_path):
     schema = json.loads(open(schema_path).read())
     # the schema does not forbid extra keys, so a report field it does not
     # list, or a listed one the report lost, is caught here
+    inputs = schema["properties"]["inputs"]
+    assert sorted(inputs["properties"]) == sorted(inputs["required"]) \
+        == sorted(doc["inputs"])
     inner = doc["case"]["inner_case"]
     defs = schema["definitions"]
     for name, report in (("kronecker", inner["kronecker"]),

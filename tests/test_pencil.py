@@ -10,10 +10,18 @@ from suborbit import (LieElement, bracket, build_setup, build_x_pi, centralizer,
 from suborbit import linalg
 from suborbit.cli import _partitions
 from suborbit.generic import estimate_generic_dims, is_in_R
-from suborbit.lie import ad_in_basis
-from suborbit.linalg import RankAmbiguityWarning, kernel_dim, pencil_kernel_dims, span
-from suborbit.pencil import (SINGULAR, _STRUCTURED_LAMBDAS, annulus_samples,
-                             genuine_eigenvalues, sweep_lambdas)
+from suborbit.lie import centralizer_dims
+from suborbit.linalg import RankAmbiguityWarning, kernel_dim, span
+from suborbit.pencil import SINGULAR, genuine_eigenvalues
+
+
+def _lambdas(seed, stream, count):
+    """0, 1, -1, i, -i and ``count`` area-uniform draws from the annulus
+    0.5 <= |z| <= 2, from the generator keyed by ``[seed, stream]``."""
+    rng = np.random.default_rng([seed, stream])
+    r = np.sqrt(rng.uniform(0.5 ** 2, 2.0 ** 2, count))
+    th = rng.uniform(0.0, 2.0 * np.pi, count)
+    return np.concatenate([[0.0, 1.0, -1.0, 1j, -1j], r * np.exp(1j * th)])
 
 
 def test_form_is_skew_and_matches_definition(setup_112):
@@ -86,7 +94,7 @@ def test_kronecker_verdict_at_fixed_points(setup_112, dims_112):
                 kernel_dim(form_matrix(st, x, lam, domain=mx).astype(complex),
                            st.rank_tol,
                            floor=float(np.linalg.norm(x.matrix + lam * st.a.matrix)))[0]
-                for lam in sweep_lambdas(5, 23, 10)}
+                for lam in _lambdas(5, 23, 10)}
             assert form_kernels == {dims_112["m"].r}
     assert hits >= 9
 
@@ -240,11 +248,9 @@ def test_forms_independent_generically(setup_112, dims_112):
 
 def _adjoint_kernel_dims(st, x, lams, space="m"):
     """Kernel dimensions of ad(x + lam*a) on the complexified algebra of the
-    pair, one affine sweep with the adjoint matrices built once."""
-    g = st.pair(space).g
-    floors = np.linalg.norm(x.matrix + lams[:, None, None] * st.a.matrix, axis=(1, 2))
-    return pencil_kernel_dims(ad_in_basis(x, g), ad_in_basis(st.a, g), lams,
-                              st.rank_tol, floors)[0]
+    pair, one stacked centralizer dimension per parameter."""
+    mats = x.matrix + lams[:, None, None] * st.a.matrix
+    return centralizer_dims(mats, st.pair(space).g, st.rank_tol)[0]
 
 
 def _kronecker_reference(st, x, dims, lams, space):
@@ -272,7 +278,7 @@ def test_affine_lambda_sweep_matches_per_lambda_reference(mult, space):
     for i in range(3):
         x = sample_element(st.pair(space).m, np.random.default_rng([70, i]), st.n)
         assert is_in_R(st, x, space, dims)
-        lams = sweep_lambdas(i, 23, 8)
+        lams = _lambdas(i, 23, 8)
         si_dim, cdims, kron = _kronecker_reference(st, x, dims, lams, space)
         assert tuple(_adjoint_kernel_dims(st, x, lams, space)) == cdims
         if space == "m":
@@ -298,12 +304,13 @@ def test_slice_pencil_carries_the_centralizer_pencil(mult):
     points = (sample_element(st.m_tilde, np.random.default_rng([53, i]), st.n)
               for i in range(12))
     x = next(x for x in points if is_in_R(st, x, "m", dims))
-    lams = sweep_lambdas(0, 23, 20)
+    lams = _lambdas(0, 23, 20)
     mx = m_of_x(st, x, "m")
     F_x = form_matrix(st, x, 0.0, domain=mx)
     F_a = form_matrix(st, x, SINGULAR, domain=mx)
     floors = np.linalg.norm(x.matrix + lams[:, None, None] * st.a.matrix, axis=(1, 2))
-    slice_dims = pencil_kernel_dims(F_x, F_a, lams, st.rank_tol, floors)[0]
+    slice_dims = np.array([kernel_dim(F_x + lam * F_a, st.rank_tol, fl)[0]
+                           for lam, fl in zip(lams, floors)])
     adjoint_dims = _adjoint_kernel_dims(st, x, lams)
     assert list(dims.p + slice_dims) == list(adjoint_dims)
     v = kronecker_test(st, x, dims, seed=0)
@@ -432,25 +439,22 @@ def test_rank_only_paths_build_no_kernel_basis(monkeypatch, setup_112, dims_112)
 
 def test_lambda_sweeps_keep_each_adjoint_svd_two_dimensional(svd_calls):
     # a stacked (L, n^2, n^2) adjoint SVD would hold every parameter's matrix
-    # and its workspace at once; the fallback sweep takes one 2-D SVD per
-    # parameter, the Hessenberg-certified witness x_pi none, and
-    # kronecker_test none on the adjoint at all
+    # and its workspace at once; kronecker_test takes none on the adjoint at
+    # all, and verify_regular_pencil no SVD on any input
     st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
     dims = estimate_generic_dims(st, "m", 25, seed=0)
     x = sample_element(st.m_tilde, np.random.default_rng([70, 0]), st.n)
     x_pi = build_x_pi(root_split(st))
     N = st.n * st.n
-
-    def adjoint_svds(run):
+    svd_calls.clear()
+    verdict = kronecker_test(st, x, dims, seed=0)
+    assert verdict.generic
+    assert [s for s in svd_calls if len(s) > 2 and s[-1] == N] == []
+    assert (N, N) not in svd_calls
+    for y, certified in ((x_pi, True), (x, False), (LieElement.zero(st.n), False)):
         svd_calls.clear()
-        out = run()
-        assert [s for s in svd_calls if len(s) > 2 and s[-1] == N] == []
-        return out, svd_calls.count((N, N))
-
-    verdict, count = adjoint_svds(lambda: kronecker_test(st, x, dims, seed=0))
-    assert verdict.generic and count == 0
-    assert adjoint_svds(lambda: verify_regular_pencil(st, x_pi, 20, seed=0)) == (True, 0)
-    assert adjoint_svds(lambda: verify_regular_pencil(st, x, 20, seed=0))[1] == 25
+        assert verify_regular_pencil(st, y) is certified
+        assert svd_calls == []
 
 
 def test_kronecker_test_takes_one_svd_per_decision(svd_calls):
@@ -463,17 +467,3 @@ def test_kronecker_test_takes_one_svd_per_decision(svd_calls):
     v = kronecker_test(st, x, dims, seed=0)
     assert v.kronecker and dims.q == st.n
     assert len(svd_calls) == 3 and (st.n ** 2, st.n ** 2) not in svd_calls
-
-
-@pytest.mark.parametrize("shape", [(6, 6), (9, 4), (3, 7), (0, 3), (4, 0)])
-def test_pencil_kernel_dims_match_kernel_dim_per_parameter(shape):
-    rng = np.random.default_rng(shape)
-    lams = np.concatenate([_STRUCTURED_LAMBDAS, annulus_samples(rng, 6)])
-    # a rank-deficient pencil, a pencil that vanishes at lambda = 0, a zero one
-    A1 = rng.standard_normal(shape) @ np.diag(np.arange(shape[1]) % 3 > 0)
-    for A0, A1 in ((rng.standard_normal(shape) @ np.diag(np.arange(shape[1]) % 2 > 0), A1),
-                   (np.zeros(shape), A1), (np.zeros(shape), np.zeros(shape))):
-        floors = np.abs(lams) + 1.0
-        dims, amb = pencil_kernel_dims(A0, A1, lams, 1e-9, floors)
-        ref = [kernel_dim(A0 + lam * A1, 1e-9, fl) for lam, fl in zip(lams, floors)]
-        assert [(int(d), bool(a)) for d, a in zip(dims, amb)] == ref

@@ -8,8 +8,8 @@ import pytest
 from suborbit import (LieElement, anchored_permutation, build_setup, build_x_pi,
                       root_split, sample_element, sigma, verify_regular_pencil)
 from suborbit.cli import _partitions
-from suborbit.roots import (hessenberg_certificate, regular_pencil_sweep,
-                            x_pi_template, _positive_roots)
+from suborbit.lie import centralizer_dims
+from suborbit.roots import x_pi_template, _positive_roots
 
 
 @pytest.mark.parametrize("mult,nk,nm", [
@@ -81,17 +81,17 @@ def test_x_pi_zero_scale_rejected(setup_112):
 def test_regular_pencil_on_witnesses(setup_112, setup_111):
     for st in (setup_112, setup_111):
         xp = build_x_pi(root_split(st))
-        assert verify_regular_pencil(st, xp, n_lambda=20, seed=1)
+        assert verify_regular_pencil(st, xp)
 
 
 def test_regular_pencil_rejects_zero(setup_112):
-    assert not verify_regular_pencil(setup_112, LieElement.zero(4), 5, seed=1)
+    assert not verify_regular_pencil(setup_112, LieElement.zero(4))
 
 
 def test_regular_pencil_scaled_witness(setup_112):
     rd = root_split(setup_112)
     xp = build_x_pi(rd, scales=[2.0, -1.0, 0.5])
-    assert verify_regular_pencil(setup_112, xp, 10, seed=2)
+    assert verify_regular_pencil(setup_112, xp)
 
 
 def test_complex_template_witness(setup_112):
@@ -100,7 +100,7 @@ def test_complex_template_witness(setup_112):
     pos_m = sorted(r for r in set(rd.delta_m) & _positive_roots(rd))
     d = {pos_m[0]: 0.3 - 0.2j, pos_m[-1]: 1.1j}
     M = x_pi_template(rd, c, d)
-    assert verify_regular_pencil(setup_112, M, 10, seed=3)
+    assert verify_regular_pencil(setup_112, M)
 
 
 def test_complex_template_validates_coefficients(setup_112):
@@ -120,7 +120,7 @@ def test_exhaustive_small_partitions_regular():
     for mult in cases:
         st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
         xp = build_x_pi(root_split(st))
-        assert verify_regular_pencil(st, xp, n_lambda=10, seed=4), mult
+        assert verify_regular_pencil(st, xp), mult
 
 
 def test_u3_witness_passes_all_pencil_flags(setup_111):
@@ -139,7 +139,7 @@ def test_kronecker_agreement_with_regular_pencil(setup_112, dims_112):
     rd = root_split(setup_112)
     xp = build_x_pi(rd)
     v = kronecker_test(setup_112, xp, dims_112["m"], seed=5)
-    direct = verify_regular_pencil(setup_112, xp, 10, seed=5)
+    direct = verify_regular_pencil(setup_112, xp)
     if v.generic:
         assert v.pencil_ok == direct
     else:
@@ -153,10 +153,15 @@ NON_DOMINANT_N7 = [tuple(part) for n in range(2, 8) for part in _partitions(n)
 @pytest.mark.parametrize("mult", NON_DOMINANT_N7,
                          ids=[",".join(map(str, m)) for m in NON_DOMINANT_N7])
 def test_certificate_agrees_with_sweep_on_x_pi(mult):
+    # the reference is independent of the certificate: the complex
+    # centralizer dimension of x_pi + lambda*a on g, decided per lambda
     st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
     xp = build_x_pi(root_split(st))
-    assert hessenberg_certificate(st, xp.matrix)
-    assert regular_pencil_sweep(st, xp.matrix, n_lambda=20, seed=0)
+    rng = np.random.default_rng([0, 31])
+    lams = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    dims, _ = centralizer_dims(xp.matrix + lams[:, None, None] * st.a.matrix, st.g)
+    assert verify_regular_pencil(st, xp)
+    assert list(dims) == [st.n] * 25
 
 
 def _uncertified_inputs(st):
@@ -171,28 +176,49 @@ def _uncertified_inputs(st):
 
 @pytest.mark.parametrize("which", ["zero", "x_pi plus an entry below the subdiagonal",
                                    "generic m_tilde element"])
-def test_uncertified_inputs_take_the_sweep(setup_112, which, monkeypatch):
+def test_uncertified_inputs_return_false_and_take_no_svd(setup_112, which, svd_calls):
+    # False means "no certificate", whatever the centralizer dimensions along
+    # x + lambda*a: a generic m_tilde element has no Hessenberg pattern in the
+    # anchored order
     X = _uncertified_inputs(setup_112)[which]
-    assert not hessenberg_certificate(setup_112, X)
-    swept = []
-    sweep = regular_pencil_sweep
-
-    def recording(*args):
-        swept.append(sweep(*args))
-        return swept[-1]
-    monkeypatch.setattr("suborbit.roots.regular_pencil_sweep", recording)
-    assert verify_regular_pencil(setup_112, X, n_lambda=10, seed=1) == swept[0]
-    assert len(swept) == 1
+    svd_calls.clear()
+    assert verify_regular_pencil(setup_112, X) is False
+    assert svd_calls == []
 
 
 def test_certificate_needs_an_anchored_permutation_and_a_diagonal_anchor(setup_112):
     # a tridiagonal x with nonzero subdiagonal, on a dominant setup
     st = build_setup((1, 3), (1.0, 2.0))
     chain = np.diag(np.ones(st.n - 1), -1) - np.diag(np.ones(st.n - 1), 1)
-    assert not hessenberg_certificate(st, chain.astype(complex))
+    assert not verify_regular_pencil(st, chain.astype(complex))
     # x_pi of (1,1,2) against an anchor with an off-diagonal entry
     xp = build_x_pi(root_split(setup_112)).matrix
     tilted = setup_112.a.matrix + 0.1 * chain
     st_tilted = dataclasses.replace(setup_112, a=LieElement.from_matrix(tilted))
-    assert hessenberg_certificate(setup_112, xp)
-    assert not hessenberg_certificate(st_tilted, xp)
+    assert verify_regular_pencil(setup_112, xp)
+    assert not verify_regular_pencil(st_tilted, xp)
+
+
+NON_DOMINANT_N6 = [m for m in NON_DOMINANT_N7 if sum(m) <= 6]
+
+
+@pytest.mark.parametrize("mult", NON_DOMINANT_N6,
+                         ids=[",".join(map(str, m)) for m in NON_DOMINANT_N6])
+def test_certificate_holds_on_the_template_class(mult, svd_calls):
+    # nonzero simple coefficients plus a positive transversal tail pass; one
+    # entry below the subdiagonal of the anchored order takes the pattern away
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    rd = root_split(st)
+    rng = np.random.default_rng([*mult, 47])
+    c = {r: complex(*rng.uniform(0.5, 2.0, 2) * rng.choice([-1, 1], 2))
+         for r in rd.pi}
+    pos_m = sorted(set(rd.delta_m) & _positive_roots(rd))
+    d = {r: complex(*rng.uniform(0.1, 1.0, 2)) for r in pos_m}
+    M = x_pi_template(rd, c, d)
+    svd_calls.clear()
+    assert verify_regular_pencil(st, M)
+    if st.n >= 3:
+        perm = rd.permutation
+        M[perm[2], perm[0]] = 0.5
+        assert not verify_regular_pencil(st, M)
+    assert svd_calls == []
