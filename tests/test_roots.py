@@ -176,7 +176,7 @@ def _uncertified_inputs(st):
 
 @pytest.mark.parametrize("which", ["zero", "x_pi plus an entry below the subdiagonal",
                                    "generic m_tilde element"])
-def test_uncertified_inputs_return_false_and_take_no_svd(setup_112, which, svd_calls):
+def test_uncertified_inputs_return_false(setup_112, which, svd_calls):
     # False means "no certificate", whatever the centralizer dimensions along
     # x + lambda*a: a generic m_tilde element has no Hessenberg pattern in the
     # anchored order
