@@ -179,12 +179,15 @@ def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
     The state is advanced in ambient coordinates; after each step the leakage
     out of the flow space is recorded and removed.  A leakage above
     ``ABORT_RESIDUAL`` aborts with the offending time, as does a state that
-    is not finite or whose norm exceeds 1e50.
+    is not finite or whose norm exceeds 1e50.  The first, the last and every
+    ``record_stride``-th state (a stride of at least 1) are recorded.
     """
     if dt <= 0:
         raise ValueError("step size must be positive")
     if steps < 1:
         raise ValueError("need at least one step")
+    if record_stride < 1:
+        raise ValueError(f"record stride must be at least 1, got {record_stride}")
     dom = spec.domain
     if not dom.contains(x0.coords, 1e-10):
         raise ValueError("initial state is not in the flow space")

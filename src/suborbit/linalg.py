@@ -152,7 +152,8 @@ class Subspace:
             )
         if B.shape[1] > 0:
             gram = B.conj().T @ B
-            if not np.allclose(gram, np.eye(B.shape[1]), atol=ORTHO_TOL):
+            # written so that a NaN entry fails the check
+            if not np.max(np.abs(gram - np.eye(B.shape[1]))) <= ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal")
         B = B.copy()
         B.setflags(write=False)

@@ -8,11 +8,12 @@ for which the isotropy action is Hamiltonian with the equivariant moment map
 
     mu(x) = (1/2) [ad_a^(-1)(x), x]_k   (isotropy-algebra component).
 
-The minimal centralizer dimension of mu over a subspace V computes the
-minimal dimension of m(x) intersected with ad_a^(-1) ad x (k) over V, which
-is the quantity that decides whether the singular-form kernel condition can
-hold on V.  Both routes are implemented; the moment route is the workhorse
-and the direct intersection provides spot cross-checks.
+The minimal centralizer defect of mu over a subspace V equals the minimal
+dimension of m(x) intersected with ad_a^(-1) ad x (k) over V, which is the
+kernel of the singular form on the slice m(x): the moment route computes it
+for every sample, and the first few are cross-checked against that kernel as
+``pencil.kronecker_test`` decides it.  Regular elements of the anti-fixed
+isotropy part are certified by one diagonal witness.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ import numpy as np
 
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
-from .lie import (LieElement, ad_in_basis, bracket, centralizer,  # noqa: F401
+from .lie import (LieElement, bracket, centralizer,  # noqa: F401
                   centralizer_dim, centralizer_dims, coords_to_matrix,
                   matrices_to_coords, project)
-from .linalg import Subspace, intersect, span
-from .generic import (GenericDims, in_R_mask, m_of_x, sample_coords,
-                      sample_element)
+from .linalg import Subspace
+from .generic import GenericDims, in_R_mask, sample_coords
 from .orbit import AlgebraPair, OrbitSetup, ad_a_inverse_apply
+from .pencil import SINGULAR, form_matrix, singular_kernel_dim
 
-# the first accepted samples of m_a_estimate checked against the direct route
+# the first accepted samples of m_a_estimate checked against the singular kernel
 _CROSS_CHECKS = 3
 
 
@@ -49,16 +50,13 @@ class MomentData:
         return self.pair.m
 
 
-def build_moment_data(setup: OrbitSetup, space: str = "m") -> MomentData:
-    """Moment-map data on m; validates that the inverted anchor form is skew."""
-    pair = setup.pair(space)
-    if pair.m is not setup.m:
-        raise ValueError(f"moment data are built only on m, got {pair.name}; ad a "
-                         "maps m_tilde onto m_prime, so it has no inverse on m_tilde")
+def build_moment_data(setup: OrbitSetup) -> MomentData:
+    """Moment-map data on m, the one space where ad a is invertible (it maps
+    m_tilde onto m_prime); validates that the inverted anchor form is skew."""
     beta = setup.ad_a_m_inv
     if np.max(np.abs(beta + beta.T)) > 1e-12 * max(1.0, np.max(np.abs(beta))):
         raise RuntimeError("the inverted anchor form is not skew")
-    return MomentData(setup, pair, beta)
+    return MomentData(setup, setup.pair("m"), beta)
 
 
 def beta_form(data: MomentData, y1: LieElement, y2: LieElement) -> float:
@@ -88,8 +86,9 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
     generic centralizer dimensions.  Only valid in the regime where the
     generic isotropy centralizer is the center of the algebra; other setups
     must be reduced first.  The moment values of all accepted samples are
-    computed as one stack; the first few accepted samples are cross-checked
-    against the direct intersection dim(m(x) ^ ad_a^(-1) ad x (k)).
+    computed as one stack; at the first few accepted samples the defect is
+    cross-checked against the kernel of the singular form on m(x), which is
+    m(x) ^ ad_a^(-1) ad x (k).
     """
     setup = data.setup
     dim_z = setup.z_of_g.dim
@@ -106,11 +105,12 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
     alphas = _moment_stack(data, C[:, accepted], xs[accepted])
     vals = centralizer_dims(alphas, data.pair.k, setup.rank_tol)[0] - dim_z
     for i, val in zip(accepted[:_CROSS_CHECKS], vals):
-        direct = _direct_intersection_dim(data, LieElement.from_coords(C[:, i], n))
-        if direct != val:
+        F_a = form_matrix(setup, LieElement.from_coords(C[:, i], n), SINGULAR)
+        kernel = singular_kernel_dim(setup, F_a)[0]
+        if kernel != val:
             raise RuntimeError(
-                f"moment route ({val}) disagrees with the direct "
-                f"intersection ({direct}) at a sampled point")
+                f"moment route ({val}) disagrees with the singular-form "
+                f"kernel ({kernel}) at a sampled point")
     return int(vals.min())
 
 
@@ -123,30 +123,12 @@ def _moment_stack(data: MomentData, C: np.ndarray, xs: np.ndarray) -> np.ndarray
     return coords_to_matrix(data.pair.k.project(half), n)
 
 
-def _direct_intersection_dim(data: MomentData, x: LieElement) -> int:
-    setup = data.setup
-    mx = m_of_x(setup, x, data.pair)
-    ad_x_k = ad_in_basis(x, data.pair.k)
-    W = span(ad_x_k, setup.ambient_dim, setup.rank_tol)
-    if W.dim == 0:
-        return intersect(mx, data.space, setup.rank_tol).dim
-    coeffs = data.space.coeffs(W.basis)
-    pulled = data.space.basis @ (data.ad_a_inv @ coeffs)
-    W_inv = span(pulled, setup.ambient_dim, setup.rank_tol)
-    return intersect(mx, W_inv, setup.rank_tol).dim
+def regular_in_kprime_test(setup: OrbitSetup) -> bool:
+    """Whether the anti-fixed part k' of the isotropy algebra contains regular elements.
 
-
-def regular_in_kprime_test(setup: OrbitSetup, samples: int = 25, seed: int = 0) -> bool:
-    """Whether the anti-fixed part of the isotropy algebra contains regular elements.
-
-    Samples the anti-fixed part and asks for the minimal centralizer dimension
-    inside the isotropy algebra to reach its rank, the sum n of the block sizes.
+    The witness xi = i*diag(1, ..., n) lies in k' for every partition, and it
+    is regular when its centralizer in k is the diagonal torus: dim k^xi = n.
     """
-    best = setup.k.dim
-    for i in range(samples):
-        rng = np.random.default_rng([seed, 47, i])
-        xi = sample_element(setup.k_prime, rng, setup.n)
-        best = min(best, centralizer_dim(xi, setup.k, setup.rank_tol)[0])
-        if best == setup.n:
-            return True
-    return best == setup.n
+    xi = LieElement.from_matrix(np.diag(1j * np.arange(1, setup.n + 1)))
+    return (setup.k_prime.contains(xi.coords, 1e-12)
+            and centralizer_dim(xi, setup.k, setup.rank_tol)[0] == setup.n)

@@ -99,6 +99,9 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
         raise ValueError("multiplicities and spectrum must have the same length")
     if any(m <= 0 for m in mult):
         raise ValueError("multiplicities must be positive integers")
+    bad = [s for s in spec if not np.isfinite(s)]
+    if bad:
+        raise ValueError(f"spectrum entries must be finite, got {bad}")
     if len(set(spec)) != len(spec):
         raise ValueError("spectrum entries must be pairwise distinct")
     n = sum(mult)

@@ -101,6 +101,12 @@ def genuine_eigenvalues(F_x: np.ndarray, F_a: np.ndarray, r: int,
     return int(np.count_nonzero(gaps <= _GENUINE_GAP)), float(gaps.min()), ambiguous
 
 
+def singular_kernel_dim(setup: OrbitSetup, F_a: np.ndarray) -> tuple[int, bool]:
+    """``(dim, ambiguous)`` of the kernel of the singular form ``F_a`` on m(x),
+    which is m(x) ^ ad_a^(-1) ad x (k), decided against the floor |a|_F."""
+    return kernel_dim(F_a, setup.rank_tol, floor=float(np.linalg.norm(setup.a.matrix)))
+
+
 @dataclass(frozen=True)
 class KroneckerVerdict:
     """Outcome of the pencil test at one point.
@@ -149,8 +155,7 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
     domain = m_of_x(setup, x, "m")
     F_x = form_matrix(setup, x, 0.0, "m", domain)
     F_a = form_matrix(setup, x, SINGULAR, "m", domain)
-    si_dim, ambiguous = kernel_dim(F_a, setup.rank_tol,
-                                   floor=float(np.linalg.norm(setup.a.matrix)))
+    si_dim, ambiguous = singular_kernel_dim(setup, F_a)
     singular_ok = si_dim == dims.r
     count, gap, gap_amb = 0, None, False
     rng = np.random.default_rng([seed, 23])

@@ -123,10 +123,10 @@ def test_criterion_05_moment_criterion_biconditional():
     for mult in direct:
         st = build_setup(mult, _spectrum(len(mult)))
         dims = estimate_generic_dims(st, "m", 25, seed=3)
-        data = build_moment_data(st, "m")
+        data = build_moment_data(st)
         val = m_a_estimate(data, st.m_tilde, dims, samples=20, seed=5)
         assert val == dims.r, mult
-        assert regular_in_kprime_test(st, samples=20, seed=5), mult
+        assert regular_in_kprime_test(st), mult
     for mult, eq in reduced.items():
         st = build_setup(mult, _spectrum(len(mult)))
         dm = estimate_generic_dims(st, "m", 25, seed=3)
@@ -137,9 +137,9 @@ def test_criterion_05_moment_criterion_biconditional():
         assert red.dims_m0.r == dm.r
         st_eq = build_setup(eq, _spectrum(len(eq)))
         dims_eq = estimate_generic_dims(st_eq, "m", 25, seed=3)
-        data_eq = build_moment_data(st_eq, "m")
+        data_eq = build_moment_data(st_eq)
         assert m_a_estimate(data_eq, st_eq.m_tilde, dims_eq, 20, seed=5) == dims_eq.r
-        assert regular_in_kprime_test(st_eq, samples=20, seed=5)
+        assert regular_in_kprime_test(st_eq)
         assert dims_eq.r == dm.r
     _ok(5, f"moment route equals the generic defect with regular antifixed "
            f"elements on {len(direct)} direct and {len(reduced)} reduced partitions")

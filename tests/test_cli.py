@@ -77,6 +77,25 @@ def test_verify_rank_tolerance_not_positive_exit_one(tol, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_rank_tolerance_failing_setup_checks_exit_one(capsys):
+    # positive and finite, but so large that k no longer reads as the
+    # centralizer of a: an input error naming the failed check
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                     "--tolerance-rank", "0.5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rank tolerance 0.5")
+    assert "k = centralizer of a" in err[0]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_spectrum_exit_one(value, capsys):
+    assert main(["verify", "--partition", "1,1,2", "--spectrum", f"1,2,{value}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: spectrum entries must be finite" in err and value in err
+
+
 def test_sweep_max_n_below_two_exit_one(tmp_path, capsys):
     out = tmp_path / "sweep.json"
     assert main(["sweep", "--max-n", "1", "--out", str(out)]) == 1
@@ -151,6 +170,13 @@ def test_flow_constant_for_equal_elements(tmp_path):
 def test_flow_bad_b_spectrum_exit_one():
     assert main(["flow", "--partition", "1,1,2", "--spectrum", "1,2,3",
                  "--b-spectrum", "1,3"]) == 1
+
+
+def test_flow_record_stride_below_one_exit_one(capsys):
+    assert main(["flow", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                 "--b-spectrum", "1,3,7", "--steps", "10",
+                 "--record-stride", "0"]) == 1
+    assert "error: record stride must be at least 1" in capsys.readouterr().err
 
 
 def test_flow_coarse_step_exit_three():

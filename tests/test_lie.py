@@ -209,6 +209,19 @@ def test_empty_and_full_subspaces():
     assert complement(F).dim == 0
 
 
+def test_subspace_rejects_column_norm_off_by_more_than_ortho_tol():
+    # a squared norm of 1 + 5e-6 lies within a relative 1e-5 of 1, far
+    # outside the absolute ORTHO_TOL = 1e-10 the check states
+    B = np.eye(4)[:, :2]
+    B[:, 0] *= np.sqrt(1 + 5e-6)
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(4, B)
+    B = np.eye(4)[:, :2]
+    B[0, 1] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(4, B)
+
+
 @pytest.mark.filterwarnings("ignore::suborbit.RankAmbiguityWarning")
 @settings(max_examples=30, deadline=None)
 @given(arrays(np.float64, (9, 3), elements=st.floats(-5, 5)),

@@ -3,43 +3,32 @@
 import numpy as np
 import pytest
 
-from suborbit import (LieElement, bracket, build_moment_data, build_setup,
-                      build_witness_x0, centralizer, conjugate, intersect,
+from suborbit import (SINGULAR, LieElement, bracket, build_moment_data,
+                      build_setup, build_witness_x0, centralizer, conjugate,
+                      estimate_generic_dims, form_matrix, intersect, is_in_R,
                       m_a_estimate, m_of_x, moment_beta, moment_differential,
-                      pairing, perturb_into_R, reduction_data,
                       regular_in_kprime_test, sample_element, span, unitary_exp)
 from suborbit import momentmap
 from suborbit.momentmap import beta_form
 from suborbit.orbit import ad_a_inverse_apply
 from suborbit.generic import sample_coords
 from suborbit.lie import ad_in_basis, coords_to_matrix
+from suborbit.pencil import singular_kernel_dim
 
 
 @pytest.fixture(scope="module")
 def data_112(setup_112):
-    return build_moment_data(setup_112, "m")
+    return build_moment_data(setup_112)
 
 
 def test_hand_value_u2():
     st = build_setup((1, 1), (1.0, 3.0))
-    data = build_moment_data(st, "m")
+    data = build_moment_data(st)
     x = LieElement.from_matrix(np.array([[0, 1], [-1, 0]], dtype=complex))
     inv = ad_a_inverse_apply(st, x)
     assert np.allclose(inv.matrix, np.array([[0, 1j], [1j, 0]]) / 2.0, atol=1e-12)
     mu = moment_beta(data, x)
     assert np.allclose(mu.matrix, np.diag([-1j, 1j]) / 2.0, atol=1e-12)
-
-
-def test_m_tilde_selector_refused(setup_112, setup_114, dims_114):
-    # ad a maps m_tilde onto m_prime, so there is nothing to invert on m_tilde;
-    # moment data are built on m alone, so the reduced m0 pair is refused too
-    x0, _ = build_witness_x0(setup_114, 0)
-    x0, _ = perturb_into_R(setup_114, x0, dims_114["m"], dims_114["m_tilde"], seed=1)
-    red = reduction_data(setup_114, x0, dims_114["m"], dims_114["m_tilde"], seed=2)
-    for st, space in ((setup_112, "m_tilde"), (setup_112, setup_112.pair("m_tilde")),
-                      (setup_114, red.pair("m0"))):
-        with pytest.raises(ValueError, match="m_prime"):
-            build_moment_data(st, space)
 
 
 def test_moment_of_zero(data_112):
@@ -136,6 +125,37 @@ def test_orbit_tangent_intersection_identity(data_112, setup_112, dims_112):
         assert lhs == rhs
 
 
+def _intersection_dim(st, x):
+    """dim(m(x) ^ ad_a^(-1) ad x (k)) from spans and an intersection, the
+    reference for the singular-form kernel that m_a_estimate cross-checks."""
+    mx = m_of_x(st, x, "m")
+    W = span(ad_in_basis(x, st.k), st.ambient_dim)
+    if W.dim == 0:
+        return mx.dim
+    pulled = st.m.basis @ (st.ad_a_m_inv @ st.m.coeffs(W.basis))
+    return intersect(mx, span(pulled, st.ambient_dim)).dim
+
+
+@pytest.mark.parametrize("mult", [(1, 1), (1, 1, 2), (1, 2, 3), (1, 1, 1, 1),
+                                  (1, 1, 4), (2, 2, 2), (1, 1, 1, 1, 2)])
+def test_singular_kernel_is_the_intersection(mult):
+    # the kernel of the singular form on m(x) is {y in m(x) : [a, y] in
+    # ad x (k)}; at generic points of m and of the fixed part its dimension
+    # is the intersection dimension the moment route stands for
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    dims = estimate_generic_dims(st, "m", 25, seed=3)
+    checked = 0
+    for space in (st.m, st.m_tilde):
+        for i in range(4):
+            x = sample_element(space, np.random.default_rng([90, i]), st.n)
+            if not is_in_R(st, x, "m", dims):
+                continue
+            kernel = singular_kernel_dim(st, form_matrix(st, x, SINGULAR))[0]
+            assert kernel == _intersection_dim(st, x)
+            checked += 1
+    assert checked >= 4
+
+
 def test_m_a_values(data_112, setup_112, dims_112):
     st = setup_112
     assert m_a_estimate(data_112, st.m, dims_112["m"], samples=20, seed=5) == 3
@@ -146,9 +166,8 @@ def test_m_a_regime_guard():
     # two equal blocks: the generic isotropy centralizer is a torus, not the
     # center, so the moment route must refuse
     st = build_setup((2, 2), (1.0, 2.0))
-    from suborbit import estimate_generic_dims
     dims = estimate_generic_dims(st, "m", 25, seed=3)
-    data = build_moment_data(st, "m")
+    data = build_moment_data(st)
     with pytest.raises(ValueError, match="reduce"):
         m_a_estimate(data, st.m_tilde, dims, samples=10, seed=1)
 
@@ -157,7 +176,7 @@ def test_regular_elements_in_antifixed_isotropy_part():
     for mult in [(1, 1, 2), (1, 2), (2, 2), (1, 1, 4)]:
         spectrum = tuple(float(j + 1) for j in range(len(mult)))
         st = build_setup(mult, spectrum)
-        assert regular_in_kprime_test(st, samples=20, seed=7)
+        assert regular_in_kprime_test(st)
 
 
 def test_regular_elements_single_block():
@@ -165,7 +184,12 @@ def test_regular_elements_single_block():
     # imaginary symmetric matrices still contain regular elements
     st = build_setup((4,), (1.0,))
     assert st.m.dim == 0
-    assert regular_in_kprime_test(st, samples=20, seed=7)
+    assert regular_in_kprime_test(st)
+
+
+def test_regular_element_test_takes_one_svd(svd_calls, setup_112):
+    assert regular_in_kprime_test(setup_112)
+    assert len(svd_calls) == 1
 
 
 def test_regular_witness_blockwise_diagonal(setup_112):
