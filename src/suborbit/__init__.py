@@ -3,22 +3,20 @@ unitary adjoint orbits."""
 
 __version__ = "0.1.0"
 
-from .linalg import (RANK_RTOL, RankAmbiguityWarning, Subspace, complement,
-                     equal_spaces, full_space, intersect, span, subspace_residual,
-                     sum_spaces)
-from .lie import (LieElement, bracket, centralizer, centralizer_dim, conjugate,
-                  pairing, project, sigma, subalgebra_center, unitary_exp)
+from .linalg import (RANK_RTOL, RankAmbiguityWarning, Subspace, equal_spaces,
+                     full_space, intersect, subspace_residual)
+from .lie import (LieElement, bracket, centralizer, centralizer_dim, pairing,
+                  project, sigma, subalgebra_center)
 from .orbit import (AlgebraPair, OrbitSetup, WitnessReport, block_scalar,
                     build_setup, build_witness_x0)
 from .generic import (GenericDims, ReducedSetup, estimate_generic_dims, is_in_R,
                       m_of_x, perturb_into_R, reduction_data, sample_element)
 from .invariants import (IntegralFamily, Member, build_family, completeness_check,
-                         gradient, involutivity_suite, member_values,
-                         poisson_bracket_can, shifted_invariant_eval)
+                         gradient, involutivity_suite, member_values)
 from .pencil import (SINGULAR, KroneckerVerdict, PencilReport, form_matrix,
                      kronecker_test, pencil_isotropy_check)
-from .momentmap import (MomentData, build_moment_data, m_a_estimate, moment_beta,
-                        moment_differential, regular_in_kprime_test)
+from .momentmap import (MomentData, build_moment_data, m_a_estimate,
+                        regular_in_kprime_test)
 from .roots import (RootDatum, anchored_permutation, build_x_pi, root_split,
                     verify_regular_pencil)
 from .flows import (FlowDivergenceError, FlowSpec, Trajectory, build_flow,
@@ -28,21 +26,20 @@ from .bridge import CONFIRMED, INCONCLUSIVE, REDUCED, VerificationCase, run_case
 
 __all__ = [
     "__version__",
-    "RANK_RTOL", "RankAmbiguityWarning", "Subspace", "complement", "equal_spaces",
-    "full_space", "intersect", "span", "subspace_residual", "sum_spaces",
-    "LieElement", "bracket", "centralizer", "centralizer_dim", "conjugate",
-    "pairing", "project", "sigma", "subalgebra_center", "unitary_exp",
+    "RANK_RTOL", "RankAmbiguityWarning", "Subspace", "equal_spaces",
+    "full_space", "intersect", "subspace_residual",
+    "LieElement", "bracket", "centralizer", "centralizer_dim",
+    "pairing", "project", "sigma", "subalgebra_center",
     "AlgebraPair", "OrbitSetup", "WitnessReport", "block_scalar", "build_setup",
     "build_witness_x0",
     "GenericDims", "ReducedSetup", "estimate_generic_dims", "is_in_R", "m_of_x",
     "perturb_into_R", "reduction_data", "sample_element",
     "IntegralFamily", "Member", "build_family", "completeness_check", "gradient",
-    "involutivity_suite", "member_values", "poisson_bracket_can",
-    "shifted_invariant_eval",
+    "involutivity_suite", "member_values",
     "SINGULAR", "KroneckerVerdict", "PencilReport", "form_matrix",
     "kronecker_test", "pencil_isotropy_check",
-    "MomentData", "build_moment_data", "m_a_estimate", "moment_beta",
-    "moment_differential", "regular_in_kprime_test",
+    "MomentData", "build_moment_data", "m_a_estimate",
+    "regular_in_kprime_test",
     "RootDatum", "anchored_permutation", "build_x_pi", "root_split",
     "verify_regular_pencil",
     "FlowDivergenceError", "FlowSpec", "Trajectory", "build_flow",

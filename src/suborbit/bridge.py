@@ -21,7 +21,7 @@ Decision tree, driven by the multiset structure of the partition:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class VerificationCase:
     n: int
     p: int
     dims_m: GenericDims | None = None
-    dims_mt: GenericDims | None = None
+    dims_m_tilde: GenericDims | None = None
     witness: dict | None = None
     x_pi_coords: list | None = None
     x_pi_regular: bool | None = None
@@ -63,9 +63,8 @@ class VerificationCase:
     regular_kprime: bool | None = None
     kronecker: dict | None = None
     okr_witness_coords: list | None = None
-    flow_probe: dict | None = None
     completeness_m: dict | None = None
-    completeness_mt: dict | None = None
+    completeness_m_tilde: dict | None = None
     involutivity_residual: float | None = None
     reduction: dict | None = None
     inner_case: "VerificationCase | None" = None
@@ -73,30 +72,18 @@ class VerificationCase:
     conclusion: str = INCONCLUSIVE
 
     def to_dict(self) -> dict:
-        return {
-            "multiplicities": list(self.multiplicities),
-            "spectrum": list(self.spectrum),
-            "seed": self.seed,
-            "n": self.n,
-            "p": self.p,
-            "dims_m": None if self.dims_m is None else asdict(self.dims_m),
-            "dims_m_tilde": None if self.dims_mt is None else asdict(self.dims_mt),
-            "witness": self.witness,
-            "x_pi_coords": self.x_pi_coords,
-            "x_pi_regular": self.x_pi_regular,
-            "m_a_value": self.m_a_value,
-            "regular_kprime": self.regular_kprime,
-            "kronecker": self.kronecker,
-            "okr_witness_coords": self.okr_witness_coords,
-            "flow_probe": self.flow_probe,
-            "completeness_m": self.completeness_m,
-            "completeness_m_tilde": self.completeness_mt,
-            "involutivity_residual": self.involutivity_residual,
-            "reduction": self.reduction,
-            "inner_case": self.inner_case.to_dict() if self.inner_case else None,
-            "notes": list(self.notes),
-            "conclusion": self.conclusion,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(v):
+    """A report value as JSON-ready lists and dicts; nested reports recurse."""
+    if isinstance(v, (tuple, list)):
+        return list(v)
+    if isinstance(v, GenericDims):
+        return asdict(v)
+    if isinstance(v, VerificationCase):
+        return v.to_dict()
+    return v
 
 
 def _canonicalize(multiplicities, spectrum):
@@ -106,7 +93,7 @@ def _canonicalize(multiplicities, spectrum):
     return mult, spec
 
 
-def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
+def run_case(multiplicities, spectrum, seed: int = 0,
              dim_samples: int = 25, rank_tol: float | None = None,
              _depth: int = 0) -> VerificationCase:
     """Run the full decision tree for one partition and spectrum.
@@ -120,7 +107,7 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
     Replacing a by alpha*a + beta*iI (alpha > 0) changes neither k, nor the
     orbit, nor the span of the shifted family, so the verdict is decided on
     the spectrum mapped affinely onto [-1, 1]; the report keeps the input
-    spectrum, and the flow probe runs at the input scale.
+    spectrum.
 
     ``dim_samples`` sizes the generic-dimension estimates and must be at
     least 10.
@@ -151,10 +138,6 @@ def run_case(multiplicities, spectrum, b_spectrum=None, seed: int = 0,
         # is a numerical-state failure of the verification itself
         case.conclusion = INCONCLUSIVE
         case.notes.append(f"verification aborted: {exc}")
-        return case
-    if b_spectrum is not None and case.okr_witness_coords is not None:
-        case.flow_probe = _flow_probe(build_setup(mult, spec, **tol), b_spectrum,
-                                      case)
     return case
 
 
@@ -172,25 +155,12 @@ def _centred(spectrum) -> tuple:
     return tuple(float(v) for v in (s - mid) / half)
 
 
-def _flow_probe(setup, b_spectrum, case: VerificationCase) -> dict:
-    """Flow operator spectrum plus a one-point shifted-bracket check."""
-    from .flows import build_flow, hamiltonian, lax_residual, phi_spectrum
-    spec = build_flow(setup, b_spectrum, "m_tilde")
-    x = LieElement.from_coords(np.asarray(case.okr_witness_coords), setup.n)
-    return {
-        "b_spectrum": [float(v) for v in b_spectrum],
-        "phi_spectrum": phi_spectrum(spec).tolist(),
-        "energy_at_witness": hamiltonian(spec, x),
-        "lax_residual_at_witness": lax_residual(spec, x, 0.5 + 0.5j),
-    }
-
-
 def _run_decision_tree(setup, case: VerificationCase, seed,
                        dim_samples: int, rank_tol, _depth: int):
     mult, spec = case.multiplicities, case.spectrum
     dims_m = estimate_generic_dims(setup, "m", dim_samples, seed)
     dims_mt = estimate_generic_dims(setup, "m_tilde", dim_samples, seed)
-    case.dims_m, case.dims_mt = dims_m, dims_mt
+    case.dims_m, case.dims_m_tilde = dims_m, dims_mt
     if not (dims_m.stabilized and dims_mt.stabilized):
         case.notes.append("generic dimension estimates did not stabilize")
         return
@@ -239,7 +209,7 @@ def _run_decision_tree(setup, case: VerificationCase, seed,
     if not all(red.checks.values()):
         case.notes.append("reduction consistency checks failed")
         return
-    inner = run_case(list(mult[:-1]) + [n1], spec, None, seed, dim_samples,
+    inner = run_case(list(mult[:-1]) + [n1], spec, seed, dim_samples,
                      rank_tol, _depth + 1)
     case.inner_case = inner
     if inner.conclusion == CONFIRMED:
@@ -267,7 +237,7 @@ def _direct_verification(setup, case: VerificationCase, seed: int,
                          run_moment: bool, run_x_pi: bool):
     """Direct route: witness, moment criterion, nilpotent witness, sampled
     Kronecker point, completeness at that point."""
-    dims_m, dims_mt = case.dims_m, case.dims_mt
+    dims_m, dims_mt = case.dims_m, case.dims_m_tilde
 
     x0, wrep = build_witness_x0(setup, seed)
     case.witness = _witness_dict(x0, wrep)
@@ -308,7 +278,7 @@ def _direct_verification(setup, case: VerificationCase, seed: int,
     rep_t = completeness_check(setup, fam_t, GenericPoint(okr_point, "m_tilde"),
                                dims_mt)
     rep_m = completeness_check(setup, fam_m, verdict.point, dims_m)
-    case.completeness_mt = asdict(rep_t)
+    case.completeness_m_tilde = asdict(rep_t)
     case.completeness_m = asdict(rep_m)
     case.involutivity_residual = involutivity_suite(fam_t, n_points=10, seed=seed)
 

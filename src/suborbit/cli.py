@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -78,15 +79,11 @@ def _parse_list(text: str, what: str, kind) -> list:
 
 
 def cmd_verify(args) -> int:
-    try:
-        partition = _parse_list(args.partition, "partition", int)
-        spectrum = _parse_list(args.spectrum, "spectrum", float)
-        t0 = time.perf_counter()
-        case = run_case(partition, spectrum, seed=args.seed,
-                        dim_samples=args.samples, rank_tol=args.tolerance_rank)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    partition = _parse_list(args.partition, "partition", int)
+    spectrum = _parse_list(args.spectrum, "spectrum", float)
+    t0 = time.perf_counter()
+    case = run_case(partition, spectrum, seed=args.seed,
+                    dim_samples=args.samples, rank_tol=args.tolerance_rank)
     elapsed = time.perf_counter() - t0
     doc = {
         "tool": {"name": "suborbit", "version": __version__},
@@ -109,23 +106,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    try:
-        partition = _parse_list(args.partition, "partition", int)
-        spectrum = _parse_list(args.spectrum, "spectrum", float)
-        b_values = _parse_list(args.b_spectrum, "b-spectrum", float)
-        if len(b_values) != len(partition):
-            raise ValueError(
-                f"b-spectrum has {len(b_values)} entries for {len(partition)} blocks")
-        setup = build_setup(partition, spectrum)
-        spec = build_flow(setup, b_values, args.space)
-        family = build_family(setup, args.space)
-        rng = np.random.default_rng([args.seed, 61])
-        c0 = spec.domain.basis @ rng.standard_normal(spec.domain.dim)
-        c0 *= args.x0_norm / max(np.linalg.norm(c0), 1e-300)
-        x0 = LieElement.from_coords(c0, setup.n)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    partition = _parse_list(args.partition, "partition", int)
+    spectrum = _parse_list(args.spectrum, "spectrum", float)
+    b_values = _parse_list(args.b_spectrum, "b-spectrum", float)
+    if len(b_values) != len(partition):
+        raise ValueError(
+            f"b-spectrum has {len(b_values)} entries for {len(partition)} blocks")
+    setup = build_setup(partition, spectrum)
+    spec = build_flow(setup, b_values, args.space)
+    family = build_family(setup, args.space)
+    rng = np.random.default_rng([args.seed, 61])
+    c0 = spec.domain.basis @ rng.standard_normal(spec.domain.dim)
+    c0 *= args.x0_norm / max(np.linalg.norm(c0), 1e-300)
+    x0 = LieElement.from_coords(c0, setup.n)
 
     t0 = time.perf_counter()
     try:
@@ -286,11 +279,19 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("error: seed must be non-negative", file=sys.stderr)
         return 1
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    # warnings that pass the active filters are printed as one line per
+    # distinct message, ahead of any error line
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except (ValueError, OSError) as e:
+            code, error = 1, f"error: {e}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

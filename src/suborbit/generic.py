@@ -191,13 +191,6 @@ class ReducedSetup:
     r_m: int
     checks: dict
 
-    def pair(self, space) -> AlgebraPair:
-        if space == "m0":
-            return AlgebraPair("m0", self.g0, self.k0, self.m0)
-        if space == "m0_tilde":
-            return AlgebraPair("m0_tilde", self.g0_tilde, self.k0_tilde, self.m0_tilde)
-        raise ValueError(f"unknown reduced space selector {space!r}")
-
 
 # points sampled for each generic estimate and for the anchor consistency checks
 _REDUCTION_SAMPLES = 12

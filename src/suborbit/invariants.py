@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import (LieElement, bracket, bracket_form, coords_to_matrix,
-                  matrices_to_coords, pairing)
+from .lie import LieElement, bracket_form, coords_to_matrix, matrices_to_coords
 from .linalg import Subspace, orthonormal_columns, subspace_residual
 from .generic import GenericDims, GenericPoint, is_in_R, m_of_x, sample_coords
 from .orbit import AlgebraPair, OrbitSetup
@@ -69,30 +68,15 @@ def _shift_coeff_powers(x_mat: np.ndarray, a_mat: np.ndarray, k_max: int):
         yield coeffs
 
 
-def shift_coeff_matrices(x_mat: np.ndarray, a_mat: np.ndarray, k: int) -> list:
-    """Matrix coefficients of (x + t*a)^k as a polynomial in t, degree 0..k."""
-    for coeffs in _shift_coeff_powers(x_mat, a_mat, k):
-        pass
-    return coeffs
-
-
 def _real_part(k: int, z: complex) -> float:
     return float(z.real if k % 2 == 0 else z.imag)
-
-
-def shifted_invariant_eval(family: IntegralFamily, member: Member,
-                           x: LieElement) -> float:
-    """Value of the shift coefficient (k, s) at x."""
-    C = shift_coeff_matrices(x.matrix, family.setup.a.matrix, member.k)
-    return _real_part(member.k, complex(np.trace(C[member.s])))
 
 
 def member_values(family: IntegralFamily, x: LieElement) -> np.ndarray:
     """Values of all members at x, in the order of ``family.members``.
 
     One shift recursion up to the largest power serves every member: its
-    state after k steps is what ``shift_coeff_matrices`` returns for power k,
-    so each value equals ``shifted_invariant_eval`` bit for bit.
+    state after k steps holds the matrix coefficients of (x + t*a)^k.
     """
     members = family.members
     vals = np.zeros(len(members))
@@ -171,23 +155,7 @@ def build_family(setup: OrbitSetup, space) -> IntegralFamily:
                           tuple(m for m in candidates if vanishes(m.k, m.s)))
 
 
-def as_gradient_fn(family: IntegralFamily, f):
-    """Normalize a Member or a callable x -> LieElement to a gradient provider."""
-    if isinstance(f, Member):
-        return lambda x: gradient(family, f, x)
-    if callable(f):
-        return f
-    raise TypeError(f"expected a Member or a gradient callable, got {type(f)!r}")
-
-
-def poisson_bracket_can(family: IntegralFamily, f, g, x: LieElement) -> float:
-    """Canonical fiberwise bracket -<x, [grad f, grad g]> with gradients in the space."""
-    gf = as_gradient_fn(family, f)(x)
-    gg = as_gradient_fn(family, g)(x)
-    return -pairing(x, bracket(gf, gg))
-
-
-def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
+def involutivity_suite(family: IntegralFamily, n_points: int = 100,
                        seed: int = 0) -> float:
     """Largest scaled pairwise bracket residual over random points of the space.
 
@@ -195,21 +163,16 @@ def involutivity_suite(family: IntegralFamily, extra=None, n_points: int = 100,
     gradient norms (floored at one), which makes the verdict insensitive to
     the overall scale of the family members.  The points are drawn as one
     coordinate array and every member gradient at all of them comes from one
-    shift recursion over their (P, n, n) stack; only ``extra`` sees one
-    ``LieElement`` per point.
+    shift recursion over their (P, n, n) stack.
     """
     if n_points < 1:
         raise ValueError("need at least one sample point")
-    extra_fn = None if extra is None else as_gradient_fn(family, extra)
-    if not family.members and extra_fn is None:
+    if not family.members:
         return 0.0
     n = family.setup.n
     C = sample_coords(family.domain, seed, 11, n_points)
     xs = coords_to_matrix(C, n)
     G = _member_gradients(family, xs)
-    if extra_fn is not None:
-        extra_G = [extra_fn(LieElement.from_coords(c, n)).coords for c in C.T]
-        G = np.concatenate([G, np.stack(extra_G, axis=1)[:, :, None]], axis=2)
     # {f, g}(x) = -<x, [grad f, grad g]> = Re tr(x [grad f, grad g])
     vals = np.abs(bracket_form(xs, coords_to_matrix(G, n)).real)
     norms = np.linalg.norm(G, axis=0)

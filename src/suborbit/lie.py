@@ -20,13 +20,14 @@ and ``matrices_to_coords`` reads the results back as columns.
 ``bracket_form`` gives tr(w [Y_i, Y_j]) as G - G^T from the one Gram matrix
 G_ij = tr(w Y_i Y_j), instead of one commutator per pair.
 
-``centralizer`` and ``stacked_centralizer`` return a basis of the centralizer
-as a ``Subspace``.  ``centralizer_dims`` decides the centralizer dimension
-and ambiguity flag of every matrix of a (S, n, n) stack in one call, without
-a basis: on the whole u(n), and on so(n) for real x, from one stacked
-``eigvalsh`` of -i x (ad x is normal in these coordinates); elsewhere from
-one stacked SVD of the adjoint matrices, and decides every row with one
-``linalg.numeric_ranks`` call.  ``centralizer_dim`` is its one-matrix case.
+``stacked_centralizer`` returns a basis of the common centralizer of its
+generators as a ``Subspace``; ``centralizer`` is its one-generator case.
+``centralizer_dims`` decides the centralizer dimension and ambiguity flag of
+every matrix of a (S, n, n) stack in one call, without a basis: on the whole
+u(n), and on so(n) for real x, from one stacked ``eigvalsh`` of -i x (ad x is
+normal in these coordinates); elsewhere from one stacked SVD of the adjoint
+matrices, and decides every row with one ``linalg.numeric_ranks`` call.
+``centralizer_dim`` is its one-matrix case.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def project(X: LieElement, S: Subspace) -> LieElement:
     return LieElement.from_coords(S.project(X.coords), X.n)
 
 
-def _as_matrix(x, n: int | None = None) -> np.ndarray:
+def _as_matrix(x) -> np.ndarray:
     if isinstance(x, LieElement):
         return x.matrix
     M = np.asarray(x, dtype=complex)
@@ -264,13 +265,7 @@ def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     ``within`` is complexified, the kernel is taken over C, which computes
     the complexified centralizer.
     """
-    W = _as_matrix(x)
-    A = ad_in_basis(W, within)
-    if np.iscomplexobj(A) and not within.is_complex:
-        within = within.complexify()
-    K, amb = kernel_basis(A, rtol, floor=float(np.linalg.norm(W)))
-    return Subspace(within.ambient_dim, within.basis @ K,
-                    ambiguous=amb or within.ambiguous)
+    return stacked_centralizer([x], within, rtol)
 
 
 def _spectral_singular_values(mats: np.ndarray, within: Subspace):
@@ -334,7 +329,7 @@ def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -
     if not mats:
         return within
     mats = np.stack(mats)
-    A = _ad_stack(mats, within).reshape(-1, within.dim)
+    A = _ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
     floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
     K, amb = kernel_basis(A, rtol, floor=floor)
     return Subspace(within.ambient_dim, within.basis @ K,
@@ -367,15 +362,3 @@ def bracket_closure_residual(S: Subspace) -> float:
     """How far [S, S] leaves S; zero for subalgebras."""
     C = _pairwise_brackets(S)
     return float(np.max(np.linalg.norm(C - S.project(C), axis=0), initial=0.0))
-
-
-def unitary_exp(X: LieElement) -> np.ndarray:
-    """Group element exp(X) in U(n), via the spectral decomposition of -iX."""
-    H = -1j * X.matrix
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * w)) @ V.conj().T
-
-
-def conjugate(U: np.ndarray, X: LieElement) -> LieElement:
-    """Adjoint action of a unitary group element: X -> U X U*."""
-    return LieElement.from_matrix(U @ X.matrix @ U.conj().T)

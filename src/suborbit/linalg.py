@@ -177,24 +177,9 @@ class Subspace:
         scale = max(1.0, float(np.linalg.norm(v)))
         return float(np.linalg.norm(v - self.project(v))) <= tol * scale
 
-    def complexify(self) -> "Subspace":
-        return Subspace(self.ambient_dim, self.basis.astype(complex), self.ambiguous)
-
 
 def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim))
-
-
-def span(vectors: np.ndarray, ambient_dim: int | None = None,
-         rtol: float = RANK_RTOL) -> Subspace:
-    """Subspace spanned by the columns of ``vectors``."""
-    V = np.asarray(vectors)
-    if V.ndim == 1:
-        V = V.reshape(-1, 1)
-    if ambient_dim is None:
-        ambient_dim = V.shape[0]
-    Q, amb = orthonormal_columns(V, rtol)
-    return Subspace(ambient_dim, Q, amb)
 
 
 def intersect(S: Subspace, T: Subspace, rtol: float = RANK_RTOL) -> Subspace:
@@ -210,29 +195,6 @@ def intersect(S: Subspace, T: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     vecs = S.basis @ K[: S.dim]
     Q, amb2 = orthonormal_columns(vecs, rtol)
     return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb or amb2)
-
-
-def complement(S: Subspace, within: Subspace | None = None,
-               rtol: float = RANK_RTOL) -> Subspace:
-    """Orthogonal complement of ``S``, inside ``within`` or inside the ambient space."""
-    if within is None:
-        if S.dim == 0:
-            return full_space(S.ambient_dim)
-        K, amb = kernel_basis(S.basis.conj().T, rtol)
-        return Subspace(S.ambient_dim, K, S.ambiguous or amb)
-    if S.ambient_dim != within.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    overlap = S.basis.conj().T @ within.basis
-    K, amb = kernel_basis(overlap, rtol)
-    return Subspace(S.ambient_dim, within.basis @ K,
-                    S.ambiguous or within.ambiguous or amb)
-
-
-def sum_spaces(S: Subspace, T: Subspace, rtol: float = RANK_RTOL) -> Subspace:
-    if S.ambient_dim != T.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    Q, amb = orthonormal_columns(np.hstack([S.basis, T.basis]), rtol)
-    return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb)
 
 
 def subspace_residual(S: Subspace, T: Subspace) -> float:

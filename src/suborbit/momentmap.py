@@ -24,12 +24,12 @@ import numpy as np
 
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
-from .lie import (LieElement, bracket, centralizer,  # noqa: F401
+from .lie import (LieElement, centralizer,  # noqa: F401
                   centralizer_dim, centralizer_dims, coords_to_matrix,
-                  matrices_to_coords, project)
+                  matrices_to_coords)
 from .linalg import Subspace
 from .generic import GenericDims, in_R_mask, sample_coords
-from .orbit import AlgebraPair, OrbitSetup, ad_a_inverse_apply
+from .orbit import AlgebraPair, OrbitSetup
 from .pencil import SINGULAR, form_matrix, singular_kernel_dim
 
 # the first accepted samples of m_a_estimate checked against the singular kernel
@@ -57,25 +57,6 @@ def build_moment_data(setup: OrbitSetup) -> MomentData:
     if np.max(np.abs(beta + beta.T)) > 1e-12 * max(1.0, np.max(np.abs(beta))):
         raise RuntimeError("the inverted anchor form is not skew")
     return MomentData(setup, setup.pair("m"), beta)
-
-
-def beta_form(data: MomentData, y1: LieElement, y2: LieElement) -> float:
-    c1 = data.space.coeffs(y1.coords)
-    c2 = data.space.coeffs(y2.coords)
-    return float(c1 @ (data.ad_a_inv @ c2))
-
-
-def moment_beta(data: MomentData, x: LieElement) -> LieElement:
-    """Quadratic moment map value (1/2) [ad_a^(-1) x, x] projected to the isotropy algebra."""
-    half = 0.5 * bracket(ad_a_inverse_apply(data.setup, x), x)
-    return project(half, data.pair.k)
-
-
-def moment_differential(data: MomentData, x0: LieElement, y: LieElement) -> LieElement:
-    """Exact differential of the quadratic moment map at x0 applied to y."""
-    t1 = bracket(ad_a_inverse_apply(data.setup, x0), y)
-    t2 = bracket(ad_a_inverse_apply(data.setup, y), x0)
-    return project(0.5 * (t1 + t2), data.pair.k)
 
 
 def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
@@ -115,8 +96,8 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
 
 
 def _moment_stack(data: MomentData, C: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """``moment_beta`` of every point as a (S, n, n) stack, from the coordinate
-    columns ``C`` (N, S) of the points and their matrices ``xs`` (S, n, n)."""
+    """The moment values (1/2) [ad_a^(-1) x, x]_k of the points as a (S, n, n)
+    stack, from their coordinate columns ``C`` (N, S) and matrices ``xs``."""
     space, n = data.space, data.setup.n
     ys = coords_to_matrix(space.basis @ (data.ad_a_inv @ space.coeffs(C)), n)
     half = 0.5 * matrices_to_coords(ys @ xs - xs @ ys).real

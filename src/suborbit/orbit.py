@@ -187,12 +187,6 @@ def _validate_setup(st: OrbitSetup):
         raise RuntimeError(f"orbit setup self-checks failed: {failed}")
 
 
-def ad_a_inverse_apply(setup: OrbitSetup, x: LieElement) -> LieElement:
-    """(ad a|_m)^(-1) applied to an element of m."""
-    c = setup.m.coeffs(x.coords)
-    return LieElement.from_coords(setup.m.basis @ (setup.ad_a_m_inv @ c), setup.n)
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     """Construction record for the minimal-isotropy witness."""

@@ -122,38 +122,6 @@ def build_x_pi(datum: RootDatum, scales=None) -> LieElement:
     return LieElement.from_matrix(M)
 
 
-def x_pi_template(datum: RootDatum, c_alpha: dict, d_beta: dict) -> np.ndarray:
-    """General complex witness: principal-nilpotent part plus positive-root tail.
-
-    c_alpha maps simple roots to nonzero coefficients of the opposite
-    generators; d_beta maps positive transversal roots to tail coefficients.
-    Returns a plain complex matrix (not an algebra element in general).
-    """
-    if datum.pi is None:
-        raise ValueError("no simple system available; the dominance condition failed")
-    if set(c_alpha) != set(datum.pi):
-        raise ValueError("coefficients must cover exactly the simple system")
-    if any(c == 0 for c in c_alpha.values()):
-        raise ValueError("principal-nilpotent coefficients must be nonzero")
-    pos = _positive_roots(datum)
-    pos_m = {r for r in pos if r in set(datum.delta_m)}
-    M = np.zeros((datum.n, datum.n), dtype=complex)
-    for (j, k), c in c_alpha.items():
-        M[k, j] += c
-    for root, dcoef in d_beta.items():
-        if root not in pos_m:
-            raise ValueError(f"{root} is not a positive transversal root")
-        M[root[0], root[1]] += dcoef
-    return M
-
-
-def _positive_roots(datum: RootDatum):
-    """Positive roots for the simple system induced by the anchored permutation."""
-    perm = datum.permutation
-    position = {idx: t for t, idx in enumerate(perm)}
-    return {(j, k) for (j, k) in datum.roots if position[j] < position[k]}
-
-
 def verify_regular_pencil(setup: OrbitSetup, x) -> bool:
     """Whether x + lambda*a is certified nonderogatory for every lambda in C.
 

@@ -188,7 +188,7 @@ def test_criterion_07_reduction(setup_114, dims_114):
     # the reduced case is the flagship partition, which criteria 2 to 4 cover
     # directly; its own run must confirm with a complete fixed-part span
     assert inner.conclusion == CONFIRMED
-    assert inner.completeness_mt["span_dim"] == 3
+    assert inner.completeness_m_tilde["span_dim"] == 3
     assert inner.kronecker["kronecker"]
     _ok(7, "dominant-block case reduces to the flagship partition and confirms")
 

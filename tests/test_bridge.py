@@ -9,9 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from suborbit import (CONFIRMED, INCONCLUSIVE, REDUCED,
-                      LieElement, RankAmbiguityWarning, bridge, build_flow,
-                      build_setup, generic, hamiltonian, run_case)
+from suborbit import (CONFIRMED, INCONCLUSIVE, REDUCED, RankAmbiguityWarning,
+                      bridge, generic, run_case)
 from suborbit.cli import _partitions
 
 
@@ -22,8 +21,8 @@ def test_direct_case_112():
     assert case.regular_kprime is True
     assert case.x_pi_regular is True
     assert case.kronecker["kronecker"] is True
-    assert case.completeness_mt["complete"] is True
-    assert case.completeness_mt["span_dim"] == 3
+    assert case.completeness_m_tilde["complete"] is True
+    assert case.completeness_m_tilde["span_dim"] == 3
     assert case.completeness_m["span_dim"] == 4
     assert case.okr_witness_coords is not None
 
@@ -218,14 +217,6 @@ def test_rank_eight_cases_confirm_without_ambiguity(mult, seed):
     assert not [w for w in caught if w.category is RankAmbiguityWarning]
 
 
-def test_flow_probe_runs_at_the_input_scale():
-    spectrum, b = (10.0, 20.0, 30.0), (1.0, 3.0, 7.0)
-    case = run_case((1, 1, 2), spectrum, b_spectrum=b, seed=42)
-    x = LieElement.from_coords(np.asarray(case.okr_witness_coords), 4)
-    flow = build_flow(build_setup((1, 1, 2), spectrum), b, "m_tilde")
-    assert case.flow_probe["energy_at_witness"] == pytest.approx(hamiltonian(flow, x))
-
-
 def _count_decisions(monkeypatch) -> Counter:
     """Decisions per point: ``m_of_x`` per (point, space), through every
     suborbit module that holds it, and per (point, algebra) the centralizer
@@ -283,7 +274,7 @@ def test_incomplete_span_on_m_is_inconclusive(monkeypatch):
     monkeypatch.setattr(bridge, "completeness_check", incomplete_on_m)
     case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
     assert case.completeness_m["complete"] is False
-    assert case.completeness_mt["complete"] is True
+    assert case.completeness_m_tilde["complete"] is True
     assert case.conclusion == INCONCLUSIVE
     assert case.notes == ["completeness failed on m: span_dim 4, target_dim 4, "
                           "isotropy_residual "

@@ -4,7 +4,6 @@ import json
 import os
 import warnings
 
-import numpy as np
 import pytest
 
 from suborbit.cli import main
@@ -89,6 +88,22 @@ def test_verify_rank_tolerance_failing_setup_checks_exit_one(capsys):
     assert "k = centralizer of a" in err[0]
 
 
+def test_cli_prints_each_warning_as_one_line(capsys):
+    # under the default filter the rank warning reaches stderr as one
+    # "warning:" line, without a source path or code line, before the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                     "--tolerance-rank", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert ".py:" not in err
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == ("warning: singular value within a decade of the rank "
+                        "cutoff, dimension verdict is fragile")
+    assert lines[1].startswith("error: rank tolerance 0.5")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_verify_non_finite_spectrum_exit_one(value, capsys):
     assert main(["verify", "--partition", "1,1,2", "--spectrum", f"1,2,{value}"]) == 1
@@ -130,7 +145,8 @@ def test_report_matches_schema(tmp_path):
     defs = schema["definitions"]
     for name, report in (("kronecker", inner["kronecker"]),
                          ("completeness", inner["completeness_m"]),
-                         ("completeness", inner["completeness_m_tilde"])):
+                         ("completeness", inner["completeness_m_tilde"]),
+                         ("case", doc["case"])):
         assert sorted(defs[name]["properties"]) == sorted(report), name
     jsonschema = pytest.importorskip("jsonschema")
     jsonschema.validate(doc, schema)

@@ -5,13 +5,15 @@ import functools
 import numpy as np
 import pytest
 
-from suborbit import (LieElement, Member, bracket, build_family,
-                      build_setup, completeness_check, conjugate, gradient,
-                      involutivity_suite, pairing, poisson_bracket_can,
-                      sample_element, shifted_invariant_eval, unitary_exp)
+from suborbit import (LieElement, Member, build_family, build_setup,
+                      completeness_check, gradient, involutivity_suite,
+                      pairing, sample_element)
 from suborbit.cli import _partitions
-from suborbit.invariants import _member_gradients, shift_coeff_matrices
+from suborbit.invariants import _member_gradients
 from suborbit.lie import matrix_to_coords
+from reference import (conjugate, poisson_bracket_can, reduced_pair,
+                       shift_coeff_matrices, shifted_invariant_eval, span,
+                       unitary_exp)
 
 
 @pytest.fixture(scope="module")
@@ -127,11 +129,21 @@ def test_involutivity_m(fam_m):
 
 
 def test_involutivity_with_flow_energy(fam_t, setup_112):
-    # the quadratic flow energy commutes with every family member
+    # the quadratic flow energy, whose gradient is phi_ab, commutes with every
+    # family member: involutivity_suite's scaled residual at its own 100
+    # points, with the energy gradient appended to the member gradients
     from suborbit import build_flow, phi_ab
+    from suborbit.generic import sample_coords
+    from suborbit.lie import bracket_form, coords_to_matrix
     spec = build_flow(setup_112, (1.0, 3.0, 7.0), "m_tilde")
-    res = involutivity_suite(fam_t, extra=lambda x: phi_ab(spec, x),
-                             n_points=100, seed=7)
+    C = sample_coords(fam_t.domain, 7, 11, 100)
+    xs = coords_to_matrix(C, 4)
+    energy = np.stack([phi_ab(spec, LieElement.from_coords(c, 4)).coords
+                       for c in C.T], axis=1)
+    G = np.concatenate([_member_gradients(fam_t, xs), energy[:, :, None]], axis=2)
+    vals = np.abs(bracket_form(xs, coords_to_matrix(G, 4)).real)
+    norms = np.linalg.norm(G, axis=0)
+    res = np.max(vals / np.maximum(1.0, norms[:, :, None] * norms[:, None, :]))
     assert res < 1e-9
 
 
@@ -190,7 +202,7 @@ def test_completeness_rejects_nongeneric(fam_m, setup_112, dims_112):
 def test_projected_span_equals_fixed_span(fam_m, fam_t, setup_112, dims_112):
     # at a fixed-part point, projecting the full gradient span onto the fixed
     # part reproduces the fixed-part gradient span
-    from suborbit.linalg import equal_spaces, span
+    from suborbit.linalg import equal_spaces
     st = setup_112
     x = sample_element(st.m_tilde, np.random.default_rng(9), 4)
     G_full = np.stack([gradient(fam_m, m, x).coords for m in fam_m.members], axis=1)
@@ -205,7 +217,7 @@ def test_projected_span_equals_fixed_span(fam_m, fam_t, setup_112, dims_112):
 def test_kernel_contained_in_span_when_complete(fam_m, setup_112, dims_112):
     # the canonical-form kernel on the slice sits inside a complete span
     from suborbit import form_matrix, m_of_x
-    from suborbit.linalg import span, subspace_residual
+    from suborbit.linalg import subspace_residual
     from suborbit.linalg import kernel_basis
     st = setup_112
     x = sample_element(st.m, np.random.default_rng(10), 4)
@@ -289,7 +301,7 @@ def reduced_114(setup_114, dims_114):
 @pytest.mark.parametrize("space", ["m0", "m0_tilde"])
 def test_pruning_matches_reference_on_reduced_pair(reduced_114, space):
     st = reduced_114.setup
-    pair = reduced_114.pair(space)
+    pair = reduced_pair(reduced_114, space)
     fam = build_family(st, pair)
     assert (fam.members, fam.pruned) == _reference_split(st, pair)
 
@@ -323,7 +335,7 @@ def test_member_gradients_match_per_member_reference(mult, space):
 
 @pytest.mark.parametrize("space", ["m0", "m0_tilde"])
 def test_member_gradients_match_reference_on_reduced_pair(reduced_114, space):
-    pair = reduced_114.pair(space)
+    pair = reduced_pair(reduced_114, space)
     _check_member_gradients(build_family(reduced_114.setup, pair), seed=12)
 
 

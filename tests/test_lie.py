@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
-                      centralizer, complement, full_space, intersect, pairing,
-                      project, sigma, span, subspace_residual, sum_spaces,
-                      build_setup)
+                      centralizer, full_space, intersect, pairing, project,
+                      sigma, subalgebra_center, subspace_residual, build_setup)
 from suborbit.lie import (_spectral_singular_values, ad_in_basis,
                           bracket_closure_residual, bracket_form,
-                          centralizer_dim, centralizer_dims, conjugate,
-                          coords_to_matrix, derived_span, matrices_to_coords,
-                          matrix_to_coords, real_form_dim, unitary_exp)
+                          centralizer_dim, centralizer_dims, coords_to_matrix,
+                          derived_span, matrices_to_coords, matrix_to_coords,
+                          real_form_dim, stacked_centralizer)
 from suborbit.orbit import build_witness_x0
 from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
                              numeric_rank, numeric_ranks)
+from reference import (complement, complexify, conjugate, span, sum_spaces,
+                       unitary_exp)
 
 
 def _elem(coords, n):
@@ -302,7 +303,7 @@ def test_ad_in_basis_complex_mode_matches_reference(n):
     assert np.iscomplexobj(A)
     _close(A, _ad_reference(shifted, S))
     # a skew-Hermitian w on a complexified subspace also stays complex
-    SC = S.complexify()
+    SC = complexify(S)
     A = ad_in_basis(x, SC)
     assert np.iscomplexobj(A)
     _close(A, _ad_reference(x.matrix, SC))
@@ -387,7 +388,7 @@ def test_centralizer_dim_matches_centralizer(n):
         (x, g), (a, g), (x, S), (a, S),
         (x.matrix + (0.4 - 1.1j) * a.matrix, g),
         (x.matrix + (0.4 - 1.1j) * a.matrix, S),
-        (x, g.complexify()), (a, S.complexify()),
+        (x, complexify(g)), (a, complexify(S)),
         (x, empty), (x.matrix + 1j * a.matrix, empty),
         (LieElement.zero(n), g), (LieElement.zero(n), S),
         (x, flagged), (LieElement.zero(n), flagged),
@@ -395,6 +396,9 @@ def test_centralizer_dim_matches_centralizer(n):
     for w, within in cases:
         c = centralizer(w, within)
         assert centralizer_dim(w, within) == (c.dim, c.ambiguous)
+    # several generators, or a subalgebra's own basis, on the empty space
+    assert stacked_centralizer([x, a.matrix + 1j * x.matrix], empty).dim == 0
+    assert subalgebra_center(empty).dim == 0
     # the same decisions over stacks: so(n) and u(n) stacks of skew-Hermitian
     # (so(n): real) matrices take the spectral rule, the rest the stacked SVD
     so_n = Subspace(n * n, np.eye(n * n, real_form_dim(n)))
@@ -407,7 +411,7 @@ def test_centralizer_dim_matches_centralizer(n):
         ([x, a, zero, x * 1e-3], g), ([x, shifted, a], g), ([a, jordan], g),
         ([xr, zero, xr * 7.0], so_n), ([xr, x, a], so_n),
         ([x, a, zero], S), ([shifted, x], S),
-        ([x, a], g.complexify()), ([a, xr], S.complexify()),
+        ([x, a], complexify(g)), ([a, xr], complexify(S)),
         ([x, shifted], empty), ([x, zero], flagged), ([xr, zero], flagged),
     ]
     for ws, within in stacks:
@@ -442,7 +446,7 @@ def test_spectral_singular_values_match_the_adjoint_svd(n):
     assert not np.any(x0.matrix.imag)
     # a complex x, or a space other than u(n) and so(n), has no spectral rule
     assert _spectral_singular_values(np.stack([x.matrix]), g_tilde) is None
-    assert _spectral_singular_values(np.stack([x.matrix]), g.complexify()) is None
+    assert _spectral_singular_values(np.stack([x.matrix]), complexify(g)) is None
     S = _random_subspace(n, n + 2, seed=110 + n)
     assert _spectral_singular_values(np.stack([x.matrix]), S) is None
 
@@ -467,7 +471,7 @@ def test_centralizer_dims_flag_only_the_fragile_row():
     fragile = np.diag(1j * np.array([1.0, 1.0 + 2e-9, 2.0]))
     mats = np.stack([LieElement.from_coords(rng.standard_normal(n * n), n).matrix,
                      fragile, np.diag(1j * np.array([1.0, 2.0, 4.0]))])
-    for within in (full_space(n * n), full_space(n * n).complexify()):
+    for within in (full_space(n * n), complexify(full_space(n * n))):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             dims, amb = centralizer_dims(mats, within)

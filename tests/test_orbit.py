@@ -5,16 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from suborbit import (block_scalar, bracket, build_setup,
-                      build_witness_x0, centralizer, complement, full_space,
-                      intersect, pairing, sigma, subalgebra_center,
-                      subspace_residual)
+from suborbit import (block_scalar, bracket, build_setup, build_witness_x0,
+                      centralizer, full_space, intersect, sigma,
+                      subalgebra_center)
 from suborbit import linalg
 from suborbit.cli import _partitions
 from suborbit.generic import sample_element
 from suborbit.lie import _basis_data, coordinate_entries
 from suborbit.linalg import Subspace, equal_spaces
-from suborbit.orbit import ad_a_inverse_apply
+from reference import ad_a_inverse_apply, complement
 
 
 def test_dimension_table_112(setup_112):

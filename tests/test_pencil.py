@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from suborbit import (LieElement, bracket, build_setup, build_x_pi, centralizer,
-                      conjugate, form_matrix, kronecker_test, m_of_x, pairing,
+                      form_matrix, kronecker_test, m_of_x, pairing,
                       pencil_isotropy_check, root_split, sample_element,
-                      unitary_exp, verify_regular_pencil)
+                      verify_regular_pencil)
 from suborbit import linalg
 from suborbit.cli import _partitions
 from suborbit.generic import estimate_generic_dims, is_in_R
 from suborbit.lie import centralizer_dims
-from suborbit.linalg import RankAmbiguityWarning, kernel_dim, span
+from suborbit.linalg import RankAmbiguityWarning, kernel_dim
 from suborbit.pencil import SINGULAR, genuine_eigenvalues
+from reference import complexify, conjugate, span, unitary_exp
 
 
 def _lambdas(seed, stream, count):
@@ -259,7 +260,7 @@ def _kronecker_reference(st, x, dims, lams, space):
     F_si = form_matrix(st, x, SINGULAR, space, domain)
     si_dim, _ = kernel_dim(F_si.astype(complex), st.rank_tol,
                            floor=float(np.linalg.norm(st.a.matrix)))
-    gC = st.pair(space).g.complexify()
+    gC = complexify(st.pair(space).g)
     cdims = [centralizer(x.matrix + complex(lam) * st.a.matrix, gC, st.rank_tol).dim
              for lam in lams]
     kron = si_dim == dims.r and all(c == dims.q for c in cdims)

@@ -9,7 +9,7 @@ from suborbit import (LieElement, anchored_permutation, build_setup, build_x_pi,
                       root_split, sample_element, sigma, verify_regular_pencil)
 from suborbit.cli import _partitions
 from suborbit.lie import centralizer_dims
-from suborbit.roots import x_pi_template, _positive_roots
+from reference import positive_roots, x_pi_template
 
 
 @pytest.mark.parametrize("mult,nk,nm", [
@@ -97,7 +97,7 @@ def test_regular_pencil_scaled_witness(setup_112):
 def test_complex_template_witness(setup_112):
     rd = root_split(setup_112)
     c = {r: 1.0 + 0.5j for r in rd.pi}
-    pos_m = sorted(r for r in set(rd.delta_m) & _positive_roots(rd))
+    pos_m = sorted(r for r in set(rd.delta_m) & positive_roots(rd))
     d = {pos_m[0]: 0.3 - 0.2j, pos_m[-1]: 1.1j}
     M = x_pi_template(rd, c, d)
     assert verify_regular_pencil(setup_112, M)
@@ -212,7 +212,7 @@ def test_certificate_holds_on_the_template_class(mult, svd_calls):
     rng = np.random.default_rng([*mult, 47])
     c = {r: complex(*rng.uniform(0.5, 2.0, 2) * rng.choice([-1, 1], 2))
          for r in rd.pi}
-    pos_m = sorted(set(rd.delta_m) & _positive_roots(rd))
+    pos_m = sorted(set(rd.delta_m) & positive_roots(rd))
     d = {r: complex(*rng.uniform(0.1, 1.0, 2)) for r in pos_m}
     M = x_pi_template(rd, c, d)
     svd_calls.clear()
