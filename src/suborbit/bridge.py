@@ -165,21 +165,14 @@ def _run_decision_tree(setup, case: VerificationCase, seed,
         case.notes.append("generic dimension estimates did not stabilize")
         return
 
-    p = len(mult)
-    dominant = max(mult) > sum(mult) - max(mult)
-
-    if p == 2:
+    two_block = len(mult) == 2
+    if two_block:
         case.notes.append(
             "two-block case: the quotient is a symmetric space, every invariant "
             "Hamiltonian flow on it is integrable; the pencil verdict below is "
             "independent numerical confirmation")
-        _direct_verification(setup, case, seed,
-                             run_moment=(dims_m.p == setup.z_of_g.dim),
-                             run_x_pi=not dominant)
-        return
-
-    if not dominant:
-        _direct_verification(setup, case, seed, run_moment=True, run_x_pi=True)
+    if two_block or max(mult) <= sum(mult) - max(mult):
+        _direct_verification(setup, case, seed)
         return
 
     # dominant largest block: reduce once
@@ -233,26 +226,25 @@ def _witness_dict(x0: LieElement, wrep) -> dict:
     }
 
 
-def _direct_verification(setup, case: VerificationCase, seed: int,
-                         run_moment: bool, run_x_pi: bool):
-    """Direct route: witness, moment criterion, nilpotent witness, sampled
-    Kronecker point, completeness at that point."""
+def _direct_verification(setup, case: VerificationCase, seed: int):
+    """Direct route: witness, moment criterion where the generic isotropy
+    centralizer is z(g), nilpotent witness where the roots have a simple
+    system (no dominant block), sampled Kronecker point, completeness there."""
     dims_m, dims_mt = case.dims_m, case.dims_m_tilde
 
     x0, wrep = build_witness_x0(setup, seed)
     case.witness = _witness_dict(x0, wrep)
 
-    if run_moment:
+    if dims_m.p == setup.z_of_g.dim:
         case.m_a_value = m_a_estimate(build_moment_data(setup), setup.m_tilde,
                                       dims_m, _MOMENT_SAMPLES, seed)
         case.regular_kprime = regular_in_kprime_test(setup)
 
-    if run_x_pi:
-        datum = root_split(setup)
-        if datum.pi is not None:
-            x_pi = build_x_pi(datum)
-            case.x_pi_coords = x_pi.coords.tolist()
-            case.x_pi_regular = verify_regular_pencil(setup, x_pi)
+    datum = root_split(setup)
+    if datum.pi is not None:
+        x_pi = build_x_pi(datum)
+        case.x_pi_coords = x_pi.coords.tolist()
+        case.x_pi_regular = verify_regular_pencil(setup, x_pi)
 
     verdict = None
     okr_point = None

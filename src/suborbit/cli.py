@@ -30,24 +30,6 @@ from .lie import LieElement
 from .orbit import build_setup
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
 def _write_atomic(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".suborbit-", suffix=".tmp")
@@ -62,7 +44,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _write_json(path: str, doc: dict):
-    _write_atomic(path, json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_list(text: str, what: str, kind) -> list:
@@ -100,7 +82,7 @@ def cmd_verify(args) -> int:
     if args.out:
         _write_json(args.out, doc)
     else:
-        print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     print(f"conclusion: {case.conclusion} ({elapsed:.2f}s)", file=sys.stderr)
     return 0 if case.conclusion in (CONFIRMED, REDUCED) else 2
 
@@ -109,6 +91,13 @@ def cmd_flow(args) -> int:
     partition = _parse_list(args.partition, "partition", int)
     spectrum = _parse_list(args.spectrum, "spectrum", float)
     b_values = _parse_list(args.b_spectrum, "b-spectrum", float)
+    if not 0 < args.dt < np.inf:
+        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
+    if not np.isfinite(args.x0_norm):
+        raise ValueError(f"--x0-norm must be finite, got {args.x0_norm}")
+    if not 0 <= args.drift_tol < np.inf:
+        raise ValueError(f"--drift-tol must be finite and non-negative, "
+                         f"got {args.drift_tol}")
     if len(b_values) != len(partition):
         raise ValueError(
             f"b-spectrum has {len(b_values)} entries for {len(partition)} blocks")
@@ -220,7 +209,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         _write_json(args.out, doc)
     else:
-        print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True))
     print(f"sweep over n <= {args.max_n}: {len(cases)} cases "
           f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
     return worst

@@ -182,8 +182,8 @@ def integrate_flow(spec: FlowSpec, x0: LieElement, dt: float, steps: int,
     is not finite or whose norm exceeds 1e50.  The first, the last and every
     ``record_stride``-th state (a stride of at least 1) are recorded.
     """
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
     if steps < 1:
         raise ValueError("need at least one step")
     if record_stride < 1:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import (LieElement, ad_in_basis, bracket_closure_residual,
-                  centralizer, centralizer_dim, centralizer_dims,
-                  coords_to_matrix, derived_span, sigma_signs,
-                  stacked_centralizer, subalgebra_center)
+                  centralizer, centralizer_dim, centralizer_dims, derived_span,
+                  sigma_signs, stacked_centralizer, subalgebra_center)
 from .linalg import (Subspace, equal_spaces, intersect, kernel_basis,
                      subspace_residual)
 from .orbit import AlgebraPair, OrbitSetup
@@ -84,17 +83,17 @@ def estimate_generic_dims(setup: OrbitSetup, space, samples: int = 25,
     if samples < 10:
         raise ValueError("need at least 10 samples for a stable estimate")
     pair = setup.pair(space)
-    xs = coords_to_matrix(sample_coords(pair.m, seed, 7, samples), setup.n)
-    qs = centralizer_dims(xs, pair.g, setup.rank_tol)[0]
-    ps = centralizer_dims(xs, pair.k, setup.rank_tol)[0]
+    C = sample_coords(pair.m, seed, 7, samples)
+    qs = centralizer_dims(C, pair.g, setup.rank_tol)[0]
+    ps = centralizer_dims(C, pair.k, setup.rank_tol)[0]
     q = int(qs.min())
     p = int(ps.min())
     hit = np.mean((qs == q) & (ps == p))
     return GenericDims(pair.name, q, p, q - p, samples, bool(hit >= 0.8))
 
 
-def in_R_mask(setup: OrbitSetup, mats: np.ndarray, space, dims: GenericDims) -> np.ndarray:
-    """``is_in_R`` for each matrix of a (S, n, n) stack.
+def in_R_mask(setup: OrbitSetup, C: np.ndarray, space, dims: GenericDims) -> np.ndarray:
+    """``is_in_R`` for each element given by a coordinate column of ``C`` (n^2, S).
 
     q is decided for the whole stack, p only where q matched, so exactly the
     rank decisions of ``is_in_R`` are made.
@@ -102,15 +101,15 @@ def in_R_mask(setup: OrbitSetup, mats: np.ndarray, space, dims: GenericDims) -> 
     if not dims.stabilized:
         raise ValueError("generic dimensions did not stabilize; resample first")
     pair = setup.pair(space)
-    hit = centralizer_dims(mats, pair.g, setup.rank_tol)[0] == dims.q
+    hit = centralizer_dims(C, pair.g, setup.rank_tol)[0] == dims.q
     if hit.any():
-        hit[hit] = centralizer_dims(mats[hit], pair.k, setup.rank_tol)[0] == dims.p
+        hit[hit] = centralizer_dims(C[:, hit], pair.k, setup.rank_tol)[0] == dims.p
     return hit
 
 
 def is_in_R(setup: OrbitSetup, x: LieElement, space, dims: GenericDims) -> bool:
     """Whether both centralizer dimensions of x attain the generic minima."""
-    return bool(in_R_mask(setup, x.matrix[None], space, dims)[0])
+    return bool(in_R_mask(setup, x.coords[:, None], space, dims)[0])
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
     """
     pair = setup.pair(space)
     A = ad_in_basis(x, pair.m)
-    comp = pair.k.basis.conj().T @ A
+    comp = pair.k.basis.T @ A
     K, amb = kernel_basis(comp, setup.rank_tol, floor=float(np.linalg.norm(x.matrix)))
     return Subspace(pair.m.ambient_dim, pair.m.basis @ K,
                     ambiguous=amb or pair.m.ambiguous)
@@ -220,7 +219,7 @@ def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
     kx = centralizer(x0, setup.k, setup.rank_tol)
 
     n = setup.n
-    g0 = stacked_centralizer(coords_to_matrix(kx.basis, n), setup.g, setup.rank_tol)
+    g0 = stacked_centralizer(kx.basis, setup.g, setup.rank_tol)
     k0 = intersect(g0, setup.k, setup.rank_tol)
     m0 = intersect(g0, setup.m, setup.rank_tol)
     g0_tilde = intersect(g0, setup.g_tilde, setup.rank_tol)
@@ -262,8 +261,8 @@ def _sigma_stable(S: Subspace, n: int) -> bool:
 
 
 def _generic_dim_within(algebra: Subspace, setup: OrbitSetup, seed: int) -> int:
-    xs = coords_to_matrix(sample_coords(algebra, seed, 29, _REDUCTION_SAMPLES), setup.n)
-    return min(algebra.dim, int(centralizer_dims(xs, algebra, setup.rank_tol)[0].min()))
+    C = sample_coords(algebra, seed, 29, _REDUCTION_SAMPLES)
+    return min(algebra.dim, int(centralizer_dims(C, algebra, setup.rank_tol)[0].min()))
 
 
 def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):

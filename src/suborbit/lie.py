@@ -20,20 +20,26 @@ and ``matrices_to_coords`` reads the results back as columns.
 ``bracket_form`` gives tr(w [Y_i, Y_j]) as G - G^T from the one Gram matrix
 G_ij = tr(w Y_i Y_j), instead of one commutator per pair.
 
+u(n) is a real algebra and nothing here complexifies it: one element is a
+``LieElement``, which checks that it lies in u(n), and a stack is a real
+(n^2, S) array of coordinate columns, in u(n) by construction.  Subspaces
+(``linalg.Subspace``) and adjoint matrices are real too.
+
 ``stacked_centralizer`` returns a basis of the common centralizer of its
 generators as a ``Subspace``; ``centralizer`` is its one-generator case.
 ``centralizer_dims`` decides the centralizer dimension and ambiguity flag of
-every matrix of a (S, n, n) stack in one call, without a basis: on the whole
-u(n), and on so(n) for real x, from one stacked ``eigvalsh`` of -i x (ad x is
+every element of a stack in one call, without a basis: on the whole u(n),
+and on so(n) for real x, from one stacked ``eigvalsh`` of -i x (ad x is
 normal in these coordinates); elsewhere from one stacked SVD of the adjoint
 matrices, and decides every row with one ``linalg.numeric_ranks`` call.
-``centralizer_dim`` is its one-matrix case.
+``centralizer_dim`` is its one-element case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -120,14 +126,14 @@ class LieElement:
     coords: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
+        M = np.array(self.matrix, dtype=complex)
         herm_defect = np.max(np.abs(M + M.conj().T))
         scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
-        if herm_defect > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not skew-Hermitian (defect {herm_defect:.2e})")
-        v = np.asarray(self.coords, dtype=float)
-        M = M.copy()
-        v = v.copy()
+        # written so that a NaN or infinite entry fails the check
+        if not herm_defect <= HERMITICITY_TOL * scale < np.inf:
+            raise ValueError(f"matrix is not finite and skew-Hermitian "
+                             f"(defect {herm_defect:.2e})")
+        v = np.array(self.coords, dtype=float)
         M.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "matrix", M)
@@ -219,53 +225,31 @@ def project(X: LieElement, S: Subspace) -> LieElement:
     return LieElement.from_coords(S.project(X.coords), X.n)
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, LieElement):
-        return x.matrix
-    M = np.asarray(x, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix")
-    return M
-
-
-def _skew_hermitian_mask(mats: np.ndarray) -> np.ndarray:
-    """Per matrix of a (m, n, n) stack: skew-Hermitian up to round-off of its scale."""
-    defect = np.max(np.abs(mats + mats.conj().swapaxes(1, 2)), axis=(1, 2))
-    scale = np.maximum(1.0, np.max(np.abs(mats), axis=(1, 2)))
-    return defect <= HERMITICITY_TOL * scale
-
-
 def _ad_stack(mats: np.ndarray, within: Subspace) -> np.ndarray:
     """(m, N, d) stack of ``ad_in_basis`` for each w of a (m, n, n) stack."""
     m, n, _ = mats.shape
     N, d = within.ambient_dim, within.dim
-    real_mode = not within.is_complex and bool(_skew_hermitian_mask(mats).all())
     Ys, W = coords_to_matrix(within.basis, n)[None], mats[:, None]
-    C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n))
-    A = C.reshape(N, m, d).transpose(1, 0, 2)
-    return A.real if real_mode else A
+    C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n)).real
+    return C.reshape(N, m, d).transpose(1, 0, 2)
 
 
-def ad_in_basis(w, within: Subspace) -> np.ndarray:
-    """Matrix of y -> [w, y] restricted to ``within``, in ambient coordinates.
-
-    Column j holds the coordinates of [w, b_j].  ``w`` may be any complex
-    matrix; for skew-Hermitian w acting on a real subspace the result is cast
-    to a real matrix, otherwise it stays complex and realizes the complexified
-    adjoint action on the complex span of the basis.
-    """
-    return _ad_stack(_as_matrix(w)[None], within)[0]
+def _stack(C: np.ndarray) -> np.ndarray:
+    """The (S, n, n) matrices of the real coordinate columns of ``C`` (n^2, S)."""
+    if np.iscomplexobj(C):
+        raise ValueError("coordinates are complex; a stack must lie in u(n)")
+    return coords_to_matrix(C, isqrt(len(C)))
 
 
-def centralizer(x, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
-    """{y in within : [x, y] = 0} as a subspace of coordinate space.
+def ad_in_basis(x: LieElement, within: Subspace) -> np.ndarray:
+    """Real matrix of y -> [x, y] restricted to ``within``, in ambient
+    coordinates: column j holds the coordinates of [x, b_j]."""
+    return _ad_stack(x.matrix[None], within)[0]
 
-    ``x`` may be a LieElement or a raw complex matrix.  When x is not
-    skew-Hermitian (for instance x + lambda*a with complex lambda) or
-    ``within`` is complexified, the kernel is taken over C, which computes
-    the complexified centralizer.
-    """
-    return stacked_centralizer([x], within, rtol)
+
+def centralizer(x: LieElement, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
+    """{y in within : [x, y] = 0} as a subspace of coordinate space."""
+    return stacked_centralizer(x.coords[:, None], within, rtol)
 
 
 def _spectral_singular_values(mats: np.ndarray, within: Subspace):
@@ -277,15 +261,13 @@ def _spectral_singular_values(mats: np.ndarray, within: Subspace):
     |lambda_i - lambda_j| over all (i, j) on u(n), and, for real x,
     |lambda_i + lambda_j| over i < j on so(n) (ad x acts there as x on the
     exterior square).  Returns them sorted descending, one row per matrix,
-    or None when ``within`` is neither space or some x does not qualify.
+    or None when ``within`` is neither space or some x on so(n) is not real.
     """
     S, n, _ = mats.shape
     N, d = within.ambient_dim, within.dim
     whole = d == N
-    if (within.is_complex
-            or not (whole or (d == real_form_dim(n) and not np.any(mats.imag)))
-            or not np.array_equal(within.basis, np.eye(N, d))
-            or not _skew_hermitian_mask(mats).all()):
+    if (not (whole or (d == real_form_dim(n) and not np.any(mats.imag)))
+            or not np.array_equal(within.basis, np.eye(N, d))):
         return None
     lam = np.linalg.eigvalsh(-1j * mats)
     if whole:
@@ -296,19 +278,20 @@ def _spectral_singular_values(mats: np.ndarray, within: Subspace):
     return -np.sort(-s, axis=1)
 
 
-def centralizer_dims(mats, within: Subspace,
+def centralizer_dims(C: np.ndarray, within: Subspace,
                      rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """``(dims, ambiguous)`` of ``centralizer(x, within, rtol)`` for each x of
-    a (S, n, n) stack, without any kernel basis.
+    """``(dims, ambiguous)`` of the centralizer in ``within`` of each element
+    given by a real coordinate column of ``C`` (n^2, S), without any kernel
+    basis.
 
     On the whole u(n), and on so(n) for real x, the singular values of ad x
     come from one stacked ``eigvalsh`` (``_spectral_singular_values``); on any
-    other space, or for complex x, from one stacked SVD of the adjoint
-    matrices.  Either way the ranks are decided by one ``numeric_ranks`` call
-    with the floors |x|_F, as ``centralizer`` decides each, and each matrix
-    keeps its own ambiguity flag and warning.
+    other space from one stacked SVD of the adjoint matrices.  Either way the
+    ranks are decided by one ``numeric_ranks`` call with the floors |x|_F, as
+    ``centralizer`` decides each, and each element keeps its own ambiguity
+    flag and warning.
     """
-    mats = np.asarray(mats, dtype=complex)
+    mats = _stack(C)
     s = _spectral_singular_values(mats, within)
     if s is None:
         s = np.linalg.svd(_ad_stack(mats, within), compute_uv=False)
@@ -316,19 +299,21 @@ def centralizer_dims(mats, within: Subspace,
     return within.dim - ranks, amb | within.ambiguous
 
 
-def centralizer_dim(x, within: Subspace, rtol: float = RANK_RTOL) -> tuple[int, bool]:
+def centralizer_dim(x: LieElement, within: Subspace,
+                    rtol: float = RANK_RTOL) -> tuple[int, bool]:
     """``(dim, ambiguous)`` of ``centralizer(x, within, rtol)`` without its
-    basis: the one-matrix case of ``centralizer_dims``."""
-    dims, amb = centralizer_dims(_as_matrix(x)[None], within, rtol)
+    basis: the one-element case of ``centralizer_dims``."""
+    dims, amb = centralizer_dims(x.coords[:, None], within, rtol)
     return int(dims[0]), bool(amb[0])
 
 
-def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
-    """{y in within : [g, y] = 0 for every generator g}."""
-    mats = [_as_matrix(g) for g in generators]
-    if not mats:
+def stacked_centralizer(C: np.ndarray, within: Subspace,
+                        rtol: float = RANK_RTOL) -> Subspace:
+    """{y in within : [g, y] = 0 for every generator g}, the generators given
+    by the real coordinate columns of ``C`` (n^2, S)."""
+    if not C.shape[1]:
         return within
-    mats = np.stack(mats)
+    mats = _stack(C)
     A = _ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
     floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
     K, amb = kernel_basis(A, rtol, floor=floor)
@@ -338,16 +323,14 @@ def stacked_centralizer(generators, within: Subspace, rtol: float = RANK_RTOL) -
 
 def _pairwise_brackets(S: Subspace) -> np.ndarray:
     """Real coordinate columns of [b_i, b_j] for i < j, in row-major pair order."""
-    n = int(round(np.sqrt(S.ambient_dim)))
-    mats = coords_to_matrix(S.basis, n)
+    mats = coords_to_matrix(S.basis, isqrt(S.ambient_dim))
     i, j = np.triu_indices(S.dim, 1)
     return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
 
 
 def subalgebra_center(S: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     """Center of a subalgebra given by its coordinate basis."""
-    n = int(round(np.sqrt(S.ambient_dim)))
-    return stacked_centralizer(coords_to_matrix(S.basis, n), S, rtol)
+    return stacked_centralizer(S.basis, S, rtol)
 
 
 def derived_span(S: Subspace, rtol: float = RANK_RTOL) -> Subspace:

@@ -1,7 +1,7 @@
 """Rank decisions and orthonormal subspace arithmetic.
 
-Every subspace is stored as a matrix whose columns are orthonormal coordinate
-vectors over the ambient space (real or complex field).  All rank decisions in
+Every subspace is stored as a matrix whose columns are orthonormal real
+coordinate vectors over the ambient space.  All rank decisions in
 the package go through a single relative singular-value threshold so that
 dimension verdicts are consistent across modules.  Decisions that fall within
 a decade of the threshold are flagged as ambiguous instead of silently
@@ -99,8 +99,7 @@ def kernel_basis(A, rtol: float = RANK_RTOL,
     if cols == 0:
         return np.zeros((0, 0), dtype=A.dtype), False
     if rows == 0 or not np.any(A):
-        dt = complex if np.iscomplexobj(A) else float
-        return np.eye(cols, dtype=dt), False
+        return np.eye(cols), False
     _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
     rank, ambiguous = numeric_rank(s, rtol, floor)
     return vh[rank:].conj().T, ambiguous
@@ -136,7 +135,7 @@ def orthonormal_columns(A, rtol: float = RANK_RTOL,
 
 @dataclass
 class Subspace:
-    """A subspace of R^N or C^N given by an orthonormal column basis."""
+    """A subspace of R^N given by an orthonormal real column basis."""
 
     ambient_dim: int
     basis: np.ndarray
@@ -144,6 +143,8 @@ class Subspace:
 
     def __post_init__(self):
         B = np.asarray(self.basis)
+        if np.iscomplexobj(B):
+            raise ValueError("basis is complex; subspaces are real")
         if B.ndim != 2:
             B = B.reshape(self.ambient_dim, -1)
         if B.shape[0] != self.ambient_dim:
@@ -151,7 +152,7 @@ class Subspace:
                 f"basis has {B.shape[0]} rows, ambient dimension is {self.ambient_dim}"
             )
         if B.shape[1] > 0:
-            gram = B.conj().T @ B
+            gram = B.T @ B
             # written so that a NaN entry fails the check
             if not np.max(np.abs(gram - np.eye(B.shape[1]))) <= ORTHO_TOL:
                 raise ValueError("basis columns are not orthonormal")
@@ -163,15 +164,11 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def is_complex(self) -> bool:
-        return bool(np.iscomplexobj(self.basis))
-
     def coeffs(self, v: np.ndarray) -> np.ndarray:
-        return self.basis.conj().T @ v
+        return self.basis.T @ v
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.conj().T @ v)
+        return self.basis @ (self.basis.T @ v)
 
     def contains(self, v: np.ndarray, tol: float = 1e-9) -> bool:
         scale = max(1.0, float(np.linalg.norm(v)))
@@ -187,8 +184,7 @@ def intersect(S: Subspace, T: Subspace, rtol: float = RANK_RTOL) -> Subspace:
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
     if S.dim == 0 or T.dim == 0:
-        dt = complex if (S.is_complex or T.is_complex) else float
-        return Subspace(S.ambient_dim, np.zeros((S.ambient_dim, 0), dtype=dt),
+        return Subspace(S.ambient_dim, np.zeros((S.ambient_dim, 0)),
                         S.ambiguous or T.ambiguous)
     stacked = np.hstack([S.basis, -T.basis])
     K, amb = kernel_basis(stacked, rtol)
@@ -201,7 +197,7 @@ def subspace_residual(S: Subspace, T: Subspace) -> float:
     """How far S sticks out of T: largest singular value of (1 - P_T) B_S."""
     if S.dim == 0:
         return 0.0
-    R = S.basis - T.basis @ (T.basis.conj().T @ S.basis)
+    R = S.basis - T.basis @ (T.basis.T @ S.basis)
     return float(np.linalg.norm(R, 2))
 
 

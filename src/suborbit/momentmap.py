@@ -79,11 +79,10 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
             f"(dim {dim_z}), got generic dimension {dims.p}; reduce the pair first")
     n = setup.n
     C = sample_coords(V, seed, 43, samples)
-    xs = coords_to_matrix(C, n)
-    accepted = np.flatnonzero(in_R_mask(setup, xs, data.pair, dims))
+    accepted = np.flatnonzero(in_R_mask(setup, C, data.pair, dims))
     if accepted.size == 0:
         raise ValueError("no sample of V attained the generic centralizer dimensions")
-    alphas = _moment_stack(data, C[:, accepted], xs[accepted])
+    alphas = _moment_stack(data, C[:, accepted])
     vals = centralizer_dims(alphas, data.pair.k, setup.rank_tol)[0] - dim_z
     for i, val in zip(accepted[:_CROSS_CHECKS], vals):
         F_a = form_matrix(setup, LieElement.from_coords(C[:, i], n), SINGULAR)
@@ -95,13 +94,14 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
     return int(vals.min())
 
 
-def _moment_stack(data: MomentData, C: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The moment values (1/2) [ad_a^(-1) x, x]_k of the points as a (S, n, n)
-    stack, from their coordinate columns ``C`` (N, S) and matrices ``xs``."""
+def _moment_stack(data: MomentData, C: np.ndarray) -> np.ndarray:
+    """The coordinate columns (N, S) of the moment values (1/2) [ad_a^(-1) x, x]_k
+    of the points with coordinate columns ``C`` (N, S)."""
     space, n = data.space, data.setup.n
+    xs = coords_to_matrix(C, n)
     ys = coords_to_matrix(space.basis @ (data.ad_a_inv @ space.coeffs(C)), n)
     half = 0.5 * matrices_to_coords(ys @ xs - xs @ ys).real
-    return coords_to_matrix(data.pair.k.project(half), n)
+    return data.pair.k.project(half)
 
 
 def regular_in_kprime_test(setup: OrbitSetup) -> bool:

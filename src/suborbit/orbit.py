@@ -284,7 +284,7 @@ def build_witness_x0(setup: OrbitSetup, seed: int = 0) -> tuple[LieElement, Witn
 
     chain_orig = np.zeros((n, n))
     chain_orig[np.ix_(ids, ids)] = chain_sorted
-    chain_dim = centralizer_dim(chain_orig.astype(complex), setup.k,
+    chain_dim = centralizer_dim(LieElement.from_matrix(chain_orig), setup.k,
                                 setup.rank_tol)[0]
     if chain_dim != chain_expected:
         raise RuntimeError(

@@ -12,7 +12,9 @@ In (k, m) coordinates ad(x + lambda*a) is [[0, X_km], [X_mk, X_mm +
 lambda*D]] with ker X_km = m(x), so dim ker ad(x + lambda*a) on gl(n) is p
 plus dim ker B(lambda): ``kronecker_test`` decides the small pencil on m(x)
 for every lambda in C and at infinity, the finite lambda by two random
-projections (Hochstenbach, Mehl and Plestenjak, SIMAX 2019).
+projections (Hochstenbach, Mehl and Plestenjak, SIMAX 2019).  Both forms it
+reads, F_x = B(0) and F_a = B(sing), are real; ``form_matrix`` builds them,
+and a complex lambda enters only as F_x + lambda*F_a.
 
 A standalone analyzer for arbitrary pairs of skew forms computes the minimal
 real kernel dimension, the sum of kernels over minimizing parameters, its
@@ -42,25 +44,21 @@ _N_REAL = 50
 
 def form_matrix(setup: OrbitSetup, x: LieElement, lam, space: str = "m",
                 domain: Subspace | None = None) -> np.ndarray:
-    """Skew matrix of the pencil form at parameter ``lam`` on the slice basis.
+    """Real skew matrix of the pencil form at parameter ``lam`` on the slice
+    basis.
 
-    ``lam`` is a complex scalar, or the module constant SINGULAR for the form
-    that pairs against the anchor alone.  Entries use the complex-bilinear
-    trace pairing, so complex parameters give the complexified form.
+    ``lam`` is a real scalar, or the module constant SINGULAR for the form
+    that pairs against the anchor alone.  The form at a complex parameter is
+    F(0) + lam*F(SINGULAR), as the pencil is linear in lam.
     """
+    if np.iscomplexobj(lam):
+        raise ValueError(f"the pencil parameter must be real, got {lam!r}")
     if domain is None:
         domain = m_of_x(setup, x, space)
-    if lam == SINGULAR:
-        w = setup.a.matrix
-    else:
-        lam = complex(lam)
-        w = x.matrix + lam * setup.a.matrix
-    # the bilinear pairing is the negated trace form, so the form value
-    # -<w, [y_i, y_j]> is the plain trace tr(w [y_i, y_j])
-    F = bracket_form(w, coords_to_matrix(domain.basis, setup.n))
-    if np.max(np.abs(F.imag), initial=0.0) < 1e-13 * max(1.0, np.max(np.abs(F), initial=0.0)):
-        return F.real
-    return F
+    w = setup.a.matrix if lam == SINGULAR else x.matrix + float(lam) * setup.a.matrix
+    # the pairing is the negated trace form, so the form value -<w, [y_i, y_j]>
+    # is the plain trace tr(w [y_i, y_j]), real for w in u(n)
+    return bracket_form(w, coords_to_matrix(domain.basis, setup.n)).real
 
 
 # a cross-projection gap at most _GENUINE_GAP marks an eigenvalue genuine, one

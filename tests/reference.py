@@ -5,8 +5,9 @@ structural form, which neither ``run_case`` nor the command line reaches."""
 import numpy as np
 
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
-from suborbit.lie import LieElement, bracket, pairing, project
-from suborbit.linalg import Subspace, full_space, kernel_basis, orthonormal_columns
+from suborbit.lie import LieElement, bracket, coords_to_matrix, pairing, project
+from suborbit.linalg import (RANK_RTOL, Subspace, full_space, kernel_basis,
+                             numeric_rank, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
 
 
@@ -51,9 +52,19 @@ def sum_spaces(S: Subspace, T: Subspace) -> Subspace:
     return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb)
 
 
-def complexify(S: Subspace) -> Subspace:
-    """The same basis over C: centralizers in it are complexified centralizers."""
-    return Subspace(S.ambient_dim, S.basis.astype(complex), S.ambiguous)
+def complex_centralizer_dims(mats: np.ndarray, within: Subspace,
+                             rtol: float = RANK_RTOL) -> list:
+    """dim over C of the centralizer of each complex matrix w of a (S, n, n)
+    stack in the complexification of ``within``: the rank of the vectorised
+    brackets [w, b_j], read against the floor |w|_F.  The basis matrices are
+    Frobenius-orthonormal, so no canonical coordinates are needed."""
+    Ys = coords_to_matrix(within.basis, mats.shape[-1])
+    dims = []
+    for w in mats:
+        s = np.linalg.svd((w @ Ys - Ys @ w).reshape(within.dim, w.size).T,
+                          compute_uv=False)
+        dims.append(within.dim - numeric_rank(s, rtol, np.linalg.norm(w))[0])
+    return dims
 
 
 def reduced_pair(red, space: str) -> AlgebraPair:

@@ -4,17 +4,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance is pinned here; nothing is deferred to calibration.
 """
 
-import json
 import time
 
 import numpy as np
-import pytest
 
 from suborbit import (CONFIRMED, LieElement, REDUCED, build_family,
                       build_flow, build_moment_data, build_setup,
                       build_witness_x0, completeness_check, conservation_report,
                       estimate_generic_dims, form_matrix, integrate_flow,
-                      involutivity_suite, is_in_R, kronecker_test, lax_residual,
+                      involutivity_suite, is_in_R, lax_residual,
                       m_a_estimate, pencil_isotropy_check, perturb_into_R,
                       reduction_data, regular_in_kprime_test, root_split,
                       build_x_pi, run_case, sample_element,

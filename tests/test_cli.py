@@ -195,6 +195,19 @@ def test_flow_record_stride_below_one_exit_one(capsys):
     assert "error: record stride must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "nan"), ("--dt", "inf"), ("--dt", "0"), ("--x0-norm", "nan"),
+    ("--x0-norm", "inf"), ("--drift-tol", "nan"), ("--drift-tol", "inf"),
+    ("--drift-tol", "-1e-6")])
+def test_flow_non_finite_or_out_of_range_input_exit_one(flag, value, capsys):
+    # one error line naming the flag, before any setup is built
+    assert main(["flow", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                 "--b-spectrum", "1,3,7", "--steps", "10", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flag} must be ")
+    assert err[0].endswith(f"got {float(value)}")
+
+
 def test_flow_coarse_step_exit_three():
     # the overflow inside the RK4 stages is reported as a divergence, without
     # a numpy RuntimeWarning on the way

@@ -116,8 +116,9 @@ def test_constant_trajectory_for_equal_elements(setup_112):
 
 def test_integration_validates_inputs(flow_112, setup_112):
     x0 = _unit(setup_112, "m_tilde", 8)
-    with pytest.raises(ValueError):
-        integrate_flow(flow_112, x0, -1e-3, 10)
+    for dt in (-1e-3, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            integrate_flow(flow_112, x0, dt, 10)
     with pytest.raises(ValueError):
         integrate_flow(flow_112, x0, 1e-3, 0)
     xm = _unit(setup_112, "m", 9)

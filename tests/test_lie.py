@@ -19,8 +19,8 @@ from suborbit.lie import (_spectral_singular_values, ad_in_basis,
 from suborbit.orbit import build_witness_x0
 from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
                              numeric_rank, numeric_ranks)
-from reference import (complement, complexify, conjugate, span, sum_spaces,
-                       unitary_exp)
+from reference import (complement, complex_centralizer_dims, conjugate, span,
+                       sum_spaces, unitary_exp)
 
 
 def _elem(coords, n):
@@ -126,6 +126,21 @@ def test_from_matrix_rejects_non_skew():
         LieElement.from_matrix(np.array([[1.0, 0], [0, 1.0]]))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LieElement.from_matrix(np.array([[0.0, np.nan], [-np.nan, 0.0]])),
+    lambda: LieElement.from_matrix(np.array([[0.0, np.inf], [-np.inf, 0.0]])),
+    lambda: LieElement.from_matrix(np.array([[0.0, np.inf], [0.0, 0.0]])),
+    lambda: LieElement.from_matrix(np.diag([1j * np.inf, 0.0])),
+    lambda: LieElement.from_coords(np.array([0.0, 0.0, np.nan, 1.0]), 2),
+], ids=["nan-pair", "inf-pair", "inf-entry", "inf-diagonal", "nan-coords"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_lie_element_rejects_non_finite_entries(make):
+    # a scaled skew-Hermitian check must not pass NaN or inf: the defect of
+    # an inf entry is inf, and so is the scale it would be measured against
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_subspace_intersection_self(setup_112):
     k = setup_112.k
     again = intersect(k, k)
@@ -172,17 +187,6 @@ def test_centralizer_witness_112(setup_112):
     assert centralizer(x0, setup_112.k).dim == 1
 
 
-def test_complex_centralizer_dimension(setup_112):
-    # shifted complex line: dim over C of the centralizer in the complexified algebra
-    st = setup_112
-    rng = np.random.default_rng(3)
-    x = LieElement.from_coords(st.m.basis @ rng.standard_normal(10), 4)
-    w = x.matrix + (0.3 + 0.7j) * st.a.matrix
-    c = centralizer(w, st.g)
-    assert c.is_complex
-    assert c.dim == 4
-
-
 def test_rank_ambiguity_warning():
     # a map with a singular value sitting exactly at the threshold scale
     A = np.diag([1.0, 1e-9])
@@ -221,6 +225,15 @@ def test_subspace_rejects_column_norm_off_by_more_than_ortho_tol():
     B[0, 1] = np.nan
     with pytest.raises(ValueError, match="orthonormal"):
         Subspace(4, B)
+
+
+def test_subspace_rejects_a_complex_basis():
+    # orthonormal over C, but every subspace of the package is real
+    B = np.eye(4)[:, :2] * np.exp(1j * np.array([0.3, 1.1]))
+    with pytest.raises(ValueError, match="complex"):
+        Subspace(4, B)
+    with pytest.raises(ValueError, match="complex"):
+        Subspace(4, np.eye(4).astype(complex))
 
 
 @pytest.mark.filterwarnings("ignore::suborbit.RankAmbiguityWarning")
@@ -293,28 +306,10 @@ def test_ad_in_basis_real_mode_matches_reference(n):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_ad_in_basis_complex_mode_matches_reference(n):
-    rng = np.random.default_rng(20 + n)
-    S = _random_subspace(n, n + 2, seed=30 + n)
-    x = LieElement.from_coords(rng.standard_normal(n * n), n)
-    a = LieElement.from_matrix(np.diag(1j * np.arange(1.0, n + 1)))
-    shifted = x.matrix + (0.3 - 1.7j) * a.matrix
-    A = ad_in_basis(shifted, S)
-    assert np.iscomplexobj(A)
-    _close(A, _ad_reference(shifted, S))
-    # a skew-Hermitian w on a complexified subspace also stays complex
-    SC = complexify(S)
-    A = ad_in_basis(x, SC)
-    assert np.iscomplexobj(A)
-    _close(A, _ad_reference(x.matrix, SC))
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_ad_in_basis_on_the_empty_subspace(n):
     empty = Subspace(n * n, np.zeros((n * n, 0)))
     w = LieElement.from_coords(np.ones(n * n), n)
     assert ad_in_basis(w, empty).shape == (n * n, 0)
-    assert ad_in_basis(w.matrix + 1j * w.matrix, empty).shape == (n * n, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -324,16 +319,12 @@ def test_bracket_form_matches_pairwise_trace_loop(n):
     mats = coords_to_matrix(S.basis, n)
     x = LieElement.from_coords(rng.standard_normal(n * n), n)
     a = np.diag(1j * np.arange(1.0, n + 1))
-    for w in (x.matrix, x.matrix + (0.5 + 2.0j) * a):
+    for w in (x.matrix, x.matrix + 0.5 * a):
         F = bracket_form(w, mats)
         _close(F, _bracket_form_reference(w, mats))
         assert np.all(np.diag(F) == 0)
-    # real mode: the form of a skew-Hermitian w on a real subspace is real
-    assert np.max(np.abs(bracket_form(x.matrix, mats).imag)) < STACK_TOL
-    # complexified subspace
-    SC = Subspace(n * n, S.basis @ np.diag(np.exp(1j * np.arange(S.dim))))
-    mats = coords_to_matrix(SC.basis, n)
-    _close(bracket_form(x.matrix, mats), _bracket_form_reference(x.matrix, mats))
+        # the form of a skew-Hermitian w on a real subspace is real
+        assert np.max(np.abs(F.imag)) < STACK_TOL
     assert bracket_form(x.matrix, mats[:0]).shape == (0, 0)
 
 
@@ -384,42 +375,59 @@ def test_centralizer_dim_matches_centralizer(n):
     x = LieElement.from_coords(rng.standard_normal(n * n), n)
     # repeated anchor entries give centralizers larger than the rank
     a = LieElement.from_matrix(np.diag(1j * np.repeat([1.0, 2.0, 3.0], n)[:n]))
+    shifted = x + 0.4 * a
     cases = [
-        (x, g), (a, g), (x, S), (a, S),
-        (x.matrix + (0.4 - 1.1j) * a.matrix, g),
-        (x.matrix + (0.4 - 1.1j) * a.matrix, S),
-        (x, complexify(g)), (a, complexify(S)),
-        (x, empty), (x.matrix + 1j * a.matrix, empty),
-        (LieElement.zero(n), g), (LieElement.zero(n), S),
+        (x, g), (a, g), (x, S), (a, S), (shifted, g), (shifted, S),
+        (x, empty), (LieElement.zero(n), g), (LieElement.zero(n), S),
         (x, flagged), (LieElement.zero(n), flagged),
     ]
     for w, within in cases:
         c = centralizer(w, within)
         assert centralizer_dim(w, within) == (c.dim, c.ambiguous)
     # several generators, or a subalgebra's own basis, on the empty space
-    assert stacked_centralizer([x, a.matrix + 1j * x.matrix], empty).dim == 0
+    assert stacked_centralizer(np.stack([x.coords, a.coords], axis=1), empty).dim == 0
     assert subalgebra_center(empty).dim == 0
-    # the same decisions over stacks: so(n) and u(n) stacks of skew-Hermitian
-    # (so(n): real) matrices take the spectral rule, the rest the stacked SVD
+    # the same decisions over stacks: so(n) and u(n) stacks (so(n): real
+    # elements) take the spectral rule, the rest the stacked SVD
     so_n = Subspace(n * n, np.eye(n * n, real_form_dim(n)))
     xr = LieElement.from_coords(np.where(np.arange(n * n) < real_form_dim(n),
                                          x.coords, 0.0), n)
-    shifted = x.matrix + (0.4 - 1.1j) * a.matrix
-    jordan = np.eye(n, k=1)     # nilpotent, so no spectrum to read
     zero = LieElement.zero(n)
     stacks = [
-        ([x, a, zero, x * 1e-3], g), ([x, shifted, a], g), ([a, jordan], g),
+        ([x, a, zero, x * 1e-3], g), ([x, shifted, a], g),
         ([xr, zero, xr * 7.0], so_n), ([xr, x, a], so_n),
         ([x, a, zero], S), ([shifted, x], S),
-        ([x, a], complexify(g)), ([a, xr], complexify(S)),
         ([x, shifted], empty), ([x, zero], flagged), ([xr, zero], flagged),
     ]
     for ws, within in stacks:
-        mats = np.stack([getattr(w, "matrix", w) for w in ws])
+        C = np.stack([w.coords for w in ws], axis=1)
         refs = [centralizer(w, within) for w in ws]
-        dims, amb = centralizer_dims(mats, within)
+        dims, amb = centralizer_dims(C, within)
         assert dims.tolist() == [c.dim for c in refs]
         assert amb.tolist() == [c.ambiguous for c in refs]
+    # complex coordinates would give a stack outside u(n)
+    for stacked in (centralizer_dims, stacked_centralizer):
+        with pytest.raises(ValueError, match="complex"):
+            stacked(x.coords[:, None] + 1j * a.coords[:, None], g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_complex_centralizer_reference_matches_centralizer_dims(n):
+    # on real inputs the complexified centralizer of the test reference has
+    # the real dimension that centralizer_dims decides, on the spaces it
+    # decides spectrally and on those it decides by the stacked SVD
+    rng = np.random.default_rng(120 + n)
+    mult = tuple(sorted((1, 1) + (2,) * ((n - 2) // 2) + (1,) * (n % 2)))
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    so_n = Subspace(n * n, np.eye(n * n, real_form_dim(n)))
+    real_part = np.arange(n * n) < real_form_dim(n)
+    C = np.column_stack([rng.standard_normal((n * n, 3)), st.a.coords,
+                         np.zeros(n * n), st.m_tilde.basis @ np.ones(st.m_tilde.dim)])
+    for within in (st.g, so_n, st.k, st.m, _random_subspace(n, n + 2, seed=130 + n)):
+        D = C * real_part[:, None] if within is so_n else C
+        dims = centralizer_dims(D, within, st.rank_tol)[0].tolist()
+        assert complex_centralizer_dims(coords_to_matrix(D, n), within,
+                                        st.rank_tol) == dims
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -444,9 +452,9 @@ def test_spectral_singular_values_match_the_adjoint_svd(n):
             ref = np.linalg.svd(ad_in_basis(w, space), compute_uv=False)
             assert np.max(np.abs(si - ref)) <= 1e-13 * ref.max()
     assert not np.any(x0.matrix.imag)
-    # a complex x, or a space other than u(n) and so(n), has no spectral rule
+    # an x outside so(n) on so(n), or a space other than u(n) and so(n), has
+    # no spectral rule
     assert _spectral_singular_values(np.stack([x.matrix]), g_tilde) is None
-    assert _spectral_singular_values(np.stack([x.matrix]), complexify(g)) is None
     S = _random_subspace(n, n + 2, seed=110 + n)
     assert _spectral_singular_values(np.stack([x.matrix]), S) is None
 
@@ -464,17 +472,23 @@ def test_centralizer_dim_carries_a_fragile_rank_decision():
 
 
 def test_centralizer_dims_flag_only_the_fragile_row():
-    # one near-cutoff matrix in a stack warns once and flags its row alone,
-    # on the spectral rule (u(n)) and on the stacked SVD (complexified u(n))
+    # one near-cutoff element in a stack warns once and flags its row alone,
+    # on the spectral rule (u(n) in canonical coordinates) and on the stacked
+    # SVD (u(n) in a rotated orthonormal basis, which the rule does not read)
     n = 3
     rng = np.random.default_rng(5)
     fragile = np.diag(1j * np.array([1.0, 1.0 + 2e-9, 2.0]))
-    mats = np.stack([LieElement.from_coords(rng.standard_normal(n * n), n).matrix,
-                     fragile, np.diag(1j * np.array([1.0, 2.0, 4.0]))])
-    for within in (full_space(n * n), complexify(full_space(n * n))):
+    C = np.stack([rng.standard_normal(n * n),
+                  LieElement.from_matrix(fragile).coords,
+                  LieElement.from_matrix(np.diag(1j * np.array([1.0, 2.0, 4.0]))).coords],
+                 axis=1)
+    rotated = Subspace(n * n, np.linalg.qr(rng.standard_normal((n * n, n * n)))[0])
+    for within in (full_space(n * n), rotated):
+        assert (_spectral_singular_values(coords_to_matrix(C, n), within) is None) == (
+            within is rotated)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            dims, amb = centralizer_dims(mats, within)
+            dims, amb = centralizer_dims(C, within)
         assert [w.category for w in caught] == [RankAmbiguityWarning]
         assert amb.tolist() == [False, True, False]
         # the 2e-9 gap lies below the cutoff 1e-9 |w| = 2.4e-9

@@ -10,7 +10,7 @@ from suborbit import (SINGULAR, LieElement, bracket, build_moment_data,
                       sample_element)
 from suborbit import momentmap
 from suborbit.generic import sample_coords
-from suborbit.lie import ad_in_basis, coords_to_matrix
+from suborbit.lie import ad_in_basis
 from suborbit.pencil import singular_kernel_dim
 from reference import (ad_a_inverse_apply, conjugate, moment_beta,
                        moment_differential, span, unitary_exp)
@@ -231,8 +231,8 @@ def test_m_a_screen_makes_at_most_two_svd_calls(monkeypatch, svd_calls, data_112
 def test_stacked_moment_map_matches_moment_beta(data_112, setup_112):
     for space in (setup_112.m, setup_112.m_tilde):
         C = sample_coords(space, 5, 43, 8)
-        alphas = momentmap._moment_stack(data_112, C, coords_to_matrix(C, 4))
-        assert alphas.shape == (8, 4, 4)
+        alphas = momentmap._moment_stack(data_112, C)
+        assert alphas.shape == (16, 8)
         for i in range(8):
             ref = moment_beta(data_112, LieElement.from_coords(C[:, i], 4))
-            np.testing.assert_allclose(alphas[i], ref.matrix, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(alphas[:, i], ref.coords, rtol=0, atol=1e-13)
