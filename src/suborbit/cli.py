@@ -26,7 +26,7 @@ from .bridge import CONFIRMED, INCONCLUSIVE, REDUCED, run_case
 from .flows import (FlowDivergenceError, build_flow, conservation_report,
                     energy_drift, integrate_flow, lax_residual, phi_spectrum)
 from .invariants import build_family, member_values
-from .lie import LieElement
+from .lie import LieElement, coords_to_matrix
 from .orbit import build_setup
 
 
@@ -98,6 +98,13 @@ def cmd_flow(args) -> int:
     if not 0 <= args.drift_tol < np.inf:
         raise ValueError(f"--drift-tol must be finite and non-negative, "
                          f"got {args.drift_tol}")
+    if not np.all(np.isfinite(b_values)):
+        raise ValueError(f"--b-spectrum must be finite, got {args.b_spectrum}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    if args.record_stride < 1:
+        raise ValueError(f"record stride must be at least 1, "
+                         f"got --record-stride={args.record_stride}")
     if len(b_values) != len(partition):
         raise ValueError(
             f"b-spectrum has {len(b_values)} entries for {len(partition)} blocks")
@@ -147,23 +154,15 @@ def cmd_flow(args) -> int:
 
 
 def _write_trajectory_csv(path: str, spec, traj, family):
-    n = spec.setup.n
     dom = spec.domain
     header = (["t"] + [f"c_{i + 1}" for i in range(dom.dim)]
               + [f"f_{i + 1}" for i in range(len(family.members))])
-    rows = []
-    for i in range(len(traj)):
-        x = traj.state(i, n)
-        coeffs = dom.coeffs(x.coords)
-        vals = member_values(family, x)
-        rows.append([repr(float(traj.times[i]))]
-                    + [repr(float(c)) for c in coeffs]
-                    + [repr(float(v)) for v in vals])
-    buf = []
-    buf.append(",".join(header))
-    for row in rows:
-        buf.append(",".join(row))
-    _write_atomic(path, "\n".join(buf) + "\n")
+    coeffs = traj.coords @ dom.basis
+    vals = member_values(family, coords_to_matrix(traj.coords.T, spec.setup.n))
+    lines = [",".join(header)] + [
+        ",".join(repr(float(v)) for v in (t, *c, *f))
+        for t, c, f in zip(traj.times, coeffs, vals)]
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _partitions(n: int):

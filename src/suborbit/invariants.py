@@ -68,23 +68,25 @@ def _shift_coeff_powers(x_mat: np.ndarray, a_mat: np.ndarray, k_max: int):
         yield coeffs
 
 
-def _real_part(k: int, z: complex) -> float:
-    return float(z.real if k % 2 == 0 else z.imag)
+def _real_part(k: int, z):
+    return z.real if k % 2 == 0 else z.imag
 
 
-def member_values(family: IntegralFamily, x: LieElement) -> np.ndarray:
+def member_values(family: IntegralFamily, x) -> np.ndarray:
     """Values of all members at x, in the order of ``family.members``.
 
     One shift recursion up to the largest power serves every member: its
-    state after k steps holds the matrix coefficients of (x + t*a)^k.
+    state after k steps holds the matrix coefficients of (x + t*a)^k.  For a
+    (R, n, n) stack ``x`` it runs over the whole stack and gives (R, M).
     """
+    X = x.matrix if isinstance(x, LieElement) else x
     members = family.members
-    vals = np.zeros(len(members))
+    vals = np.zeros(X.shape[:-2] + (len(members),))
     k_max = max((m.k for m in members), default=0)
-    for k, C in enumerate(_shift_coeff_powers(x.matrix, family.setup.a.matrix, k_max)):
+    for k, C in enumerate(_shift_coeff_powers(X, family.setup.a.matrix, k_max)):
         for i, m in enumerate(members):
             if m.k == k:
-                vals[i] = _real_part(k, complex(np.trace(C[m.s])))
+                vals[..., i] = _real_part(k, np.trace(C[m.s], axis1=-2, axis2=-1))
     return vals
 
 

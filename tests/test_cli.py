@@ -208,6 +208,20 @@ def test_flow_non_finite_or_out_of_range_input_exit_one(flag, value, capsys):
     assert err[0].endswith(f"got {float(value)}")
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--b-spectrum", "1,3,nan"), ("--b-spectrum", "1,3,inf"),
+    ("--b-spectrum", "-inf,3,7"), ("--steps", "0"), ("--steps", "-5"),
+    ("--record-stride", "0"), ("--record-stride", "-1")])
+def test_flow_bad_count_or_b_spectrum_names_the_flag(flag, value, capsys):
+    # one error line naming the flag and the value, with no numpy warning
+    # from a setup built on a non-finite b
+    assert main(["flow", "--partition", "1,1,2", "--spectrum", "1,2,3",
+                 "--b-spectrum", "1,3,7", "--steps", "10", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert flag in err[0] and err[0].endswith(value)
+
+
 def test_flow_coarse_step_exit_three():
     # the overflow inside the RK4 stages is reported as a divergence, without
     # a numpy RuntimeWarning on the way

@@ -10,7 +10,6 @@ from suborbit import (FlowDivergenceError, LieElement, bracket, build_family,
                       energy_drift, hamiltonian, integrate_flow, lax_residual,
                       member_values, pairing, phi_ab, phi_spectrum,
                       sample_element)
-from suborbit.flows import _rhs
 from reference import conjugate, shifted_invariant_eval, unitary_exp
 
 
@@ -193,11 +192,15 @@ def test_conservation_on_rank_six_case():
 def test_tensor_rhs_matches_bracket(partition, space):
     st = build_setup(partition, (1.0, 2.0, 3.0))
     spec = build_flow(st, (1.0, 3.0, 7.0), space)
+    V, d = spec.domain.basis, spec.domain.dim
     for i in range(3):
         x = _unit(st, space, [50, i], scale=1.0 + i)
         ref = bracket(x, phi_ab(spec, x)).coords
-        v = _rhs(spec, x.coords)
+        y = spec.domain.coeffs(x.coords)
+        v = V @ ((spec.field @ y).reshape(d, d) @ y)
         assert np.linalg.norm(v - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+    # the symmetric part of the tabulated field lies in the flow space exactly
+    assert spec.leak.shape == (0, d * d)
 
 
 def _bracket_rk4(spec, x0, dt, steps):
@@ -226,6 +229,45 @@ def test_integration_matches_bracket_rk4(flow_112, setup_112):
     ref = _bracket_rk4(flow_112, x0, 1e-3, 500)
     assert traj.coords.shape == ref.shape
     assert np.max(np.abs(traj.coords - ref)) < 1e-12
+
+
+def test_integration_projects_a_fixed_number_of_times(monkeypatch, flow_112,
+                                                      setup_112):
+    # the state is stepped in flow-space coefficients: x0 is checked and
+    # reduced once, and no step projects or reduces again
+    from suborbit.linalg import Subspace
+    calls = []
+    for name in ("project", "coeffs"):
+        method = getattr(Subspace, name)
+        monkeypatch.setattr(Subspace, name, lambda self, v, _m=method, _n=name:
+                            calls.append(_n) or _m(self, v))
+    x0 = _unit(setup_112, "m_tilde", 16, scale=2.0)
+    counts = []
+    for steps in (5, 500):
+        calls.clear()
+        integrate_flow(flow_112, x0, 1e-3, steps, record_stride=1)
+        counts.append((calls.count("project"), calls.count("coeffs")))
+    assert counts[0] == counts[1] == (1, 1)
+
+
+def test_conservation_report_is_one_stacked_evaluation(monkeypatch, flow_112,
+                                                       setup_112):
+    # the drift of every member along all records comes out of one shift
+    # recursion over the (R, n, n) stack of recorded states, and equals the
+    # drift of the per-record values exactly
+    import suborbit.invariants as inv
+    fam = build_family(setup_112, "m_tilde")
+    x0 = _unit(setup_112, "m_tilde", 17, scale=2.0)
+    traj = integrate_flow(flow_112, x0, 1e-3, 400, record_stride=20)
+    vals = np.array([member_values(fam, traj.state(i, 4)) for i in range(len(traj))])
+    ref = np.max(np.abs(vals[1:] - vals[0]) / (1.0 + np.abs(vals[0])), axis=0)
+    recursions = []
+    shift = inv._shift_coeff_powers
+    monkeypatch.setattr(inv, "_shift_coeff_powers",
+                        lambda *args: recursions.append(args) or shift(*args))
+    drifts = conservation_report(flow_112, traj, fam)
+    assert len(recursions) == 1 and recursions[0][0].shape == (len(traj), 4, 4)
+    assert drifts == {m.name: float(w) for m, w in zip(fam.members, ref)}
 
 
 def _leaky(spec, setup, eps):
