@@ -39,6 +39,7 @@ REDUCED = "REDUCED_PATH_USED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
+_DIM_SAMPLES = 25  # samples of each generic-dimension estimate
 _OKR_ATTEMPTS = 12  # fixed-part points tried for a Kronecker point
 _MOMENT_SAMPLES = 20  # samples of the moment route
 # largest involutivity residual that still confirms; n <= 8 measures < 1e-15
@@ -94,7 +95,6 @@ def _canonicalize(multiplicities, spectrum):
 
 
 def run_case(multiplicities, spectrum, seed: int = 0,
-             dim_samples: int = 25, rank_tol: float | None = None,
              _depth: int = 0) -> VerificationCase:
     """Run the full decision tree for one partition and spectrum.
 
@@ -109,11 +109,10 @@ def run_case(multiplicities, spectrum, seed: int = 0,
     the spectrum mapped affinely onto [-1, 1]; the report keeps the input
     spectrum.
 
-    ``dim_samples`` sizes the generic-dimension estimates and must be at
-    least 10.
+    There is one configuration: every rank decision is made against
+    ``linalg.RANK_RTOL`` and each generic-dimension estimate draws
+    ``_DIM_SAMPLES`` points.
     """
-    if dim_samples < 10:
-        raise ValueError(f"dim_samples must be at least 10, got {dim_samples}")
     mult, spec = _canonicalize(multiplicities, spectrum)
     if len(mult) < 2:
         raise ValueError("need at least two blocks; one block gives a trivial quotient")
@@ -121,18 +120,12 @@ def run_case(multiplicities, spectrum, seed: int = 0,
         note_order = "blocks reordered ascending (conjugation-equivalent setup)"
     else:
         note_order = None
-    tol = {} if rank_tol is None else {"rank_tol": rank_tol}
-    try:
-        setup = build_setup(mult, _centred(spec), **tol)
-    except RuntimeError as exc:
-        if rank_tol is None:  # the self-checks hold at the default tolerance
-            raise
-        raise ValueError(f"rank tolerance {rank_tol:g} is unusable: {exc}") from exc
+    setup = build_setup(mult, _centred(spec))
     case = VerificationCase(mult, spec, seed, setup.n, len(mult))
     if note_order:
         case.notes.append(note_order)
     try:
-        _run_decision_tree(setup, case, seed, dim_samples, rank_tol, _depth)
+        _run_decision_tree(setup, case, seed, _depth)
     except (ValueError, RuntimeError) as exc:
         # input validation happened before this point, so anything raised here
         # is a numerical-state failure of the verification itself
@@ -155,11 +148,10 @@ def _centred(spectrum) -> tuple:
     return tuple(float(v) for v in (s - mid) / half)
 
 
-def _run_decision_tree(setup, case: VerificationCase, seed,
-                       dim_samples: int, rank_tol, _depth: int):
+def _run_decision_tree(setup, case: VerificationCase, seed, _depth: int):
     mult, spec = case.multiplicities, case.spectrum
-    dims_m = estimate_generic_dims(setup, "m", dim_samples, seed)
-    dims_mt = estimate_generic_dims(setup, "m_tilde", dim_samples, seed)
+    dims_m = estimate_generic_dims(setup, "m", _DIM_SAMPLES, seed)
+    dims_mt = estimate_generic_dims(setup, "m_tilde", _DIM_SAMPLES, seed)
     case.dims_m, case.dims_m_tilde = dims_m, dims_mt
     if not (dims_m.stabilized and dims_mt.stabilized):
         case.notes.append("generic dimension estimates did not stabilize")
@@ -202,8 +194,7 @@ def _run_decision_tree(setup, case: VerificationCase, seed,
     if not all(red.checks.values()):
         case.notes.append("reduction consistency checks failed")
         return
-    inner = run_case(list(mult[:-1]) + [n1], spec, seed, dim_samples,
-                     rank_tol, _depth + 1)
+    inner = run_case(list(mult[:-1]) + [n1], spec, seed, _depth + 1)
     case.inner_case = inner
     if inner.conclusion == CONFIRMED:
         case.conclusion = REDUCED

@@ -154,19 +154,24 @@ def hamiltonian(spec: FlowSpec, x: LieElement) -> float:
     return float(_energies(spec, x.coords))
 
 
-def lax_residual(spec: FlowSpec, x: LieElement, lam) -> float:
+def lax_residual(spec: FlowSpec, x, lam):
     """Frobenius defect of [x, phi(x)] against the shifted bracket.
 
     Identically zero because [a, phi(x)] = [b, x] on the flow space and the
     two block-scalar elements commute; any nonzero value is numerical noise.
+    A (R, n, n) stack ``x`` of flow-space matrices gives its (R,) defects.
     """
-    lam = complex(lam)
-    p = phi_ab(spec, x)
-    lhs = x.matrix @ p.matrix - p.matrix @ x.matrix
-    w1 = x.matrix + lam * spec.setup.a.matrix
-    w2 = p.matrix + lam * spec.b.matrix
+    one = isinstance(x, LieElement)
+    X = x.matrix[None] if one else x
+    dom, lam = spec.domain, complex(lam)
+    c = dom.coeffs(matrices_to_coords(X).real)
+    P = coords_to_matrix(dom.basis @ (spec.phi_matrix @ c), spec.setup.n)
+    lhs = X @ P - P @ X
+    w1 = X + lam * spec.setup.a.matrix
+    w2 = P + lam * spec.b.matrix
     rhs = w1 @ w2 - w2 @ w1
-    return float(np.linalg.norm(lhs - rhs))
+    d = np.linalg.norm(lhs - rhs, axis=(1, 2))
+    return float(d[0]) if one else d
 
 
 @dataclass

@@ -84,8 +84,8 @@ def estimate_generic_dims(setup: OrbitSetup, space, samples: int = 25,
         raise ValueError("need at least 10 samples for a stable estimate")
     pair = setup.pair(space)
     C = sample_coords(pair.m, seed, 7, samples)
-    qs = centralizer_dims(C, pair.g, setup.rank_tol)[0]
-    ps = centralizer_dims(C, pair.k, setup.rank_tol)[0]
+    qs = centralizer_dims(C, pair.g)[0]
+    ps = centralizer_dims(C, pair.k)[0]
     q = int(qs.min())
     p = int(ps.min())
     hit = np.mean((qs == q) & (ps == p))
@@ -101,9 +101,9 @@ def in_R_mask(setup: OrbitSetup, C: np.ndarray, space, dims: GenericDims) -> np.
     if not dims.stabilized:
         raise ValueError("generic dimensions did not stabilize; resample first")
     pair = setup.pair(space)
-    hit = centralizer_dims(C, pair.g, setup.rank_tol)[0] == dims.q
+    hit = centralizer_dims(C, pair.g)[0] == dims.q
     if hit.any():
-        hit[hit] = centralizer_dims(C[:, hit], pair.k, setup.rank_tol)[0] == dims.p
+        hit[hit] = centralizer_dims(C[:, hit], pair.k)[0] == dims.p
     return hit
 
 
@@ -136,7 +136,7 @@ def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
     pair = setup.pair(space)
     A = ad_in_basis(x, pair.m)
     comp = pair.k.basis.T @ A
-    K, amb = kernel_basis(comp, setup.rank_tol, floor=float(np.linalg.norm(x.matrix)))
+    K, amb = kernel_basis(comp, floor=float(np.linalg.norm(x.matrix)))
     return Subspace(pair.m.ambient_dim, pair.m.basis @ K,
                     ambiguous=amb or pair.m.ambiguous)
 
@@ -216,16 +216,16 @@ def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
         x0 = x0.x
     elif not (is_in_R(setup, x0, "m", dims_m) and is_in_R(setup, x0, "m_tilde", dims_mt)):
         raise ValueError("anchor is not generic for both the full and the fixed pair")
-    kx = centralizer(x0, setup.k, setup.rank_tol)
+    kx = centralizer(x0, setup.k)
 
     n = setup.n
-    g0 = stacked_centralizer(kx.basis, setup.g, setup.rank_tol)
-    k0 = intersect(g0, setup.k, setup.rank_tol)
-    m0 = intersect(g0, setup.m, setup.rank_tol)
-    g0_tilde = intersect(g0, setup.g_tilde, setup.rank_tol)
-    k0_tilde = intersect(k0, setup.g_tilde, setup.rank_tol)
-    m0_tilde = intersect(m0, setup.g_tilde, setup.rank_tol)
-    z_g0 = subalgebra_center(g0, setup.rank_tol)
+    g0 = stacked_centralizer(kx.basis, setup.g)
+    k0 = intersect(g0, setup.k)
+    m0 = intersect(g0, setup.m)
+    g0_tilde = intersect(g0, setup.g_tilde)
+    k0_tilde = intersect(k0, setup.g_tilde)
+    m0_tilde = intersect(m0, setup.g_tilde)
+    z_g0 = subalgebra_center(g0)
 
     checks = {}
     checks["g0_is_subalgebra"] = bracket_closure_residual(g0) < 1e-10
@@ -262,7 +262,7 @@ def _sigma_stable(S: Subspace, n: int) -> bool:
 
 def _generic_dim_within(algebra: Subspace, setup: OrbitSetup, seed: int) -> int:
     C = sample_coords(algebra, seed, 29, _REDUCTION_SAMPLES)
-    return min(algebra.dim, int(centralizer_dims(C, algebra, setup.rank_tol)[0].min()))
+    return min(algebra.dim, int(centralizer_dims(C, algebra)[0].min()))
 
 
 def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
@@ -275,7 +275,7 @@ def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
         if not is_in_R(setup, x, "m", dims_m):
             continue
         checked += 1
-        kxi = centralizer(x, setup.k, setup.rank_tol)
+        kxi = centralizer(x, setup.k)
         if not equal_spaces(kxi, kx, 1e-7):
             match_k = False
         m0x = m_of_x(setup, x, pair0)
@@ -285,7 +285,7 @@ def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
         if checked >= 3:
             break
     # dim g^x0 must split as the reduced centralizer plus the semisimple part
-    g0x0_dim = centralizer_dim(x0, g0, setup.rank_tol)[0]
-    semis = derived_span(kx, setup.rank_tol)
+    g0x0_dim = centralizer_dim(x0, g0)[0]
+    semis = derived_span(kx)
     semis_ok = dims_m.q == g0x0_dim + semis.dim
     return match_k and checked > 0, match_slice and checked > 0, semis_ok

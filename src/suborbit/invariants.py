@@ -220,7 +220,7 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily,
         mx = m_of_x(setup, x, space)
     G = _member_gradients(family, x)
     # one rank decision gives the span dimension and an orthonormal span
-    Q, amb = orthonormal_columns(G, setup.rank_tol)
+    Q, amb = orthonormal_columns(G)
     span_dim = Q.shape[1]
     target = (dims.r + mx.dim) / 2
     target_dim = int(round(target))

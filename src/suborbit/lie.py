@@ -43,8 +43,7 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import (RANK_RTOL, Subspace, kernel_basis, numeric_ranks,
-                     orthonormal_columns)
+from .linalg import Subspace, kernel_basis, numeric_ranks, orthonormal_columns
 
 HERMITICITY_TOL = 1e-12
 
@@ -247,9 +246,9 @@ def ad_in_basis(x: LieElement, within: Subspace) -> np.ndarray:
     return _ad_stack(x.matrix[None], within)[0]
 
 
-def centralizer(x: LieElement, within: Subspace, rtol: float = RANK_RTOL) -> Subspace:
+def centralizer(x: LieElement, within: Subspace) -> Subspace:
     """{y in within : [x, y] = 0} as a subspace of coordinate space."""
-    return stacked_centralizer(x.coords[:, None], within, rtol)
+    return stacked_centralizer(x.coords[:, None], within)
 
 
 def _spectral_singular_values(mats: np.ndarray, within: Subspace):
@@ -278,8 +277,7 @@ def _spectral_singular_values(mats: np.ndarray, within: Subspace):
     return -np.sort(-s, axis=1)
 
 
-def centralizer_dims(C: np.ndarray, within: Subspace,
-                     rtol: float = RANK_RTOL) -> tuple[np.ndarray, np.ndarray]:
+def centralizer_dims(C: np.ndarray, within: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """``(dims, ambiguous)`` of the centralizer in ``within`` of each element
     given by a real coordinate column of ``C`` (n^2, S), without any kernel
     basis.
@@ -295,20 +293,18 @@ def centralizer_dims(C: np.ndarray, within: Subspace,
     s = _spectral_singular_values(mats, within)
     if s is None:
         s = np.linalg.svd(_ad_stack(mats, within), compute_uv=False)
-    ranks, amb = numeric_ranks(s, rtol, np.linalg.norm(mats, axis=(1, 2)))
+    ranks, amb = numeric_ranks(s, floors=np.linalg.norm(mats, axis=(1, 2)))
     return within.dim - ranks, amb | within.ambiguous
 
 
-def centralizer_dim(x: LieElement, within: Subspace,
-                    rtol: float = RANK_RTOL) -> tuple[int, bool]:
-    """``(dim, ambiguous)`` of ``centralizer(x, within, rtol)`` without its
-    basis: the one-element case of ``centralizer_dims``."""
-    dims, amb = centralizer_dims(x.coords[:, None], within, rtol)
+def centralizer_dim(x: LieElement, within: Subspace) -> tuple[int, bool]:
+    """``(dim, ambiguous)`` of ``centralizer(x, within)`` without its basis:
+    the one-element case of ``centralizer_dims``."""
+    dims, amb = centralizer_dims(x.coords[:, None], within)
     return int(dims[0]), bool(amb[0])
 
 
-def stacked_centralizer(C: np.ndarray, within: Subspace,
-                        rtol: float = RANK_RTOL) -> Subspace:
+def stacked_centralizer(C: np.ndarray, within: Subspace) -> Subspace:
     """{y in within : [g, y] = 0 for every generator g}, the generators given
     by the real coordinate columns of ``C`` (n^2, S)."""
     if not C.shape[1]:
@@ -316,7 +312,7 @@ def stacked_centralizer(C: np.ndarray, within: Subspace,
     mats = _stack(C)
     A = _ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
     floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
-    K, amb = kernel_basis(A, rtol, floor=floor)
+    K, amb = kernel_basis(A, floor=floor)
     return Subspace(within.ambient_dim, within.basis @ K,
                     ambiguous=amb or within.ambiguous)
 
@@ -328,16 +324,16 @@ def _pairwise_brackets(S: Subspace) -> np.ndarray:
     return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
 
 
-def subalgebra_center(S: Subspace, rtol: float = RANK_RTOL) -> Subspace:
+def subalgebra_center(S: Subspace) -> Subspace:
     """Center of a subalgebra given by its coordinate basis."""
-    return stacked_centralizer(S.basis, S, rtol)
+    return stacked_centralizer(S.basis, S)
 
 
-def derived_span(S: Subspace, rtol: float = RANK_RTOL) -> Subspace:
+def derived_span(S: Subspace) -> Subspace:
     """Span of all pairwise brackets of a basis of S (the derived subalgebra span)."""
     # basis elements are unit vectors, so genuine brackets are order one;
     # anchor the rank decision there rather than at the noise level
-    Q, amb = orthonormal_columns(_pairwise_brackets(S), rtol, floor=1.0)
+    Q, amb = orthonormal_columns(_pairwise_brackets(S), floor=1.0)
     return Subspace(S.ambient_dim, Q, amb)
 
 

@@ -1,11 +1,12 @@
 """Rank decisions and orthonormal subspace arithmetic.
 
 Every subspace is stored as a matrix whose columns are orthonormal real
-coordinate vectors over the ambient space.  All rank decisions in
-the package go through a single relative singular-value threshold so that
-dimension verdicts are consistent across modules.  Decisions that fall within
-a decade of the threshold are flagged as ambiguous instead of silently
-trusted.
+coordinate vectors over the ambient space.  Every rank decision in the
+package is made against the one relative singular-value threshold
+``RANK_RTOL``, so dimension verdicts are consistent across modules; the
+``floor`` that anchors it to the data is keyword-only.  Decisions that fall
+within a decade of the threshold are flagged as ambiguous instead of
+silently trusted.
 
 ``kernel_basis`` asks the SVD for the full right factor only when the matrix
 is wide.  A tall matrix (rows >= cols) already has a square thin right
@@ -45,9 +46,8 @@ def warn_fragile(what: str = "singular value within a decade of the rank cutoff"
                   stacklevel=4)
 
 
-def numeric_rank(singular_values, rtol: float = RANK_RTOL,
-                 floor: float = 0.0) -> tuple[int, bool]:
-    """Count singular values above ``rtol * max(sigma_max, floor)``.
+def numeric_rank(singular_values, *, floor: float = 0.0) -> tuple[int, bool]:
+    """Count singular values above ``RANK_RTOL * max(sigma_max, floor)``.
 
     The values may come in any order; sigma_max is their largest.
 
@@ -64,7 +64,7 @@ def numeric_rank(singular_values, rtol: float = RANK_RTOL,
     smax = max(float(s.max()), float(floor))
     if smax == 0.0:
         return 0, False
-    cut = rtol * smax
+    cut = RANK_RTOL * smax
     rank = int(np.count_nonzero(s > cut))
     near = int(np.count_nonzero((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND)))
     ambiguous = near > 0
@@ -73,17 +73,16 @@ def numeric_rank(singular_values, rtol: float = RANK_RTOL,
     return rank, ambiguous
 
 
-def numeric_ranks(s, rtol: float = RANK_RTOL,
-                  floors=0.0) -> tuple[np.ndarray, np.ndarray]:
+def numeric_ranks(s, *, floors=0.0) -> tuple[np.ndarray, np.ndarray]:
     """``numeric_rank`` of every row of a (S, r) stack of singular values.
 
     Returns ``(ranks, ambiguous)``, two arrays of length S; row i is decided
-    against ``rtol * max(max(s[i]), floors[i])`` (``floors`` may be a scalar)
+    against ``RANK_RTOL * max(max(s[i]), floors[i])`` (``floors`` may be a scalar)
     and warns once when it is ambiguous, exactly as ``numeric_rank`` would.
     """
     s = np.asarray(s, dtype=float)
     smax = np.maximum(s.max(axis=1, initial=0.0), floors)
-    cut = (rtol * smax)[:, None]
+    cut = (RANK_RTOL * smax)[:, None]
     ranks = np.count_nonzero(s > cut, axis=1)
     ambiguous = np.any((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND), axis=1)
     for _ in range(int(np.count_nonzero(ambiguous))):
@@ -91,8 +90,7 @@ def numeric_ranks(s, rtol: float = RANK_RTOL,
     return ranks, ambiguous
 
 
-def kernel_basis(A, rtol: float = RANK_RTOL,
-                 floor: float = 0.0) -> tuple[np.ndarray, bool]:
+def kernel_basis(A, *, floor: float = 0.0) -> tuple[np.ndarray, bool]:
     """Orthonormal basis of the right null space of ``A`` (columns), with ambiguity flag."""
     A = np.asarray(A)
     rows, cols = A.shape
@@ -101,12 +99,11 @@ def kernel_basis(A, rtol: float = RANK_RTOL,
     if rows == 0 or not np.any(A):
         return np.eye(cols), False
     _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
-    rank, ambiguous = numeric_rank(s, rtol, floor)
+    rank, ambiguous = numeric_rank(s, floor=floor)
     return vh[rank:].conj().T, ambiguous
 
 
-def kernel_dim(A, rtol: float = RANK_RTOL,
-               floor: float = 0.0) -> tuple[int, bool]:
+def kernel_dim(A, *, floor: float = 0.0) -> tuple[int, bool]:
     """Dimension of the right null space of ``A``, with ambiguity flag.
 
     Decides the same rank as ``kernel_basis`` from the singular values alone,
@@ -118,18 +115,17 @@ def kernel_dim(A, rtol: float = RANK_RTOL,
         return 0, False
     if rows == 0 or not np.any(A):
         return cols, False
-    rank, ambiguous = numeric_rank(np.linalg.svd(A, compute_uv=False), rtol, floor)
+    rank, ambiguous = numeric_rank(np.linalg.svd(A, compute_uv=False), floor=floor)
     return cols - rank, ambiguous
 
 
-def orthonormal_columns(A, rtol: float = RANK_RTOL,
-                        floor: float = 0.0) -> tuple[np.ndarray, bool]:
+def orthonormal_columns(A, *, floor: float = 0.0) -> tuple[np.ndarray, bool]:
     """Orthonormal basis of the column space of ``A``, with ambiguity flag."""
     A = np.asarray(A)
     if A.shape[1] == 0 or not np.any(A):
         return A[:, :0].copy(), False
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank, ambiguous = numeric_rank(s, rtol, floor)
+    rank, ambiguous = numeric_rank(s, floor=floor)
     return u[:, :rank], ambiguous
 
 
@@ -179,7 +175,7 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim))
 
 
-def intersect(S: Subspace, T: Subspace, rtol: float = RANK_RTOL) -> Subspace:
+def intersect(S: Subspace, T: Subspace) -> Subspace:
     """Intersection of two subspaces of the same ambient space."""
     if S.ambient_dim != T.ambient_dim:
         raise ValueError("subspaces live in different ambient spaces")
@@ -187,9 +183,9 @@ def intersect(S: Subspace, T: Subspace, rtol: float = RANK_RTOL) -> Subspace:
         return Subspace(S.ambient_dim, np.zeros((S.ambient_dim, 0)),
                         S.ambiguous or T.ambiguous)
     stacked = np.hstack([S.basis, -T.basis])
-    K, amb = kernel_basis(stacked, rtol)
+    K, amb = kernel_basis(stacked)
     vecs = S.basis @ K[: S.dim]
-    Q, amb2 = orthonormal_columns(vecs, rtol)
+    Q, amb2 = orthonormal_columns(vecs)
     return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb or amb2)
 
 

@@ -83,7 +83,7 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
     if accepted.size == 0:
         raise ValueError("no sample of V attained the generic centralizer dimensions")
     alphas = _moment_stack(data, C[:, accepted])
-    vals = centralizer_dims(alphas, data.pair.k, setup.rank_tol)[0] - dim_z
+    vals = centralizer_dims(alphas, data.pair.k)[0] - dim_z
     for i, val in zip(accepted[:_CROSS_CHECKS], vals):
         F_a = form_matrix(setup, LieElement.from_coords(C[:, i], n), SINGULAR)
         kernel = singular_kernel_dim(setup, F_a)[0]
@@ -112,4 +112,4 @@ def regular_in_kprime_test(setup: OrbitSetup) -> bool:
     """
     xi = LieElement.from_matrix(np.diag(1j * np.arange(1, setup.n + 1)))
     return (setup.k_prime.contains(xi.coords, 1e-12)
-            and centralizer_dim(xi, setup.k, setup.rank_tol)[0] == setup.n)
+            and centralizer_dim(xi, setup.k)[0] == setup.n)

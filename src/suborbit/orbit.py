@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_RTOL, Subspace, equal_spaces, full_space
+from .linalg import Subspace, equal_spaces, full_space
 from .lie import (LieElement, centralizer, centralizer_dim, coordinate_entries,
                   coords_to_matrix, matrices_to_coords, sigma, sigma_signs)
 
@@ -61,7 +61,6 @@ class OrbitSetup:
     z_of_g: Subspace
     ad_a_m: np.ndarray
     ad_a_m_inv: np.ndarray
-    rank_tol: float = RANK_RTOL
 
     @property
     def ambient_dim(self) -> int:
@@ -91,7 +90,7 @@ def block_scalar(setup_or_mult, values) -> LieElement:
     return LieElement.from_matrix(np.diag(diag))
 
 
-def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitSetup:
+def build_setup(multiplicities, spectrum) -> OrbitSetup:
     """Construct the full orbit context; validates the inputs and all splittings."""
     mult = tuple(int(m) for m in multiplicities)
     spec = tuple(float(s) for s in spectrum)
@@ -107,8 +106,6 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
     n = sum(mult)
     if n < 2:
         raise ValueError("need total dimension n >= 2")
-    if not 0.0 < rank_tol < np.inf:
-        raise ValueError(f"rank tolerance must be positive and finite, got {rank_tol}")
 
     a = block_scalar(mult, spec)
     rows, cols = coordinate_entries(n)
@@ -130,7 +127,7 @@ def build_setup(multiplicities, spectrum, rank_tol: float = RANK_RTOL) -> OrbitS
 
     setup = OrbitSetup(n, mult, spec, a, g, g_tilde, g_prime, k, m,
                        k_tilde, k_prime, m_tilde, m_prime, z_of_k, z_of_g,
-                       ad_a_m, ad_a_m_inv, rank_tol)
+                       ad_a_m, ad_a_m_inv)
     _validate_setup(setup)
     return setup
 
@@ -162,7 +159,7 @@ def _validate_setup(st: OrbitSetup):
     checks = []
     # the k mask against the definition of k as the centralizer of a
     checks.append(("k = centralizer of a",
-                   equal_spaces(centralizer(st.a, st.g, st.rank_tol), st.k)))
+                   equal_spaces(centralizer(st.a, st.g), st.k)))
     # anchor location and conjugation behavior
     checks.append(("a in k_prime", st.k_prime.contains(st.a.coords, 1e-12)))
     checks.append(("a in z(k)", st.z_of_k.contains(st.a.coords, 1e-12)))
@@ -271,7 +268,7 @@ def build_witness_x0(setup: OrbitSetup, seed: int = 0) -> tuple[LieElement, Witn
         M_orig = np.zeros((n, n))
         M_orig[np.ix_(ids, ids)] = M
         x0 = LieElement.from_matrix(M_orig.astype(complex))
-        dim = centralizer_dim(x0, setup.k, setup.rank_tol)[0]
+        dim = centralizer_dim(x0, setup.k)[0]
         if dim == expected:
             break
     else:
@@ -284,8 +281,7 @@ def build_witness_x0(setup: OrbitSetup, seed: int = 0) -> tuple[LieElement, Witn
 
     chain_orig = np.zeros((n, n))
     chain_orig[np.ix_(ids, ids)] = chain_sorted
-    chain_dim = centralizer_dim(LieElement.from_matrix(chain_orig), setup.k,
-                                setup.rank_tol)[0]
+    chain_dim = centralizer_dim(LieElement.from_matrix(chain_orig), setup.k)[0]
     if chain_dim != chain_expected:
         raise RuntimeError(
             f"chain stage has isotropy dimension {chain_dim}, expected {chain_expected}")

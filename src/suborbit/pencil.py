@@ -31,7 +31,7 @@ import numpy as np
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
 from .lie import LieElement, bracket_form, centralizer, coords_to_matrix  # noqa: F401
-from .linalg import (RANK_RTOL, Subspace, kernel_basis, kernel_dim, numeric_rank,
+from .linalg import (Subspace, kernel_basis, kernel_dim, numeric_rank,
                      orthonormal_columns, warn_fragile)
 from .generic import GenericDims, GenericPoint, is_in_R, m_of_x
 from .orbit import OrbitSetup
@@ -102,7 +102,7 @@ def genuine_eigenvalues(F_x: np.ndarray, F_a: np.ndarray, r: int,
 def singular_kernel_dim(setup: OrbitSetup, F_a: np.ndarray) -> tuple[int, bool]:
     """``(dim, ambiguous)`` of the kernel of the singular form ``F_a`` on m(x),
     which is m(x) ^ ad_a^(-1) ad x (k), decided against the floor |a|_F."""
-    return kernel_dim(F_a, setup.rank_tol, floor=float(np.linalg.norm(setup.a.matrix)))
+    return kernel_dim(F_a, floor=float(np.linalg.norm(setup.a.matrix)))
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
     rng = np.random.default_rng([seed, 23])
     if singular_ok and dims.q > setup.n:
         lam = rng.standard_normal()
-        kd, amb = kernel_dim(F_x + lam * F_a, setup.rank_tol,
+        kd, amb = kernel_dim(F_x + lam * F_a,
                              floor=float(np.linalg.norm(x.matrix + lam * setup.a.matrix)))
         count, ambiguous = abs(kd - dims.r), ambiguous or amb
     if singular_ok and count == 0:
@@ -204,7 +204,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
             raise ValueError("forms must be skew-symmetric")
     stacked = np.stack([B1.ravel(), B2.ravel()])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    rank2, _ = numeric_rank(sv, RANK_RTOL)
+    rank2, _ = numeric_rank(sv)
     if rank2 < 2:
         raise ValueError("forms are linearly dependent; the pencil is a line, not a plane")
 
@@ -221,7 +221,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
     dims = []
     for t1, t2 in params:
         F = t1 * B1 + t2 * B2
-        K, _ = kernel_basis(F, RANK_RTOL, floor)
+        K, _ = kernel_basis(F, floor=floor)
         dims.append(K.shape[1])
         kernels.append(K)
     r_min = int(min(dims))
@@ -229,7 +229,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
     vecs = [K for K, dd in zip(kernels, dims) if dd == r_min and K.shape[1] > 0]
     minimizing = sum(1 for dd in dims if dd == r_min)
     if vecs:
-        L, _ = orthonormal_columns(np.hstack(vecs), RANK_RTOL)
+        L, _ = orthonormal_columns(np.hstack(vecs))
     else:
         L = np.zeros((d, 0))
     L_dim = L.shape[1]
@@ -245,7 +245,7 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
 
     # B1 + lambda*B2 is Kronecker when B2 (lambda at infinity) has kernel
     # r_min and no finite lambda is an eigenvalue
-    cc = kernel_dim(B2, RANK_RTOL, floor)[0] == r_min
+    cc = kernel_dim(B2, floor=floor)[0] == r_min
     if cc:
         count, _, ambiguous = genuine_eigenvalues(B1, B2, r_min, rng)
         cc = count == 0 and not ambiguous

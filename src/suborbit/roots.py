@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import LieElement
+from .linalg import RANK_RTOL
 from .orbit import OrbitSetup
 
 
@@ -130,7 +131,7 @@ def verify_regular_pencil(setup: OrbitSetup, x) -> bool:
     complex centralizer has dimension exactly n on the whole line: the anchor
     is exactly diagonal and, in the anchored permutation order, X has exact
     zeros below its subdiagonal and every subdiagonal entry above
-    ``setup.rank_tol`` times its Frobenius norm.  False means only that no
+    ``linalg.RANK_RTOL`` times its Frobenius norm.  False means only that no
     certificate exists (zero, a generic matrix, a setup with no anchored
     permutation); it does not say that some x + lambda*a is derogatory.
     """
@@ -143,5 +144,5 @@ def verify_regular_pencil(setup: OrbitSetup, x) -> bool:
     except ValueError:
         return False
     H = X[np.ix_(perm, perm)]
-    cut = setup.rank_tol * np.linalg.norm(H)
+    cut = RANK_RTOL * np.linalg.norm(H)
     return not np.any(np.tril(H, -2)) and bool(np.all(np.abs(np.diag(H, -1)) > cut))

@@ -6,7 +6,7 @@ import numpy as np
 
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
 from suborbit.lie import LieElement, bracket, coords_to_matrix, pairing, project
-from suborbit.linalg import (RANK_RTOL, Subspace, full_space, kernel_basis,
+from suborbit.linalg import (Subspace, full_space, kernel_basis,
                              numeric_rank, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
 
@@ -52,8 +52,7 @@ def sum_spaces(S: Subspace, T: Subspace) -> Subspace:
     return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb)
 
 
-def complex_centralizer_dims(mats: np.ndarray, within: Subspace,
-                             rtol: float = RANK_RTOL) -> list:
+def complex_centralizer_dims(mats: np.ndarray, within: Subspace) -> list:
     """dim over C of the centralizer of each complex matrix w of a (S, n, n)
     stack in the complexification of ``within``: the rank of the vectorised
     brackets [w, b_j], read against the floor |w|_F.  The basis matrices are
@@ -63,7 +62,7 @@ def complex_centralizer_dims(mats: np.ndarray, within: Subspace,
     for w in mats:
         s = np.linalg.svd((w @ Ys - Ys @ w).reshape(within.dim, w.size).T,
                           compute_uv=False)
-        dims.append(within.dim - numeric_rank(s, rtol, np.linalg.norm(w))[0])
+        dims.append(within.dim - numeric_rank(s, floor=np.linalg.norm(w))[0])
     return dims
 
 

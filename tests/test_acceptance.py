@@ -62,7 +62,7 @@ def test_criterion_02_kernel_identity(setup_112, dims_112):
             continue
         found += 1
         F0 = form_matrix(st, x, 0.0)
-        kd, _ = kernel_dim(F0, st.rank_tol,
+        kd, _ = kernel_dim(F0,
                            floor=float(np.linalg.norm(x.matrix)))
         hits += kd == 3
     assert found == 50

@@ -186,12 +186,6 @@ def _assert_pinned(mult, seed):
     assert decided_fields(case.to_dict()) == PINNED_FIELDS[_pinned_key(mult, seed)]
 
 
-@pytest.mark.parametrize("field, value", [("dim_samples", 9)])
-def test_budgets_reject_values_below_their_least(field, value):
-    with pytest.raises(ValueError, match=field):
-        run_case((1, 1, 2), (1.0, 2.0, 3.0), **{field: value})
-
-
 SWEEP_N6 = [tuple(part) for n in range(2, 7) for part in _partitions(n)]
 
 

@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from suborbit import linalg
 from suborbit.cli import main
 
 
@@ -43,18 +44,17 @@ def test_verify_negative_seed_rejected():
                  "--seed", "-3"]) == 1
 
 
-def test_verify_too_few_samples_exit_one(capsys):
-    # fewer than 10 dimension samples is an input error, not an inconclusive run
-    assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
-                 "--samples", "5"]) == 1
-    assert "dim_samples" in capsys.readouterr().err
-
-
 def test_verify_unknown_option_exit_one(capsys):
-    # argparse's own usage-error code 2 is the inconclusive code here
-    assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
-                 "--lambda-samples", "20"]) == 1
-    assert "--lambda-samples" in capsys.readouterr().err
+    # argparse's own usage-error code 2 is the inconclusive code here; the
+    # rank cutoff and the sample budget are fixed, so their old flags are
+    # unknown options too
+    verify = ["verify", "--partition", "1,1,2", "--spectrum", "1,2,3"]
+    for argv, flag in [(verify + ["--lambda-samples", "20"], "--lambda-samples"),
+                       (verify + ["--tolerance-rank", "1e-9"], "--tolerance-rank"),
+                       (verify + ["--samples", "25"], "--samples"),
+                       (["sweep", "--max-n", "2", "--samples", "25"], "--samples")]:
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
 
 
 def test_verify_missing_spectrum_exit_one(capsys):
@@ -64,44 +64,27 @@ def test_verify_missing_spectrum_exit_one(capsys):
 
 def test_help_exit_zero(capsys):
     assert main(["verify", "--help"]) == 0
-    assert "--tolerance-rank" in capsys.readouterr().out
+    assert "--out" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_verify_rank_tolerance_not_positive_exit_one(tol, tmp_path, capsys):
-    out = tmp_path / "r.json"
-    assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
-                 "--tolerance-rank", tol, "--out", str(out)]) == 1
-    assert "error: rank tolerance" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_verify_rank_tolerance_failing_setup_checks_exit_one(capsys):
-    # positive and finite, but so large that k no longer reads as the
-    # centralizer of a: an input error naming the failed check
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
-                     "--tolerance-rank", "0.5"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: rank tolerance 0.5")
-    assert "k = centralizer of a" in err[0]
-
-
-def test_cli_prints_each_warning_as_one_line(capsys):
+def test_cli_prints_each_warning_as_one_line(monkeypatch, capsys):
     # under the default filter the rank warning reaches stderr as one
     # "warning:" line, without a source path or code line, before the error
+    def fragile_then_fail(*args, **kwargs):
+        linalg.warn_fragile()
+        raise ValueError("verification refused")
+
+    monkeypatch.setattr("suborbit.cli.run_case", fragile_then_fail)
     with warnings.catch_warnings():
         warnings.simplefilter("default")
-        assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3",
-                     "--tolerance-rank", "0.5"]) == 1
+        assert main(["verify", "--partition", "1,1,2", "--spectrum", "1,2,3"]) == 1
     err = capsys.readouterr().err
     assert ".py:" not in err
     lines = err.splitlines()
     assert len(lines) == 2
     assert lines[0] == ("warning: singular value within a decade of the rank "
                         "cutoff, dimension verdict is fragile")
-    assert lines[1].startswith("error: rank tolerance 0.5")
+    assert lines[1] == "error: verification refused"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -274,6 +257,21 @@ def test_out_path_in_missing_directory_is_input_error(tmp_path):
     rc = main(["verify", "--partition", "1,1", "--spectrum", "1,2",
                "--out", str(missing)])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--out"), ("flow", "--out-traj"), ("flow", "--out-summary")])
+def test_unwritable_output_names_the_requested_path(command, flag, tmp_path, capsys):
+    # the atomic write goes through a temporary file beside the target; an
+    # error names the path asked for, never that temporary file
+    target = str(tmp_path / "missing" / "out.json")
+    argv = ["--partition", "1,1,2", "--spectrum", "1,2,3"]
+    if command == "flow":
+        argv += ["--b-spectrum", "1,3,7", "--steps", "10"]
+    assert main([command, *argv, flag, target]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if line.startswith("error:")]
+    assert len(err) == 1 and target in err[0] and ".suborbit-" not in err[0]
 
 
 def test_module_entry_point(tmp_path):

@@ -10,6 +10,7 @@ from suborbit import (FlowDivergenceError, LieElement, bracket, build_family,
                       energy_drift, hamiltonian, integrate_flow, lax_residual,
                       member_values, pairing, phi_ab, phi_spectrum,
                       sample_element)
+from suborbit.lie import coords_to_matrix
 from reference import conjugate, shifted_invariant_eval, unitary_exp
 
 
@@ -91,6 +92,21 @@ def test_lax_residual_values(flow_112, setup_112):
     assert lax_residual(flow_112, x, 0.0) == 0.0
     for lam in (0.3, -2.0, 1 + 1j, 0.5j):
         assert lax_residual(flow_112, x, lam) < 1e-12
+
+
+@pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2, 2)])
+@pytest.mark.parametrize("space", ["m", "m_tilde"])
+def test_stacked_lax_residual_matches_per_record_values(mult, space):
+    # the (R, n, n) stack of recorded states gives one defect per record, the
+    # same as one call per record
+    st = build_setup(mult, (1.0, 2.0, 3.0))
+    spec = build_flow(st, (1.0, 3.0, 7.0), space)
+    traj = integrate_flow(spec, _unit(st, space, 8, scale=2.0), 1e-3, 500, 50)
+    stacked = lax_residual(spec, coords_to_matrix(traj.coords.T, st.n), 0.5 + 0.5j)
+    per_record = [lax_residual(spec, traj.state(i, st.n), 0.5 + 0.5j)
+                  for i in range(len(traj))]
+    assert stacked.shape == (len(traj),)
+    assert abs(stacked.max() - max(per_record)) <= 1e-15
 
 
 def test_rhs_stays_in_flow_space(flow_112, setup_112):

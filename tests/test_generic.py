@@ -205,7 +205,7 @@ def test_reduced_pair_full_machinery(setup_114, dims_114):
             continue
         mx = m_of_x(st, x, pair0)
         F_a = form_matrix(st, x, SINGULAR, pair0, mx)
-        si_dim, _ = kernel_dim(F_a, st.rank_tol, floor=float(np.linalg.norm(st.a.matrix)))
+        si_dim, _ = kernel_dim(F_a, floor=float(np.linalg.norm(st.a.matrix)))
         if si_dim != dims0.r:
             continue
         count, _, _ = genuine_eigenvalues(form_matrix(st, x, 0.0, pair0, mx), F_a,

@@ -1,15 +1,23 @@
 """Import hygiene: no module of the package (its ``__init__`` aside, which
 re-exports) and no module of the tests imports a name it never reads.  An
-import on a line marked ``# noqa: F401`` is kept on purpose."""
+import on a line marked ``# noqa: F401`` is kept on purpose.
 
+Also the one configuration: no function of the package takes a rank
+tolerance or a sample count for ``run_case``, every rank floor is
+keyword-only, and no subcommand offers a flag for either."""
+
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
+from suborbit.cli import build_parser
+
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([p for p in (ROOT / "src" / "suborbit").glob("*.py")
-                  if p.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")))
+PACKAGE = sorted((ROOT / "src" / "suborbit").glob("*.py"))
+MODULES = sorted([p for p in PACKAGE if p.name != "__init__.py"]
+                 + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +50,50 @@ def test_unused_imports_finds_exactly_the_unread_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+KNOBS = {"rtol", "rank_tol", "dim_samples"}
+
+
+def knob_parameters(source: str) -> list:
+    """``(line, name)`` of each parameter of a function or lambda in
+    ``source`` that names a removed knob, or a rank floor passable by
+    position."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        for arg in args.posonlyargs + args.args + args.kwonlyargs:
+            if arg.arg in KNOBS:
+                found.append((node.lineno, arg.arg))
+        for arg in args.posonlyargs + args.args:
+            if arg.arg in ("floor", "floors"):
+                found.append((node.lineno, arg.arg))
+    return sorted(found)
+
+
+def test_knob_parameters_finds_knobs_and_positional_floors():
+    source = ("def a(x, rtol=1e-9): pass\n"
+              "def b(x, *, floor=0.0): pass\n"
+              "def c(s, floors=0.0): pass\n"
+              "class D:\n"
+              "    def e(self, *, dim_samples=25): pass\n"
+              "f = lambda x, rank_tol: x\n")
+    assert knob_parameters(source) == [(1, "rtol"), (3, "floors"),
+                                       (5, "dim_samples"), (6, "rank_tol")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_has_no_rank_or_sample_knob(path):
+    assert knob_parameters(path.read_text()) == []
+
+
+def test_no_subcommand_offers_a_rank_or_sample_flag():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"verify", "flow", "sweep"}
+    for name, parser in sub.choices.items():
+        flags = {o for a in parser._actions for o in a.option_strings}
+        assert "--seed" in flags, name
+        assert not flags & {"--tolerance-rank", "--samples"}, name

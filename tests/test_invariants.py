@@ -225,7 +225,7 @@ def test_kernel_contained_in_span_when_complete(fam_m, setup_112, dims_112):
     assert rep.complete
     mx = m_of_x(st, x, "m")
     F0 = form_matrix(st, x, 0.0)
-    K, _ = kernel_basis(F0, st.rank_tol, float(np.linalg.norm(x.matrix)))
+    K, _ = kernel_basis(F0, floor=float(np.linalg.norm(x.matrix)))
     kernel_vecs = mx.basis @ K
     G = np.stack([gradient(fam_m, m, x).coords for m in fam_m.members], axis=1)
     S = span(G, 16)

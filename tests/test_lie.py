@@ -425,9 +425,8 @@ def test_complex_centralizer_reference_matches_centralizer_dims(n):
                          np.zeros(n * n), st.m_tilde.basis @ np.ones(st.m_tilde.dim)])
     for within in (st.g, so_n, st.k, st.m, _random_subspace(n, n + 2, seed=130 + n)):
         D = C * real_part[:, None] if within is so_n else C
-        dims = centralizer_dims(D, within, st.rank_tol)[0].tolist()
-        assert complex_centralizer_dims(coords_to_matrix(D, n), within,
-                                        st.rank_tol) == dims
+        dims = centralizer_dims(D, within)[0].tolist()
+        assert complex_centralizer_dims(coords_to_matrix(D, n), within) == dims
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -519,10 +518,10 @@ def _ranks_both_ways(s, floors):
     """``(by_row, stacked, warnings by row, warnings stacked)``."""
     with warnings.catch_warnings(record=True) as by_row_warnings:
         warnings.simplefilter("always")
-        by_row = [numeric_rank(si, RANK_RTOL, fl) for si, fl in zip(s, floors)]
+        by_row = [numeric_rank(si, floor=fl) for si, fl in zip(s, floors)]
     with warnings.catch_warnings(record=True) as stacked_warnings:
         warnings.simplefilter("always")
-        ranks, ambiguous = numeric_ranks(s, RANK_RTOL, floors)
+        ranks, ambiguous = numeric_ranks(s, floors=floors)
     assert all(w.category is RankAmbiguityWarning for w in stacked_warnings)
     stacked = [(int(r), bool(a)) for r, a in zip(ranks, ambiguous)]
     return by_row, stacked, len(by_row_warnings), len(stacked_warnings)
@@ -546,4 +545,4 @@ def test_numeric_ranks_flag_only_the_rows_inside_the_band():
     by_row, stacked, warned_by_row, warned_stacked = _ranks_both_ways(s, floors)
     assert stacked == by_row == [(2, True), (2, False), (0, False), (0, True)]
     assert warned_stacked == warned_by_row == 2
-    assert numeric_ranks(np.zeros((3, 0)), RANK_RTOL, 1.0)[0].tolist() == [0, 0, 0]
+    assert numeric_ranks(np.zeros((3, 0)), floors=1.0)[0].tolist() == [0, 0, 0]

@@ -41,12 +41,6 @@ def test_nonpositive_multiplicity_rejected():
         build_setup((1, -1), (1.0, 2.0))
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
-def test_rank_tolerance_not_positive_rejected(tol):
-    with pytest.raises(ValueError, match="rank tolerance"):
-        build_setup((1, 1, 2), (1.0, 2.0, 3.0), rank_tol=tol)
-
-
 def test_anchor_properties(setup_112):
     st = setup_112
     assert st.k_prime.contains(st.a.coords, 1e-12)

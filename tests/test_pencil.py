@@ -64,7 +64,7 @@ def test_canonical_kernel_dimension_is_r(setup_112, dims_112):
     for i in range(20):
         x = sample_element(st.m, np.random.default_rng([20, i]), 4)
         F0 = form_matrix(st, x, 0.0)
-        kd, _ = kernel_dim(F0, st.rank_tol,
+        kd, _ = kernel_dim(F0,
                            floor=float(np.linalg.norm(x.matrix)))
         hits += kd == dims_112["m"].r
     assert hits >= 19
@@ -80,8 +80,8 @@ def test_form_kernel_matches_projected_centralizer(setup_112, dims_112):
     mx = m_of_x(st, x, "m")
     F = form_matrix(st, x, 0.0, domain=mx) + lam * form_matrix(st, x, SINGULAR, domain=mx)
     w = x.matrix + lam * st.a.matrix
-    kd, _ = kernel_dim(F, st.rank_tol, floor=float(np.linalg.norm(w)))
-    gw, kw = [complex_centralizer_dims(w[None], space, st.rank_tol)[0]
+    kd, _ = kernel_dim(F, floor=float(np.linalg.norm(w)))
+    gw, kw = [complex_centralizer_dims(w[None], space)[0]
               for space in (st.g, st.k)]
     assert kd == gw - kw == dims_112["m"].r
 
@@ -102,7 +102,7 @@ def test_kronecker_verdict_at_fixed_points(setup_112, dims_112):
             F_x = form_matrix(st, x, 0.0, domain=mx)
             F_a = form_matrix(st, x, SINGULAR, domain=mx)
             form_kernels = {
-                kernel_dim(F_x + lam * F_a, st.rank_tol,
+                kernel_dim(F_x + lam * F_a,
                            floor=float(np.linalg.norm(x.matrix + lam * st.a.matrix)))[0]
                 for lam in _lambdas(5, 23, 10)}
             assert form_kernels == {dims_112["m"].r}
@@ -217,7 +217,7 @@ def test_canonical_kernel_equals_projected_centralizer_subspace(setup_112, dims_
     assert centralizer(x, st.g).dim == dims_112["m"].q
     mx = m_of_x(st, x, "m")
     F0 = form_matrix(st, x, 0.0, domain=mx)
-    K, _ = kernel_basis(F0, st.rank_tol, float(np.linalg.norm(x.matrix)))
+    K, _ = kernel_basis(F0, floor=float(np.linalg.norm(x.matrix)))
     kernel_space = span(mx.basis @ K, st.ambient_dim)
     gx = centralizer(x, st.g)
     projected = span(st.m.basis @ (st.m.basis.T @ gx.basis), st.ambient_dim)
@@ -233,7 +233,7 @@ def _generating_forms_rank(st, x):
     stacked = np.stack([F0.ravel(), F1.ravel()])
     floor = float(np.linalg.norm(x.matrix) + np.linalg.norm(st.a.matrix))
     return linalg.numeric_rank(np.linalg.svd(stacked.astype(complex), compute_uv=False),
-                               st.rank_tol, floor=floor)[0]
+                               floor=floor)[0]
 
 
 def test_dependent_forms_on_symmetric_case():
@@ -260,7 +260,7 @@ def _adjoint_kernel_dims(st, x, lams, space="m"):
     """Kernel dimensions of ad(x + lam*a) on the complexified algebra of the
     pair, one reference centralizer dimension per parameter."""
     mats = x.matrix + lams[:, None, None] * st.a.matrix
-    return np.array(complex_centralizer_dims(mats, st.pair(space).g, st.rank_tol))
+    return np.array(complex_centralizer_dims(mats, st.pair(space).g))
 
 
 def _kronecker_reference(st, x, dims, lams, space):
@@ -268,7 +268,7 @@ def _kronecker_reference(st, x, dims, lams, space):
     form's kernel for lambda at infinity."""
     domain = m_of_x(st, x, space)
     F_si = form_matrix(st, x, SINGULAR, space, domain)
-    si_dim, _ = kernel_dim(F_si, st.rank_tol, floor=float(np.linalg.norm(st.a.matrix)))
+    si_dim, _ = kernel_dim(F_si, floor=float(np.linalg.norm(st.a.matrix)))
     cdims = _adjoint_kernel_dims(st, x, lams, space)
     kron = si_dim == dims.r and all(cdims == dims.q)
     return si_dim, cdims, kron
@@ -291,7 +291,7 @@ def test_affine_lambda_sweep_matches_per_lambda_reference(mult, space):
         si_dim, cdims, kron = _kronecker_reference(st, x, dims, lams, space)
         real = lams.imag == 0
         C = x.coords[:, None] + lams[real].real * st.a.coords[:, None]
-        assert list(centralizer_dims(C, st.pair(space).g, st.rank_tol)[0]) == list(
+        assert list(centralizer_dims(C, st.pair(space).g)[0]) == list(
             cdims[real])
         if space == "m":
             v = kronecker_test(st, x, dims, seed=i)
@@ -321,7 +321,7 @@ def test_slice_pencil_carries_the_centralizer_pencil(mult):
     F_x = form_matrix(st, x, 0.0, domain=mx)
     F_a = form_matrix(st, x, SINGULAR, domain=mx)
     floors = np.linalg.norm(x.matrix + lams[:, None, None] * st.a.matrix, axis=(1, 2))
-    slice_dims = np.array([kernel_dim(F_x + lam * F_a, st.rank_tol, fl)[0]
+    slice_dims = np.array([kernel_dim(F_x + lam * F_a, floor=fl)[0]
                            for lam, fl in zip(lams, floors)])
     adjoint_dims = _adjoint_kernel_dims(st, x, lams)
     assert list(dims.p + slice_dims) == list(adjoint_dims)
