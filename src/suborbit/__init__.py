@@ -21,7 +21,7 @@ from .roots import (RootDatum, anchored_permutation, build_x_pi, root_split,
                     verify_regular_pencil)
 from .flows import (FlowDivergenceError, FlowSpec, Trajectory, build_flow,
                     conservation_report, energy_drift, hamiltonian,
-                    integrate_flow, lax_residual, phi_ab, phi_spectrum)
+                    integrate_flow, lax_residual, phi_spectrum)
 from .bridge import CONFIRMED, INCONCLUSIVE, REDUCED, VerificationCase, run_case
 
 __all__ = [
@@ -44,6 +44,6 @@ __all__ = [
     "verify_regular_pencil",
     "FlowDivergenceError", "FlowSpec", "Trajectory", "build_flow",
     "conservation_report", "energy_drift", "hamiltonian", "integrate_flow",
-    "lax_residual", "phi_ab", "phi_spectrum",
+    "lax_residual", "phi_spectrum",
     "CONFIRMED", "INCONCLUSIVE", "REDUCED", "VerificationCase", "run_case",
 ]

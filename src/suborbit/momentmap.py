@@ -2,9 +2,10 @@
 
 Inverting ad a on m produces a nondegenerate skew form
 
-    beta(y1, y2) = <y1, (ad a|_m)^(-1) y2>,
+    beta(y1, y2) = <y1, (ad a|_m)^(-1) y2>.
 
-for which the isotropy action is Hamiltonian with the equivariant moment map
+(ad a|_m)^(-1) multiplies entry (j, k) by -i / (l_j - l_k), so beta is skew by
+construction, and the isotropy action is Hamiltonian with the moment map
 
     mu(x) = (1/2) [ad_a^(-1)(x), x]_k   (isotropy-algebra component).
 
@@ -29,7 +30,7 @@ from .lie import (LieElement, centralizer,  # noqa: F401
                   matrices_to_coords)
 from .linalg import Subspace
 from .generic import GenericDims, in_R_mask, sample_coords
-from .orbit import AlgebraPair, OrbitSetup
+from .orbit import AlgebraPair, OrbitSetup, entry_gaps
 from .pencil import SINGULAR, form_matrix, singular_kernel_dim
 
 # the first accepted samples of m_a_estimate checked against the singular kernel
@@ -38,8 +39,9 @@ _CROSS_CHECKS = 3
 
 @dataclass(frozen=True)
 class MomentData:
-    """Anchor-inversion data on m: ``ad_a_inv`` is (ad a|_m)^(-1), and also
-    the matrix of the skew form beta, in the basis of m."""
+    """Anchor-inversion data on m: ``ad_a_inv`` is the (n, n) factor
+    -i / (l_j - l_k), zero on the diagonal blocks, by which (ad a|_m)^(-1)
+    multiplies each entry of a matrix of m; beta(y1, y2) = <y1, ad_a_inv * y2>."""
 
     setup: OrbitSetup
     pair: AlgebraPair
@@ -52,11 +54,10 @@ class MomentData:
 
 def build_moment_data(setup: OrbitSetup) -> MomentData:
     """Moment-map data on m, the one space where ad a is invertible (it maps
-    m_tilde onto m_prime); validates that the inverted anchor form is skew."""
-    beta = setup.ad_a_m_inv
-    if np.max(np.abs(beta + beta.T)) > 1e-12 * max(1.0, np.max(np.abs(beta))):
-        raise RuntimeError("the inverted anchor form is not skew")
-    return MomentData(setup, setup.pair("m"), beta)
+    m_tilde onto m_prime)."""
+    gaps = entry_gaps(setup.a)
+    factor = np.divide(-1j, gaps, out=np.zeros(gaps.shape, complex), where=gaps != 0)
+    return MomentData(setup, setup.pair("m"), factor)
 
 
 def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
@@ -97,9 +98,8 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
 def _moment_stack(data: MomentData, C: np.ndarray) -> np.ndarray:
     """The coordinate columns (N, S) of the moment values (1/2) [ad_a^(-1) x, x]_k
     of the points with coordinate columns ``C`` (N, S)."""
-    space, n = data.space, data.setup.n
-    xs = coords_to_matrix(C, n)
-    ys = coords_to_matrix(space.basis @ (data.ad_a_inv @ space.coeffs(C)), n)
+    xs = coords_to_matrix(C, data.setup.n)
+    ys = data.ad_a_inv * xs
     half = 0.5 * matrices_to_coords(ys @ xs - xs @ ys).real
     return data.pair.k.project(half)
 

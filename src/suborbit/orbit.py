@@ -8,6 +8,8 @@ into fixed (real, so(n)-type) and anti-fixed (i*symmetric) parts.  As a is
 diagonal, these are coordinate masks over ``lie.coordinate_entries``: k holds
 the coordinates whose row and column share a block, the fixed part the ones
 conjugation keeps.  z(k) is spanned by the block identities and z(g) by iI.
+ad a scales entry (j, k) by i(l_j - l_k) (``entry_gaps``), so it is inverted on
+m entry by entry; a spectrum whose gaps the rank rule cannot separate is refused.
 The module also builds the explicit real element of the fixed part of m
 whose isotropy algebra inside k has the smallest possible dimension; that
 element anchors all genericity and reduction arguments downstream.
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Subspace, equal_spaces, full_space
+from .linalg import AMBIGUITY_BAND, RANK_RTOL, Subspace, equal_spaces, full_space
 from .lie import (LieElement, centralizer, centralizer_dim, coordinate_entries,
-                  coords_to_matrix, matrices_to_coords, sigma, sigma_signs)
+                  sigma, sigma_signs)
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,6 @@ class OrbitSetup:
     m_prime: Subspace
     z_of_k: Subspace
     z_of_g: Subspace
-    ad_a_m: np.ndarray
-    ad_a_m_inv: np.ndarray
 
     @property
     def ambient_dim(self) -> int:
@@ -90,6 +90,13 @@ def block_scalar(setup_or_mult, values) -> LieElement:
     return LieElement.from_matrix(np.diag(diag))
 
 
+def entry_gaps(x: LieElement) -> np.ndarray:
+    """The (n, n) gaps l_j - l_k of a diagonal x = i*diag(l): ad x scales
+    entry (j, k) of a matrix by i(l_j - l_k)."""
+    l = x.matrix.diagonal().imag
+    return l[:, None] - l[None, :]
+
+
 def build_setup(multiplicities, spectrum) -> OrbitSetup:
     """Construct the full orbit context; validates the inputs and all splittings."""
     mult = tuple(int(m) for m in multiplicities)
@@ -108,6 +115,14 @@ def build_setup(multiplicities, spectrum) -> OrbitSetup:
         raise ValueError("need total dimension n >= 2")
 
     a = block_scalar(mult, spec)
+    # every gap must clear k's rank cutoff RANK_RTOL * max(largest gap, |a|_F) tenfold
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_a = a.norm()
+        rel = np.diff(np.sort(spec)).min(initial=np.inf) / max(float(np.ptp(spec)), norm_a)
+    if not (np.isfinite(norm_a) and rel > AMBIGUITY_BAND * RANK_RTOL):
+        raise ValueError(f"spectrum values too close to separate: smallest gap / "
+                         f"max(largest gap, |a|_F = {norm_a:.3g}) = {rel:.3g}, "
+                         f"bound {AMBIGUITY_BAND * RANK_RTOL:g}")
     rows, cols = coordinate_entries(n)
     owner = np.repeat(np.arange(len(mult)), mult)
     in_k = owner[rows] == owner[cols]
@@ -120,25 +135,10 @@ def build_setup(multiplicities, spectrum) -> OrbitSetup:
     z_of_k = _block_identities(owner, rows, cols)
     z_of_g = _block_identities(np.zeros(n, dtype=int), rows, cols)
 
-    ad_a_m = _operator_on(m, lambda Ys: a.matrix @ Ys - Ys @ a.matrix)
-    ad_a_m_inv = np.linalg.inv(ad_a_m)
-    if m.dim and np.max(np.abs(ad_a_m @ ad_a_m_inv - np.eye(m.dim))) > 1e-10:
-        raise RuntimeError("ad a is numerically singular on m")
-
     setup = OrbitSetup(n, mult, spec, a, g, g_tilde, g_prime, k, m,
-                       k_tilde, k_prime, m_tilde, m_prime, z_of_k, z_of_g,
-                       ad_a_m, ad_a_m_inv)
+                       k_tilde, k_prime, m_tilde, m_prime, z_of_k, z_of_g)
     _validate_setup(setup)
     return setup
-
-
-def _operator_on(S: Subspace, apply_matrix) -> np.ndarray:
-    """Matrix of a linear map S -> S in the basis of S.
-
-    ``apply_matrix`` maps the (d, n, n) stack of basis matrices at once.
-    """
-    Ys = coords_to_matrix(S.basis, int(round(np.sqrt(S.ambient_dim))))
-    return S.coeffs(matrices_to_coords(apply_matrix(Ys)).real)
 
 
 def _coordinates(mask) -> Subspace:

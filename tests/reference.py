@@ -5,7 +5,8 @@ structural form, which neither ``run_case`` nor the command line reaches."""
 import numpy as np
 
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
-from suborbit.lie import LieElement, bracket, coords_to_matrix, pairing, project
+from suborbit.lie import (LieElement, ad_in_basis, bracket, coords_to_matrix,
+                          pairing, project)
 from suborbit.linalg import (Subspace, full_space, kernel_basis,
                              numeric_rank, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
@@ -107,10 +108,15 @@ def x_pi_template(datum, c_alpha: dict, d_beta: dict) -> np.ndarray:
 
 # -- the moment map, one point at a time ----------------------------------------
 
+def ad_a_on_m(setup) -> np.ndarray:
+    """Matrix of ad a restricted to m, in the basis of m, from ``ad_in_basis``."""
+    return setup.m.coeffs(ad_in_basis(setup.a, setup.m))
+
+
 def ad_a_inverse_apply(setup, x: LieElement) -> LieElement:
-    """(ad a|_m)^(-1) applied to an element of m."""
-    c = setup.m.coeffs(x.coords)
-    return LieElement.from_coords(setup.m.basis @ (setup.ad_a_m_inv @ c), setup.n)
+    """(ad a|_m)^(-1) applied to an element of m, by a linear solve."""
+    c = np.linalg.solve(ad_a_on_m(setup), setup.m.coeffs(x.coords))
+    return LieElement.from_coords(setup.m.basis @ c, setup.n)
 
 
 def moment_beta(data, x: LieElement) -> LieElement:
@@ -124,6 +130,14 @@ def moment_differential(data, x0: LieElement, y: LieElement) -> LieElement:
     t1 = bracket(ad_a_inverse_apply(data.setup, x0), y)
     t2 = bracket(ad_a_inverse_apply(data.setup, y), x0)
     return project(0.5 * (t1 + t2), data.pair.k)
+
+
+# -- the flow operator, one point at a time --------------------------------------
+
+def phi_ab(spec, x: LieElement) -> LieElement:
+    """phi(x) = (ad a|_m)^(-1) [b, x] for the b of a ``FlowSpec``, by a linear
+    solve on m instead of the flow-space matrix."""
+    return ad_a_inverse_apply(spec.setup, bracket(spec.b, x))
 
 
 # -- the shifted invariants, one member at a time -------------------------------

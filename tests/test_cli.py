@@ -87,6 +87,26 @@ def test_cli_prints_each_warning_as_one_line(monkeypatch, capsys):
     assert lines[1] == "error: verification refused"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--partition", "1,1,2", "--spectrum", "1,2,2.0000000001"],
+    ["verify", "--partition", "1,1,2", "--spectrum", "1,2,2.00000001"],
+    ["flow", "--partition", "1,1,2", "--spectrum", "1e9,1000000001,1000000002",
+     "--b-spectrum", "1,2,3"],
+    ["flow", "--partition", "1,1,2", "--spectrum", "1e300,-1e300,0",
+     "--b-spectrum", "1,2,3"],
+], ids=["below-cutoff", "within-a-decade", "unscaled-flow", "overflowing-norm"])
+def test_inseparable_spectrum_exit_one(argv, capsys):
+    # a spectrum whose smallest gap the rank rule cannot read clearly is an
+    # input error: one error line, neither a traceback nor a warned verdict
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: spectrum values too close")
+    assert "Traceback" not in err and "warning:" not in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_verify_non_finite_spectrum_exit_one(value, capsys):
     assert main(["verify", "--partition", "1,1,2", "--spectrum", f"1,2,{value}"]) == 1

@@ -5,13 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from suborbit import (FlowDivergenceError, LieElement, bracket, build_family,
-                      build_flow, build_setup, conservation_report,
+from suborbit import (FlowDivergenceError, LieElement, block_scalar, bracket,
+                      build_family, build_flow, build_setup, conservation_report,
                       energy_drift, hamiltonian, integrate_flow, lax_residual,
-                      member_values, pairing, phi_ab, phi_spectrum,
-                      sample_element)
-from suborbit.lie import coords_to_matrix
-from reference import conjugate, shifted_invariant_eval, unitary_exp
+                      member_values, pairing, phi_spectrum, sample_element)
+from suborbit.cli import _partitions
+from suborbit.lie import ad_in_basis, coords_to_matrix
+from reference import (ad_a_on_m, conjugate, phi_ab, shifted_invariant_eval,
+                       unitary_exp)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,25 @@ def test_identity_for_equal_elements(setup_112):
     assert np.allclose(spec.phi_matrix, np.eye(setup_112.m_tilde.dim), atol=1e-12)
     x = _unit(setup_112, "m_tilde", 0)
     assert np.allclose(phi_ab(spec, x).coords, x.coords, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mult", [tuple(p) for n in range(2, 8) for p in _partitions(n)], ids=str)
+def test_phi_matrix_matches_operator_composition(mult):
+    # E^T (ad a|_m)^(-1) (ad b|_m) E with the operators built from ad_in_basis
+    # on m, E the coefficients of the flow-space basis in the basis of m
+    p = len(mult)
+    st = build_setup(mult, tuple(float(j + 1) for j in range(p)))
+    ad_a_m = ad_a_on_m(st)
+    for b_values in ([2.0 ** (j + 1) - 1 for j in range(p)],
+                     np.random.default_rng([23, p]).standard_normal(p)):
+        b = block_scalar(st, b_values)
+        ad_b_m = st.m.coeffs(ad_in_basis(b, st.m))
+        for space in ("m", "m_tilde"):
+            E = st.m.coeffs(st.pair(space).m.basis)
+            ref = E.T @ np.linalg.solve(ad_a_m, ad_b_m @ E)
+            phi = build_flow(st, b_values, space).phi_matrix
+            assert np.max(np.abs(phi - ref)) <= 1e-12
 
 
 def test_operator_preserves_spaces(flow_112, setup_112):

@@ -4,15 +4,19 @@ import on a line marked ``# noqa: F401`` is kept on purpose.
 
 Also the one configuration: no function of the package takes a rank
 tolerance or a sample count for ``run_case``, every rank floor is
-keyword-only, and no subcommand offers a flag for either."""
+keyword-only, and no subcommand offers a flag for either.  And no module
+inverts a matrix: ad a and phi act on m entry by entry, so the setup keeps
+no operator matrix of them."""
 
 import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 from suborbit.cli import build_parser
+from suborbit.orbit import OrbitSetup
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "suborbit").glob("*.py"))
@@ -97,3 +101,30 @@ def test_no_subcommand_offers_a_rank_or_sample_flag():
         flags = {o for a in parser._actions for o in a.option_strings}
         assert "--seed" in flags, name
         assert not flags & {"--tolerance-rank", "--samples"}, name
+
+
+def matrix_inversions(source: str) -> list:
+    """Lines of each call of ``<...>.linalg.inv`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "inv" and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"]
+
+
+def test_matrix_inversions_finds_linalg_inv_calls():
+    source = ("import numpy as np\n"
+              "A = np.linalg.inv(B)\n"
+              "x = np.linalg.solve(B, c)\n"
+              "inv = 1.0 / s\n"
+              "C = numpy.linalg.inv(B @ B)\n")
+    assert matrix_inversions(source) == [2, 5]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_inverts_no_matrix(path):
+    assert matrix_inversions(path.read_text()) == []
+
+
+def test_setup_keeps_no_anchor_operator_matrix():
+    names = {f.name for f in dataclasses.fields(OrbitSetup)}
+    assert not names & {"ad_a_m", "ad_a_m_inv"}

@@ -10,9 +10,9 @@ from suborbit import (SINGULAR, LieElement, bracket, build_moment_data,
                       sample_element)
 from suborbit import momentmap
 from suborbit.generic import sample_coords
-from suborbit.lie import ad_in_basis
+from suborbit.lie import ad_in_basis, coords_to_matrix, matrices_to_coords
 from suborbit.pencil import singular_kernel_dim
-from reference import (ad_a_inverse_apply, conjugate, moment_beta,
+from reference import (ad_a_inverse_apply, ad_a_on_m, conjugate, moment_beta,
                        moment_differential, span, unitary_exp)
 
 
@@ -36,10 +36,12 @@ def test_moment_of_zero(data_112):
 
 
 def test_beta_is_skew_and_nondegenerate(data_112):
-    # ad_a_inv is the matrix of beta in the basis of m
-    np.testing.assert_allclose(data_112.ad_a_inv, -data_112.ad_a_inv.T,
-                               rtol=0, atol=1e-10)
-    sv = np.linalg.svd(data_112.ad_a_inv, compute_uv=False)
+    # the matrix of beta(y1, y2) = <y1, ad_a_inv * y2> in the basis of m
+    m = data_112.space
+    Ys = coords_to_matrix(m.basis, data_112.setup.n)
+    beta = m.coeffs(matrices_to_coords(data_112.ad_a_inv * Ys).real)
+    np.testing.assert_allclose(beta, -beta.T, rtol=0, atol=1e-10)
+    sv = np.linalg.svd(beta, compute_uv=False)
     assert sv.min() > 1e-12
 
 
@@ -130,7 +132,7 @@ def _intersection_dim(st, x):
     W = span(ad_in_basis(x, st.k), st.ambient_dim)
     if W.dim == 0:
         return mx.dim
-    pulled = st.m.basis @ (st.ad_a_m_inv @ st.m.coeffs(W.basis))
+    pulled = st.m.basis @ np.linalg.solve(ad_a_on_m(st), st.m.coeffs(W.basis))
     return intersect(mx, span(pulled, st.ambient_dim)).dim
 
 

@@ -13,7 +13,7 @@ from suborbit.cli import _partitions
 from suborbit.generic import sample_element
 from suborbit.lie import _basis_data, coordinate_entries
 from suborbit.linalg import Subspace, equal_spaces
-from reference import ad_a_inverse_apply, complement
+from reference import ad_a_inverse_apply, ad_a_on_m, complement
 
 
 def test_dimension_table_112(setup_112):
@@ -32,6 +32,16 @@ def test_dimension_table_11():
 def test_duplicate_spectrum_rejected():
     with pytest.raises(ValueError):
         build_setup((1, 1, 2), (1.0, 2.0, 2.0))
+
+
+def test_inseparable_spectrum_rejected():
+    # the smallest gap must clear a decade above the rank cutoff
+    # RANK_RTOL * max(largest gap, |a|_F), and |a|_F must be finite
+    for spectrum in [(1.0, 2.0, 2.0 + 1e-10), (1.0, 2.0, 2.0 + 1e-8),
+                     (1e9, 1e9 + 1, 1e9 + 2), (1e300, -1e300, 0.0)]:
+        with pytest.raises(ValueError, match="too close to separate"):
+            build_setup((1, 1, 2), spectrum)
+    assert build_setup((1, 1, 2), (1.0, 2.0, 2.0 + 1e-7)).m.dim == 10
 
 
 def test_nonpositive_multiplicity_rejected():
@@ -85,7 +95,8 @@ def test_ad_a_inverse_roundtrip(setup_112):
     assert np.allclose(bracket(st.a, y).coords, x.coords, atol=1e-10)
     # applying the inverse twice matches the inverse of the squared operator
     twice = ad_a_inverse_apply(st, y)
-    sq = np.linalg.inv(st.ad_a_m @ st.ad_a_m)
+    A = ad_a_on_m(st)
+    sq = np.linalg.inv(A @ A)
     direct = st.m.basis @ (sq @ st.m.coeffs(x.coords))
     assert np.allclose(twice.coords, direct, atol=1e-10)
 
