@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .generic import (GenericDims, GenericPoint, estimate_generic_dims, is_in_R,
-                      perturb_into_R, reduction_data, sample_element)
+from .generic import (GenericDims, GenericPoint, estimate_generic_dims, in_R_mask,
+                      perturb_into_R, reduction_data, sample_coords)
 from .invariants import build_family, completeness_check, involutivity_suite
 from .lie import LieElement
 from .momentmap import build_moment_data, m_a_estimate, regular_in_kprime_test
@@ -220,7 +220,10 @@ def _witness_dict(x0: LieElement, wrep) -> dict:
 def _direct_verification(setup, case: VerificationCase, seed: int):
     """Direct route: witness, moment criterion where the generic isotropy
     centralizer is z(g), nilpotent witness where the roots have a simple
-    system (no dominant block), sampled Kronecker point, completeness there."""
+    system (no dominant block), sampled Kronecker point, completeness there.
+
+    The Kronecker search screens its fixed-part draws on m_tilde as one stack
+    and tests the generic ones in draw order up to the first Kronecker point."""
     dims_m, dims_mt = case.dims_m, case.dims_m_tilde
 
     x0, wrep = build_witness_x0(setup, seed)
@@ -237,24 +240,21 @@ def _direct_verification(setup, case: VerificationCase, seed: int):
         case.x_pi_coords = x_pi.coords.tolist()
         case.x_pi_regular = verify_regular_pencil(setup, x_pi)
 
-    verdict = None
-    okr_point = None
-    for i in range(_OKR_ATTEMPTS):
-        rng = np.random.default_rng([seed, 53, i])
-        x = sample_element(setup.m_tilde, rng, setup.n)
-        if not is_in_R(setup, x, "m_tilde", dims_mt):
-            continue
-        v = kronecker_test(setup, x, dims_m, seed)
-        if v.kronecker:
-            verdict, okr_point = v, x
+    C = sample_coords(setup.m_tilde, seed, 53, _OKR_ATTEMPTS)
+    hits = np.flatnonzero(in_R_mask(setup, C, "m_tilde", dims_mt))
+    for i in hits:
+        okr_point = LieElement.from_coords(C[:, i], setup.n)
+        verdict = kronecker_test(setup, okr_point, dims_m, seed)
+        if verdict.kronecker:
             break
-    if verdict is None:
-        case.notes.append("no Kronecker point found in the fixed part within budget")
+    else:
+        case.notes.append(f"no Kronecker point found in the fixed part within budget: "
+                          f"{hits.size} of {_OKR_ATTEMPTS} draws generic on m_tilde")
         return
     case.kronecker = verdict.to_dict()
     case.okr_witness_coords = okr_point.coords.tolist()
 
-    # the okr loop decided okr_point generic on m_tilde, and kronecker_test
+    # the screen decided okr_point generic on m_tilde, and kronecker_test
     # on m, where it also built the slice; completeness decides neither again
     fam_t = build_family(setup, "m_tilde")
     fam_m = build_family(setup, "m")

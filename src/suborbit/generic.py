@@ -7,6 +7,9 @@ algebraic subsets, so independent Gaussian samples attain the generic value
 almost surely.  Estimates report whether the minimum was attained by at least
 80 percent of the samples; downstream consumers refuse to run on estimates
 that did not stabilize.
+A seeded search for a generic point draws its whole budget as one coordinate
+stack, screens it with one ``in_R_mask`` call per space, and reads the
+surviving columns in draw order.
 """
 
 from __future__ import annotations
@@ -72,9 +75,11 @@ def seeded_normals(key, size: int) -> np.ndarray:
 
 def sample_coords(space: Subspace, seed: int, stream: int, samples: int) -> np.ndarray:
     """Coordinate columns (N, samples) of the elements ``sample_element`` draws
-    from the generators ``default_rng([seed, stream, i])``, i < samples."""
-    return np.stack([space.basis @ seeded_normals((seed, stream, i), space.dim)
-                     for i in range(samples)], axis=1)
+    from the generators ``default_rng([seed, stream, i])``, i < samples; an
+    (N, 0) stack when ``samples`` is 0."""
+    cols = [space.basis @ seeded_normals((seed, stream, i), space.dim)
+            for i in range(samples)]
+    return np.stack(cols, axis=1) if cols else np.zeros((space.ambient_dim, 0))
 
 
 def estimate_generic_dims(setup: OrbitSetup, space, samples: int = 25,
@@ -151,24 +156,26 @@ def perturb_into_R(setup: OrbitSetup, x0: LieElement, dims_m: GenericDims,
                    dims_mt: GenericDims, seed: int = 0) -> tuple[LieElement, float]:
     """Move x0 inside the fixed part of m until it is generic for both pairs.
 
-    Resamples on spheres of shrinking radius around x0 and returns the first
-    point generic for the full pair and for the fixed pair, together with the
-    radius used (0.0 when x0 itself is already generic).
+    Returns x0 with radius 0.0 when it is already generic.  Otherwise screens
+    x0 + radius * d as one stack, d the unit directions of m_tilde drawn from
+    the keys [seed, 19, h, t] on the spheres of radius 2^-h, and returns the
+    first draw generic for both pairs, with its radius.
     """
     if is_in_R(setup, x0, "m", dims_m) and is_in_R(setup, x0, "m_tilde", dims_mt):
         return x0, 0.0
-    radius = 1.0
-    for h in range(_MAX_HALVINGS):
-        for t in range(_TRIES_PER_RADIUS):
-            rng = np.random.default_rng([seed, 19, h, t])
-            d = rng.standard_normal(setup.m_tilde.dim)
-            d = d / np.linalg.norm(d)
-            x = x0 + LieElement.from_coords(radius * (setup.m_tilde.basis @ d), setup.n)
-            if is_in_R(setup, x, "m", dims_m) and is_in_R(setup, x, "m_tilde", dims_mt):
-                return x, radius
-        radius *= 0.5
-    raise RuntimeError("no generic point found near the witness; "
-                       "the generic dimension estimates may be off")
+    Z = np.stack([seeded_normals((seed, 19, h, t), setup.m_tilde.dim)
+                  for h in range(_MAX_HALVINGS) for t in range(_TRIES_PER_RADIUS)],
+                 axis=1)
+    radii = 0.5 ** np.repeat(np.arange(_MAX_HALVINGS), _TRIES_PER_RADIUS)
+    directions = setup.m_tilde.basis @ (Z / np.linalg.norm(Z, axis=0))
+    C = x0.coords[:, None] + directions * radii
+    hit = in_R_mask(setup, C, "m", dims_m)
+    hit[hit] = in_R_mask(setup, C[:, hit], "m_tilde", dims_mt)
+    hits = np.flatnonzero(hit)
+    if not hits.size:
+        raise RuntimeError("no generic point found near the witness; "
+                           "the generic dimension estimates may be off")
+    return LieElement.from_coords(C[:, hits[0]], setup.n), float(radii[hits[0]])
 
 
 @dataclass
@@ -266,26 +273,17 @@ def _generic_dim_within(algebra: Subspace, setup: OrbitSetup, seed: int) -> int:
 
 
 def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
-    match_k = True
-    match_slice = True
-    checked = 0
-    for i in range(_REDUCTION_SAMPLES):
-        rng = np.random.default_rng([seed, 37, i])
-        x = sample_element(pair0.m, rng, setup.n)
-        if not is_in_R(setup, x, "m", dims_m):
-            continue
-        checked += 1
-        kxi = centralizer(x, setup.k)
-        if not equal_spaces(kxi, kx, 1e-7):
-            match_k = False
-        m0x = m_of_x(setup, x, pair0)
-        mx = m_of_x(setup, x, "m")
-        if not equal_spaces(m0x, mx, 1e-7):
-            match_slice = False
-        if checked >= 3:
-            break
+    # the first three draws of the reduced transversal generic for the full pair
+    C = sample_coords(pair0.m, seed, 37, _REDUCTION_SAMPLES)
+    found = np.flatnonzero(in_R_mask(setup, C, "m", dims_m))[:3]
+    match_k = match_slice = found.size > 0
+    for i in found:
+        x = LieElement.from_coords(C[:, i], setup.n)
+        same_k = equal_spaces(centralizer(x, setup.k), kx, 1e-7)
+        same_slice = equal_spaces(m_of_x(setup, x, pair0), m_of_x(setup, x, "m"), 1e-7)
+        match_k, match_slice = match_k and same_k, match_slice and same_slice
     # dim g^x0 must split as the reduced centralizer plus the semisimple part
     g0x0_dim = centralizer_dim(x0, g0)[0]
     semis = derived_span(kx)
     semis_ok = dims_m.q == g0x0_dim + semis.dim
-    return match_k and checked > 0, match_slice and checked > 0, semis_ok
+    return match_k, match_slice, semis_ok

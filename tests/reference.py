@@ -4,6 +4,7 @@ structural form, which neither ``run_case`` nor the command line reaches."""
 
 import numpy as np
 
+from suborbit.generic import _MAX_HALVINGS, _TRIES_PER_RADIUS, is_in_R
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
 from suborbit.lie import (LieElement, ad_in_basis, bracket, coords_to_matrix,
                           pairing, project)
@@ -72,6 +73,26 @@ def reduced_pair(red, space: str) -> AlgebraPair:
     if space == "m0":
         return AlgebraPair(space, red.g0, red.k0, red.m0)
     return AlgebraPair(space, red.g0_tilde, red.k0_tilde, red.m0_tilde)
+
+
+# -- the generic stratum, one point at a time -----------------------------------
+
+def perturb_into_R_loop(setup, x0: LieElement, dims_m, dims_mt, seed: int):
+    """``generic.perturb_into_R`` deciding one sphere point at a time: radius
+    1, 1/2, ..., four directions of m_tilde on each, drawn from
+    ``default_rng([seed, 19, h, t])``; the first point generic for both pairs."""
+    if is_in_R(setup, x0, "m", dims_m) and is_in_R(setup, x0, "m_tilde", dims_mt):
+        return x0, 0.0
+    radius = 1.0
+    for h in range(_MAX_HALVINGS):
+        for t in range(_TRIES_PER_RADIUS):
+            d = np.random.default_rng([seed, 19, h, t]).standard_normal(setup.m_tilde.dim)
+            d = d / np.linalg.norm(d)
+            x = x0 + LieElement.from_coords(radius * (setup.m_tilde.basis @ d), setup.n)
+            if is_in_R(setup, x, "m", dims_m) and is_in_R(setup, x, "m_tilde", dims_mt):
+                return x, radius
+        radius *= 0.5
+    raise RuntimeError("no generic point found near the witness")
 
 
 # -- roots --------------------------------------------------------------------

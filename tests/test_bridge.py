@@ -1,5 +1,6 @@
 """The end-to-end decision tree."""
 
+import dataclasses
 import json
 import sys
 import warnings
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 from suborbit import (CONFIRMED, INCONCLUSIVE, REDUCED, RankAmbiguityWarning,
-                      bridge, generic, run_case)
+                      bridge, build_setup, generic, pencil, run_case)
 from suborbit.cli import _partitions
+from suborbit.generic import sample_coords
+from suborbit.lie import coords_to_matrix
 
 
 def test_direct_case_112():
@@ -85,7 +88,41 @@ def test_budget_exhaustion_is_inconclusive(monkeypatch):
     monkeypatch.setattr(bridge, "_OKR_ATTEMPTS", 0)
     case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
     assert case.conclusion == INCONCLUSIVE
-    assert any("budget" in note for note in case.notes)
+    assert not any("aborted" in note for note in case.notes)
+    assert any("budget: 0 of 0 draws generic on m_tilde" in note
+               for note in case.notes)
+
+
+def test_kronecker_test_running_dry_counts_the_generic_draws(monkeypatch):
+    tested = []
+
+    def never_kronecker(setup, x, dims, seed):
+        tested.append(x)
+        return dataclasses.replace(pencil.kronecker_test(setup, x, dims, seed),
+                                   kronecker=False)
+    monkeypatch.setattr(bridge, "kronecker_test", never_kronecker)
+    case = run_case((1, 1, 2), (1.0, 2.0, 3.0), seed=0)
+    assert case.conclusion == INCONCLUSIVE
+    note = (f"budget: {len(tested)} of {bridge._OKR_ATTEMPTS} draws generic "
+            "on m_tilde")
+    assert tested and any(note in n for n in case.notes)
+
+
+def test_kronecker_search_moves_past_a_non_kronecker_draw():
+    # the first fixed-part draw of this case is generic on m_tilde but not a
+    # Kronecker point, and its pencil verdict warns; the second draw is taken
+    mult, spectrum = (1, 1, 1, 1, 1, 1, 2, 2), range(1, 9)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RankAmbiguityWarning)
+        case = run_case(mult, spectrum, seed=0)
+    assert case.conclusion == CONFIRMED
+    setup = build_setup(mult, bridge._centred(spectrum))
+    C = sample_coords(setup.m_tilde, 0, 53, 2)
+    assert generic.in_R_mask(setup, C, "m_tilde", case.dims_m_tilde).all()
+    assert case.okr_witness_coords == C[:, 1].tolist()
+    assert [str(w.message) for w in caught] == [
+        "pencil eigenvalue gap between the genuine and spurious cutoffs, "
+        "dimension verdict is fragile"]
 
 
 def test_failed_regular_element_test_names_its_stage(monkeypatch):
@@ -214,8 +251,9 @@ def test_rank_eight_cases_confirm_without_ambiguity(mult, seed):
 def _count_decisions(monkeypatch) -> Counter:
     """Decisions per point: ``m_of_x`` per (point, space), through every
     suborbit module that holds it, and per (point, algebra) the centralizer
-    ranks that ``is_in_R`` decides on the ambient and the isotropy algebra of
-    its pair, through every module, and ``centralizer_dim`` in ``generic``."""
+    ranks that ``in_R_mask`` (so also ``is_in_R``) decides on the ambient and
+    the isotropy algebra of its pair for each column of its stack, through
+    every module, and ``centralizer_dim`` in ``generic``."""
     calls = Counter()
 
     def point(x):
@@ -228,10 +266,14 @@ def _count_decisions(monkeypatch) -> Counter:
         pair = setup.pair(space)
         return [("rank", point(x), S.basis.tobytes()) for S in (pair.g, pair.k)]
 
+    def mask_keys(setup, C, space, dims):
+        return [key for c in C.T
+                for key in rank_keys(setup, coords_to_matrix(c, setup.n), space, dims)]
+
     def dim_keys(x, within, *args):
         return [("rank", point(x), within.basis.tobytes())]
 
-    for name, keys in (("m_of_x", slice_keys), ("is_in_R", rank_keys),
+    for name, keys in (("m_of_x", slice_keys), ("in_R_mask", mask_keys),
                        ("centralizer_dim", dim_keys)):
         orig = getattr(generic, name)
 

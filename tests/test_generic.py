@@ -11,7 +11,8 @@ from suborbit import generic
 from suborbit.generic import sample_coords, seeded_normals
 from suborbit.lie import ad_in_basis, coords_to_matrix, derived_span
 from suborbit.linalg import equal_spaces
-from reference import complement, reduced_pair, span, sum_spaces
+from reference import (complement, perturb_into_R_loop, reduced_pair, span,
+                       sum_spaces)
 
 
 def _slice_oracle(setup, x, space):
@@ -149,6 +150,24 @@ def test_perturb_into_R_trivial(setup_112, dims_112):
     assert np.array_equal(x.coords, x0.coords)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 42])
+@pytest.mark.parametrize("mult", [(1, 1, 4), (1, 2, 5)])
+def test_perturb_into_R_searches_the_spheres_around_a_nongeneric_point(mult, seed):
+    # the zero element is in no generic stratum, so the sphere search runs
+    st = build_setup(mult, (1.0, 2.0, 3.0))
+    dm, dmt = (estimate_generic_dims(st, s, 25, seed=3) for s in ("m", "m_tilde"))
+    x0 = LieElement.zero(st.n)
+    assert not is_in_R(st, x0, "m", dm)
+    x, radius = perturb_into_R(st, x0, dm, dmt, seed=seed)
+    assert is_in_R(st, x, "m", dm) and is_in_R(st, x, "m_tilde", dmt)
+    assert st.m_tilde.contains(x.coords, 1e-12)
+    assert radius == 1.0
+    x_ref, radius_ref = perturb_into_R_loop(st, x0, dm, dmt, seed)
+    assert radius_ref == radius
+    np.testing.assert_allclose(x.coords, x_ref.coords, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(x.matrix, x_ref.matrix, rtol=0, atol=1e-14)
+
+
 def test_reduction_trivial_for_112(setup_112, dims_112):
     # witness isotropy is the center, so the reduction returns everything
     st = setup_112
@@ -237,6 +256,13 @@ def test_sample_coords_draw_the_sample_element_streams(setup_112):
             x = sample_element(space, np.random.default_rng([3, 7, i]), st.n)
             assert np.array_equal(C[:, i], x.coords)
             assert np.array_equal(Ms[i], x.matrix)
+
+
+def test_sample_coords_of_no_samples_is_an_empty_stack(setup_112, dims_112):
+    for space in ("m", "m_tilde"):
+        C = sample_coords(setup_112.pair(space).m, 0, 53, 0)
+        assert C.shape == (setup_112.ambient_dim, 0)
+        assert generic.in_R_mask(setup_112, C, space, dims_112[space]).shape == (0,)
 
 
 @pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2), (1, 2, 3), (2, 2, 2), (1, 1, 4)])

@@ -6,7 +6,9 @@ Also the one configuration: no function of the package takes a rank
 tolerance or a sample count for ``run_case``, every rank floor is
 keyword-only, and no subcommand offers a flag for either.  And no module
 inverts a matrix: ad a and phi act on m entry by entry, so the setup keeps
-no operator matrix of them."""
+no operator matrix of them.  And no loop of the package searches for a
+generic point one draw at a time: each search screens its stack of draws with
+``in_R_mask``."""
 
 import argparse
 import ast
@@ -128,3 +130,47 @@ def test_module_inverts_no_matrix(path):
 def test_setup_keeps_no_anchor_operator_matrix():
     names = {f.name for f in dataclasses.fields(OrbitSetup)}
     assert not names & {"ad_a_m", "ad_a_m_inv"}
+
+
+PER_POINT = {"is_in_R", "sample_element"}
+
+
+def per_point_searches(source: str) -> list:
+    """``(line, name)`` of each call of ``is_in_R`` or ``sample_element``
+    inside the body of a ``for`` or ``while`` loop, or inside a comprehension,
+    in ``source``."""
+    found = set()
+    for loop in ast.walk(ast.parse(source)):
+        if isinstance(loop, (ast.For, ast.AsyncFor, ast.While)):
+            body = loop.body
+        elif isinstance(loop, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            body = [loop]
+        else:
+            continue
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in PER_POINT:
+                    found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_per_point_searches_finds_calls_in_loop_bodies():
+    source = ("ok = is_in_R(s, x0, 'm', d)\n"
+              "for i in range(3):\n"
+              "    x = generic.sample_element(V, rng, n)\n"
+              "    while not is_in_R(s, x, 'm', d) and is_in_R(s, x, 'm', d):\n"
+              "        x = f(x)\n"
+              "else:\n"
+              "    is_in_R(s, x, 'm', d)\n"
+              "xs = [sample_element(V, r, n) for r in rngs]\n"
+              "C = sample_coords(V, seed, 53, 12)\n")
+    assert per_point_searches(source) == [(3, "sample_element"), (4, "is_in_R"),
+                                          (8, "sample_element")]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_loop_decides_one_point_at_a_time(path):
+    assert per_point_searches(path.read_text()) == []

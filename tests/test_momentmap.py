@@ -162,6 +162,11 @@ def test_m_a_values(data_112, setup_112, dims_112):
     assert m_a_estimate(data_112, st.m_tilde, dims_112["m"], samples=20, seed=5) == 3
 
 
+def test_m_a_without_samples_finds_no_generic_sample(data_112, setup_112, dims_112):
+    with pytest.raises(ValueError, match="no sample of V attained"):
+        m_a_estimate(data_112, setup_112.m_tilde, dims_112["m"], samples=0, seed=5)
+
+
 def test_m_a_regime_guard():
     # two equal blocks: the generic isotropy centralizer is a torus, not the
     # center, so the moment route must refuse
