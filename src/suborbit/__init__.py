@@ -4,13 +4,13 @@ unitary adjoint orbits."""
 __version__ = "0.1.0"
 
 from .linalg import (RANK_RTOL, RankAmbiguityWarning, Subspace, equal_spaces,
-                     full_space, intersect, subspace_residual)
+                     full_space, subspace_residual)
 from .lie import (LieElement, bracket, centralizer, centralizer_dim, pairing,
-                  project, sigma, subalgebra_center)
+                  project, sigma)
 from .orbit import (AlgebraPair, OrbitSetup, WitnessReport, block_scalar,
                     build_setup, build_witness_x0)
 from .generic import (GenericDims, ReducedSetup, estimate_generic_dims, is_in_R,
-                      m_of_x, perturb_into_R, reduction_data, sample_element)
+                      m_of_x, perturb_into_R, reduction_data)
 from .invariants import (IntegralFamily, Member, build_family, completeness_check,
                          gradient, involutivity_suite, member_values)
 from .pencil import (SINGULAR, KroneckerVerdict, PencilReport, form_matrix,
@@ -27,13 +27,13 @@ from .bridge import CONFIRMED, INCONCLUSIVE, REDUCED, VerificationCase, run_case
 __all__ = [
     "__version__",
     "RANK_RTOL", "RankAmbiguityWarning", "Subspace", "equal_spaces",
-    "full_space", "intersect", "subspace_residual",
+    "full_space", "subspace_residual",
     "LieElement", "bracket", "centralizer", "centralizer_dim",
-    "pairing", "project", "sigma", "subalgebra_center",
+    "pairing", "project", "sigma",
     "AlgebraPair", "OrbitSetup", "WitnessReport", "block_scalar", "build_setup",
     "build_witness_x0",
     "GenericDims", "ReducedSetup", "estimate_generic_dims", "is_in_R", "m_of_x",
-    "perturb_into_R", "reduction_data", "sample_element",
+    "perturb_into_R", "reduction_data",
     "IntegralFamily", "Member", "build_family", "completeness_check", "gradient",
     "involutivity_suite", "member_values",
     "SINGULAR", "KroneckerVerdict", "PencilReport", "form_matrix",

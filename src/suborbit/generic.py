@@ -1,6 +1,6 @@
 """Generic-dimension estimation, the genericity stratum membership test, the
 bracket-compatible slice m(x), and the reduction to the centralizer of a
-witness isotropy algebra.
+witness isotropy algebra, read off the witness's zero columns.
 
 Zariski-generic quantities are estimated by sampling: the bad sets are proper
 algebraic subsets, so independent Gaussian samples attain the generic value
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie import (LieElement, ad_in_basis, bracket_closure_residual,
-                  centralizer, centralizer_dim, centralizer_dims, derived_span,
-                  sigma_signs, stacked_centralizer, subalgebra_center)
-from .linalg import (Subspace, equal_spaces, intersect, kernel_basis,
-                     subspace_residual)
-from .orbit import AlgebraPair, OrbitSetup
+                  centralizer, centralizer_dim, centralizer_dims,
+                  coordinate_entries, sigma_signs)
+from .linalg import Subspace, equal_spaces, kernel_basis, subspace_residual
+from .orbit import AlgebraPair, OrbitSetup, _block_identities, _coordinates
 
 
 @dataclass(frozen=True)
@@ -40,11 +39,6 @@ class GenericDims:
     r: int
     sample_count: int
     stabilized: bool
-
-
-def sample_element(space: Subspace, rng, n: int) -> LieElement:
-    coeffs = rng.standard_normal(space.dim)
-    return LieElement.from_coords(space.basis @ coeffs, n)
 
 
 # key -> the longest standard normal draw made from default_rng(key) so far
@@ -74,9 +68,9 @@ def seeded_normals(key, size: int) -> np.ndarray:
 
 
 def sample_coords(space: Subspace, seed: int, stream: int, samples: int) -> np.ndarray:
-    """Coordinate columns (N, samples) of the elements ``sample_element`` draws
-    from the generators ``default_rng([seed, stream, i])``, i < samples; an
-    (N, 0) stack when ``samples`` is 0."""
+    """Coordinate columns (N, samples) of the elements
+    ``space.basis @ default_rng([seed, stream, i]).standard_normal(space.dim)``,
+    i < samples; an (N, 0) stack when ``samples`` is 0."""
     cols = [space.basis @ seeded_normals((seed, stream, i), space.dim)
             for i in range(samples)]
     return np.stack(cols, axis=1) if cols else np.zeros((space.ambient_dim, 0))
@@ -198,23 +192,37 @@ class ReducedSetup:
     checks: dict
 
 
-# points sampled for each generic estimate and for the anchor consistency checks
+# points sampled for the reduced generic estimate and the anchor consistency checks
 _REDUCTION_SAMPLES = 12
 
 
 def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
                    dims_m: GenericDims, dims_mt: GenericDims,
                    seed: int = 0) -> ReducedSetup:
-    """Centralizer-of-isotropy reduction anchored at a doubly generic point.
+    """Centralizer-of-isotropy reduction anchored at a doubly generic point x0,
+    read off the set W of columns where x0 is exactly zero.
 
-    Requires x0 generic for both the full and the fixed pair, and rejects
-    other anchors.  A ``GenericPoint`` of space ("m", "m_tilde") states both
-    memberships, so only the isotropy algebra k^x0, whose basis the reduction
-    needs, is computed at x0.  The returned
-    bundle carries consistency checks: the reduced ambient space is a
-    conjugation-stable subalgebra containing the anchor element of the orbit,
-    sampled generic points of the reduced transversal reproduce the witness
-    isotropy algebra and the full slice, and the defect r is preserved.
+    A ``GenericPoint`` of space ("m", "m_tilde") states x0 generic for both
+    pairs; any other anchor is decided here and rejected unless it is.  W must
+    lie in one block and ``dims_m.p`` must be 1 + |W|^2, or ``ValueError`` is
+    raised.  Then, with u(V) the matrices supported on V x V and I_V the
+    identity on V,
+
+        k^x0 = u(W) + iR I_{W perp},  g0 = u(W perp) + iR I_W,
+        z(g0) = span(i I_W, i I_{W perp}),  rank g0 = n - |W| + dim z(g0) - 1,
+
+    so every space is a coordinate mask of u(n) plus at most one line, and no
+    rank is decided to build it.  Proof: x0 is skew-Hermitian, so its W rows
+    vanish with its W columns; as W lies in one block, u(W) + iR I lies in
+    k^x0.  Both have dimension p = 1 + |W|^2, x0 being generic on m, so they
+    are equal.  By Schur's lemma the commutant of u(W) + iR I in u(n) is
+    u(W perp) + iR I_W.
+
+    The checks state that g0 is a conjugation-stable subalgebra containing a,
+    that sampled generic points of m0 reproduce k^x0 and the full slice, that
+    r is preserved, and that dim g^x0 is the centralizer dimension of x0 in
+    g0 plus dim [k^x0, k^x0] = dim k^x0 - dim z(g0), k^x0 being reductive
+    with centre z(g0).
     """
     if isinstance(x0, GenericPoint):
         if x0.space != ("m", "m_tilde"):
@@ -223,16 +231,32 @@ def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
         x0 = x0.x
     elif not (is_in_R(setup, x0, "m", dims_m) and is_in_R(setup, x0, "m_tilde", dims_mt)):
         raise ValueError("anchor is not generic for both the full and the fixed pair")
-    kx = centralizer(x0, setup.k)
 
     n = setup.n
-    g0 = stacked_centralizer(kx.basis, setup.g)
-    k0 = intersect(g0, setup.k)
-    m0 = intersect(g0, setup.m)
-    g0_tilde = intersect(g0, setup.g_tilde)
-    k0_tilde = intersect(k0, setup.g_tilde)
-    m0_tilde = intersect(m0, setup.g_tilde)
-    z_g0 = subalgebra_center(g0)
+    W = ~np.any(x0.matrix, axis=0)
+    w = int(np.count_nonzero(W))
+    rows, cols = coordinate_entries(n)
+    owner = np.repeat(np.arange(len(setup.multiplicities)), setup.multiplicities)
+    in_k = owner[rows] == owner[cols]
+    on_W = W[rows] & W[cols]
+    if not in_k[on_W].all():
+        raise ValueError("the zero columns of the anchor span more than one block")
+    if dims_m.p != 1 + w * w:
+        raise ValueError(f"the anchor has {w} zero columns, but its isotropy "
+                         f"dimension p = {dims_m.p} is not 1 + {w}^2")
+    off_W = ~W[rows] & ~W[cols]
+    fixed = sigma_signs(n) > 0
+    z_g0 = _block_identities(W.astype(int), rows, cols)
+    # i*I_{W perp} and, when W is not empty, i*I_W
+    line_off, line_W = z_g0.basis[:, :1], z_g0.basis[:, 1:]
+    kx = _coordinates_and(on_W, line_off)
+    g0 = _coordinates_and(off_W, line_W)
+    k0 = _coordinates_and(off_W & in_k, line_W)
+    m0 = _coordinates(off_W & ~in_k)
+    g0_tilde = _coordinates(off_W & fixed)
+    k0_tilde = _coordinates(off_W & in_k & fixed)
+    m0_tilde = _coordinates(off_W & ~in_k & fixed)
+    rank_g0 = n - w + z_g0.dim - 1
 
     checks = {}
     checks["g0_is_subalgebra"] = bracket_closure_residual(g0) < 1e-10
@@ -241,9 +265,6 @@ def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
     checks["g0_splits"] = g0.dim == k0.dim + m0.dim
     checks["g0_tilde_splits"] = g0_tilde.dim == k0_tilde.dim + m0_tilde.dim
 
-    # rank of the reduced algebra: generic centralizer dimension inside g0
-    rank_g0 = _generic_dim_within(g0, setup, seed)
-
     pair0 = AlgebraPair("m0", g0, k0, m0)
     dims_m0 = estimate_generic_dims(setup, pair0, _REDUCTION_SAMPLES, seed)
     checks["r_preserved"] = dims_m0.r == dims_m.r
@@ -251,14 +272,20 @@ def reduction_data(setup: OrbitSetup, x0: LieElement | GenericPoint,
 
     # sampled points of the reduced transversal that are generic for the full
     # pair must reproduce the isotropy algebra and the slice of the anchor
-    match_k, match_slice, semis_ok = _anchor_consistency(
-        setup, x0, kx, pair0, dims_m, seed, g0)
+    match_k, match_slice = _anchor_consistency(setup, kx, pair0, dims_m, seed)
     checks["isotropy_constant_on_m0"] = match_k
     checks["slice_agrees_on_m0"] = match_slice
-    checks["centralizer_splits_semisimple"] = semis_ok
+    checks["centralizer_splits_semisimple"] = (
+        dims_m.q == centralizer_dim(x0, g0)[0] + kx.dim - z_g0.dim)
 
     return ReducedSetup(setup, x0, kx, g0, k0, m0, g0_tilde, k0_tilde, m0_tilde,
                         z_g0, rank_g0, dims_m0, dims_m.r, checks)
+
+
+def _coordinates_and(mask, lines: np.ndarray) -> Subspace:
+    """Span of the canonical coordinates ``mask`` selects and of the unit
+    columns ``lines``, which are supported off the mask."""
+    return Subspace(mask.size, np.hstack([np.eye(mask.size)[:, mask], lines]))
 
 
 def _sigma_stable(S: Subspace, n: int) -> bool:
@@ -267,12 +294,7 @@ def _sigma_stable(S: Subspace, n: int) -> bool:
     return subspace_residual(Subspace(S.ambient_dim, B), S) < 1e-10
 
 
-def _generic_dim_within(algebra: Subspace, setup: OrbitSetup, seed: int) -> int:
-    C = sample_coords(algebra, seed, 29, _REDUCTION_SAMPLES)
-    return min(algebra.dim, int(centralizer_dims(C, algebra)[0].min()))
-
-
-def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
+def _anchor_consistency(setup, kx, pair0, dims_m, seed):
     # the first three draws of the reduced transversal generic for the full pair
     C = sample_coords(pair0.m, seed, 37, _REDUCTION_SAMPLES)
     found = np.flatnonzero(in_R_mask(setup, C, "m", dims_m))[:3]
@@ -282,8 +304,4 @@ def _anchor_consistency(setup, x0, kx, pair0, dims_m, seed, g0):
         same_k = equal_spaces(centralizer(x, setup.k), kx, 1e-7)
         same_slice = equal_spaces(m_of_x(setup, x, pair0), m_of_x(setup, x, "m"), 1e-7)
         match_k, match_slice = match_k and same_k, match_slice and same_slice
-    # dim g^x0 must split as the reduced centralizer plus the semisimple part
-    g0x0_dim = centralizer_dim(x0, g0)[0]
-    semis = derived_span(kx)
-    semis_ok = dims_m.q == g0x0_dim + semis.dim
-    return match_k, match_slice, semis_ok
+    return match_k, match_slice

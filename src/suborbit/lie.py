@@ -25,14 +25,13 @@ u(n) is a real algebra and nothing here complexifies it: one element is a
 (n^2, S) array of coordinate columns, in u(n) by construction.  Subspaces
 (``linalg.Subspace``) and adjoint matrices are real too.
 
-``stacked_centralizer`` returns a basis of the common centralizer of its
-generators as a ``Subspace``; ``centralizer`` is its one-generator case.
-``centralizer_dims`` decides the centralizer dimension and ambiguity flag of
-every element of a stack in one call, without a basis: on the whole u(n),
-and on so(n) for real x, from one stacked ``eigvalsh`` of -i x (ad x is
-normal in these coordinates); elsewhere from one stacked SVD of the adjoint
-matrices, and decides every row with one ``linalg.numeric_ranks`` call.
-``centralizer_dim`` is its one-element case.
+``centralizer`` returns a basis of the centralizer of one element as a
+``Subspace``.  ``centralizer_dims`` decides the centralizer dimension and
+ambiguity flag of every element of a stack in one call, without a basis: on
+the whole u(n), and on so(n) for real x, from one stacked ``eigvalsh`` of
+-i x (ad x is normal in these coordinates); elsewhere from one stacked SVD
+of the adjoint matrices, and decides every row with one
+``linalg.numeric_ranks`` call.  ``centralizer_dim`` is its one-element case.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from math import isqrt
 
 import numpy as np
 
-from .linalg import Subspace, kernel_basis, numeric_ranks, orthonormal_columns
+from .linalg import Subspace, kernel_basis, numeric_ranks
 
 HERMITICITY_TOL = 1e-12
 
@@ -247,8 +246,15 @@ def ad_in_basis(x: LieElement, within: Subspace) -> np.ndarray:
 
 
 def centralizer(x: LieElement, within: Subspace) -> Subspace:
-    """{y in within : [x, y] = 0} as a subspace of coordinate space."""
-    return stacked_centralizer(x.coords[:, None], within)
+    """{y in within : [x, y] = 0} as a subspace of coordinate space.
+
+    The adjoint matrix is built from the coordinates of x and its rank read
+    against the floor |x|_F, as ``centralizer_dims`` decides it."""
+    mats = coords_to_matrix(x.coords, x.n)[None]
+    K, amb = kernel_basis(_ad_stack(mats, within)[0],
+                          floor=float(np.linalg.norm(mats, axis=(1, 2))[0]))
+    return Subspace(within.ambient_dim, within.basis @ K,
+                    ambiguous=amb or within.ambiguous)
 
 
 def _spectral_singular_values(mats: np.ndarray, within: Subspace):
@@ -304,37 +310,11 @@ def centralizer_dim(x: LieElement, within: Subspace) -> tuple[int, bool]:
     return int(dims[0]), bool(amb[0])
 
 
-def stacked_centralizer(C: np.ndarray, within: Subspace) -> Subspace:
-    """{y in within : [g, y] = 0 for every generator g}, the generators given
-    by the real coordinate columns of ``C`` (n^2, S)."""
-    if not C.shape[1]:
-        return within
-    mats = _stack(C)
-    A = _ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
-    floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
-    K, amb = kernel_basis(A, floor=floor)
-    return Subspace(within.ambient_dim, within.basis @ K,
-                    ambiguous=amb or within.ambiguous)
-
-
 def _pairwise_brackets(S: Subspace) -> np.ndarray:
     """Real coordinate columns of [b_i, b_j] for i < j, in row-major pair order."""
     mats = coords_to_matrix(S.basis, isqrt(S.ambient_dim))
     i, j = np.triu_indices(S.dim, 1)
     return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
-
-
-def subalgebra_center(S: Subspace) -> Subspace:
-    """Center of a subalgebra given by its coordinate basis."""
-    return stacked_centralizer(S.basis, S)
-
-
-def derived_span(S: Subspace) -> Subspace:
-    """Span of all pairwise brackets of a basis of S (the derived subalgebra span)."""
-    # basis elements are unit vectors, so genuine brackets are order one;
-    # anchor the rank decision there rather than at the noise level
-    Q, amb = orthonormal_columns(_pairwise_brackets(S), floor=1.0)
-    return Subspace(S.ambient_dim, Q, amb)
 
 
 def bracket_closure_residual(S: Subspace) -> float:

@@ -175,20 +175,6 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, np.eye(ambient_dim))
 
 
-def intersect(S: Subspace, T: Subspace) -> Subspace:
-    """Intersection of two subspaces of the same ambient space."""
-    if S.ambient_dim != T.ambient_dim:
-        raise ValueError("subspaces live in different ambient spaces")
-    if S.dim == 0 or T.dim == 0:
-        return Subspace(S.ambient_dim, np.zeros((S.ambient_dim, 0)),
-                        S.ambiguous or T.ambiguous)
-    stacked = np.hstack([S.basis, -T.basis])
-    K, amb = kernel_basis(stacked)
-    vecs = S.basis @ K[: S.dim]
-    Q, amb2 = orthonormal_columns(vecs)
-    return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb or amb2)
-
-
 def subspace_residual(S: Subspace, T: Subspace) -> float:
     """How far S sticks out of T: largest singular value of (1 - P_T) B_S."""
     if S.dim == 0:

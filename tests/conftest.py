@@ -50,6 +50,6 @@ def dims_114(setup_114):
 
 
 def random_element(setup, space, seed):
-    from suborbit import sample_element
+    from reference import sample_element
     rng = np.random.default_rng(seed)
     return sample_element(setup.pair(space).m, rng, setup.n)

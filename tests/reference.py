@@ -1,13 +1,16 @@
 """Reference constructions the tests check the package against: direct,
 one-element-at-a-time forms of what the package computes in stacked or
-structural form, which neither ``run_case`` nor the command line reaches."""
+structural form, and the generic SVD forms of what it reads off in closed
+form, which neither ``run_case`` nor the command line reaches."""
 
 import numpy as np
 
-from suborbit.generic import _MAX_HALVINGS, _TRIES_PER_RADIUS, is_in_R
+from suborbit.generic import (_MAX_HALVINGS, _REDUCTION_SAMPLES,
+                              _TRIES_PER_RADIUS, is_in_R, sample_coords)
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
-from suborbit.lie import (LieElement, ad_in_basis, bracket, coords_to_matrix,
-                          pairing, project)
+from suborbit.lie import (LieElement, _ad_stack, _pairwise_brackets, _stack,
+                          ad_in_basis, bracket, centralizer, centralizer_dims,
+                          coords_to_matrix, pairing, project)
 from suborbit.linalg import (Subspace, full_space, kernel_basis,
                              numeric_rank, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
@@ -54,6 +57,67 @@ def sum_spaces(S: Subspace, T: Subspace) -> Subspace:
     return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb)
 
 
+def intersect(S: Subspace, T: Subspace) -> Subspace:
+    """Intersection of two subspaces of the same ambient space."""
+    if S.ambient_dim != T.ambient_dim:
+        raise ValueError("subspaces live in different ambient spaces")
+    if S.dim == 0 or T.dim == 0:
+        return Subspace(S.ambient_dim, np.zeros((S.ambient_dim, 0)),
+                        S.ambiguous or T.ambiguous)
+    stacked = np.hstack([S.basis, -T.basis])
+    K, amb = kernel_basis(stacked)
+    vecs = S.basis @ K[: S.dim]
+    Q, amb2 = orthonormal_columns(vecs)
+    return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb or amb2)
+
+
+# -- centralizers of whole bases ----------------------------------------------
+
+def stacked_centralizer(C: np.ndarray, within: Subspace) -> Subspace:
+    """{y in within : [g, y] = 0 for every generator g}, the generators given
+    by the real coordinate columns of ``C`` (n^2, S): one kernel of the
+    stacked adjoint matrices, read against the largest |g|_F."""
+    if not C.shape[1]:
+        return within
+    mats = _stack(C)
+    A = _ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
+    floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
+    K, amb = kernel_basis(A, floor=floor)
+    return Subspace(within.ambient_dim, within.basis @ K,
+                    ambiguous=amb or within.ambiguous)
+
+
+def subalgebra_center(S: Subspace) -> Subspace:
+    """Center of a subalgebra given by its coordinate basis."""
+    return stacked_centralizer(S.basis, S)
+
+
+def derived_span(S: Subspace) -> Subspace:
+    """Span of all pairwise brackets of a basis of S (the derived subalgebra span)."""
+    # basis elements are unit vectors, so genuine brackets are order one;
+    # anchor the rank decision there rather than at the noise level
+    Q, amb = orthonormal_columns(_pairwise_brackets(S), floor=1.0)
+    return Subspace(S.ambient_dim, Q, amb)
+
+
+def reduction_spaces(setup, x0: LieElement, seed: int) -> dict:
+    """The spaces and rank of ``generic.ReducedSetup`` built by the generic
+    route: k^x0 as a centralizer, g0 as the common centralizer of a basis of
+    it, the rest as intersections and a center, and the rank of g0 as the
+    smallest centralizer dimension over sampled points of g0."""
+    kx = centralizer(x0, setup.k)
+    g0 = stacked_centralizer(kx.basis, setup.g)
+    k0 = intersect(g0, setup.k)
+    m0 = intersect(g0, setup.m)
+    C = sample_coords(g0, seed, 29, _REDUCTION_SAMPLES)
+    rank_g0 = min(g0.dim, int(centralizer_dims(C, g0)[0].min()))
+    return {"k_x0": kx, "g0": g0, "k0": k0, "m0": m0,
+            "g0_tilde": intersect(g0, setup.g_tilde),
+            "k0_tilde": intersect(k0, setup.g_tilde),
+            "m0_tilde": intersect(m0, setup.g_tilde),
+            "z_g0": subalgebra_center(g0), "rank_g0": rank_g0}
+
+
 def complex_centralizer_dims(mats: np.ndarray, within: Subspace) -> list:
     """dim over C of the centralizer of each complex matrix w of a (S, n, n)
     stack in the complexification of ``within``: the rank of the vectorised
@@ -76,6 +140,13 @@ def reduced_pair(red, space: str) -> AlgebraPair:
 
 
 # -- the generic stratum, one point at a time -----------------------------------
+
+def sample_element(space: Subspace, rng, n: int) -> LieElement:
+    """The element of ``space`` with the coefficients ``rng.standard_normal``
+    draws next."""
+    coeffs = rng.standard_normal(space.dim)
+    return LieElement.from_coords(space.basis @ coeffs, n)
+
 
 def perturb_into_R_loop(setup, x0: LieElement, dims_m, dims_mt, seed: int):
     """``generic.perturb_into_R`` deciding one sphere point at a time: radius

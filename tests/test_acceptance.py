@@ -15,10 +15,10 @@ from suborbit import (CONFIRMED, LieElement, REDUCED, build_family,
                       involutivity_suite, is_in_R, lax_residual,
                       m_a_estimate, pencil_isotropy_check, perturb_into_R,
                       reduction_data, regular_in_kprime_test, root_split,
-                      build_x_pi, run_case, sample_element,
-                      verify_regular_pencil)
+                      build_x_pi, run_case, verify_regular_pencil)
 from suborbit.cli import main
 from suborbit.linalg import kernel_dim
+from reference import sample_element
 
 
 def _spectrum(p):

@@ -8,11 +8,11 @@ import pytest
 from suborbit import (FlowDivergenceError, LieElement, block_scalar, bracket,
                       build_family, build_flow, build_setup, conservation_report,
                       energy_drift, hamiltonian, integrate_flow, lax_residual,
-                      member_values, pairing, phi_spectrum, sample_element)
+                      member_values, pairing, phi_spectrum)
 from suborbit.cli import _partitions
 from suborbit.lie import ad_in_basis, coords_to_matrix
-from reference import (ad_a_on_m, conjugate, phi_ab, shifted_invariant_eval,
-                       unitary_exp)
+from reference import (ad_a_on_m, conjugate, phi_ab, sample_element,
+                       shifted_invariant_eval, unitary_exp)
 
 
 @pytest.fixture(scope="module")

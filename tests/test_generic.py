@@ -1,17 +1,20 @@
 """Generic dimensions, the slice m(x), stratum membership, and the reduction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from suborbit import (AlgebraPair, LieElement, bracket, build_setup,
-                      build_witness_x0, centralizer, estimate_generic_dims,
-                      intersect, is_in_R, m_of_x, perturb_into_R,
-                      reduction_data, sample_element)
-from suborbit import generic
-from suborbit.generic import sample_coords, seeded_normals
-from suborbit.lie import ad_in_basis, coords_to_matrix, derived_span
+from suborbit import (INCONCLUSIVE, AlgebraPair, LieElement, bracket,
+                      build_setup, build_witness_x0, centralizer,
+                      estimate_generic_dims, is_in_R, m_of_x, perturb_into_R,
+                      reduction_data, run_case)
+from suborbit import bridge, generic
+from suborbit.generic import GenericPoint, sample_coords, seeded_normals
+from suborbit.lie import ad_in_basis, coords_to_matrix
 from suborbit.linalg import equal_spaces
-from reference import (complement, perturb_into_R_loop, reduced_pair, span,
+from reference import (complement, derived_span, intersect, perturb_into_R_loop,
+                       reduced_pair, reduction_spaces, sample_element, span,
                        sum_spaces)
 
 
@@ -194,6 +197,92 @@ def test_reduction_rejects_nongeneric_anchor(setup_112, dims_112):
     with pytest.raises(ValueError, match="not generic"):
         reduction_data(setup_112, LieElement.zero(4), dims_112["m"],
                        dims_112["m_tilde"])
+
+
+def _reduced_at_the_witness(mult, seed):
+    """The setup, dims and ``GenericPoint`` anchor with which ``run_case``
+    reaches ``reduction_data`` on spectrum 1..p."""
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+    dm, dmt = (estimate_generic_dims(st, s, 25, seed) for s in ("m", "m_tilde"))
+    x0, _ = build_witness_x0(st, seed)
+    x, radius = perturb_into_R(st, x0, dm, dmt, seed)
+    assert radius == 0.0
+    return st, dm, dmt, GenericPoint(x, ("m", "m_tilde"))
+
+
+REDUCED_SPACES = ("k_x0", "g0", "k0", "m0", "g0_tilde", "k0_tilde", "m0_tilde", "z_g0")
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("mult", [(1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 2, 4),
+                                  (1, 1, 6), (2, 2, 5), (1, 1, 1, 5)])
+def test_reduction_read_off_the_zero_columns_equals_the_generic_route(mult, seed):
+    st, dm, dmt, anchor = _reduced_at_the_witness(mult, seed)
+    red = reduction_data(st, anchor, dm, dmt, seed=seed)
+    ref = reduction_spaces(st, anchor.x, seed)
+    for name in REDUCED_SPACES:
+        assert equal_spaces(getattr(red, name), ref[name]), name
+    assert red.rank_g0 == ref["rank_g0"]
+    assert all(red.checks.values()), red.checks
+    zero_columns = int(np.count_nonzero(~np.any(anchor.x.matrix, axis=0)))
+    assert dm.p == 1 + zero_columns ** 2
+    if mult == (1, 1, 2):
+        # no zero column: k^x0 is the centre of u(n) and g0 all of u(n)
+        assert zero_columns == 0
+        assert (red.k_x0.dim, red.g0.dim, red.z_g0.dim) == (1, st.g.dim, 1)
+
+
+def test_reduction_refuses_an_anchor_stated_generic_for_one_pair(setup_114, dims_114):
+    x0, _ = build_witness_x0(setup_114, seed=0)
+    with pytest.raises(ValueError, match="not for both pairs"):
+        reduction_data(setup_114, GenericPoint(x0, "m"), dims_114["m"],
+                       dims_114["m_tilde"])
+
+
+def _generic_point_without_zero_columns(st, dims):
+    x, radius = perturb_into_R(st, LieElement.zero(st.n), dims["m"],
+                               dims["m_tilde"], seed=0)
+    assert radius == 1.0 and np.all(np.any(x.matrix, axis=0))
+    return x, radius
+
+
+def test_reduction_refuses_a_generic_anchor_without_the_witness_zero_columns(
+        setup_114, dims_114):
+    # generic for both pairs, but its isotropy algebra is not u(W) + iR*I
+    x, _ = _generic_point_without_zero_columns(setup_114, dims_114)
+    with pytest.raises(ValueError, match="0 zero columns"):
+        reduction_data(setup_114, GenericPoint(x, ("m", "m_tilde")),
+                       dims_114["m"], dims_114["m_tilde"])
+
+
+def test_reduction_refuses_zero_columns_in_more_than_one_block(setup_114, dims_114):
+    # stated generic, so only the zero-column check can refuse it
+    anchor = GenericPoint(LieElement.zero(setup_114.n), ("m", "m_tilde"))
+    with pytest.raises(ValueError, match="more than one block"):
+        reduction_data(setup_114, anchor, dims_114["m"], dims_114["m_tilde"])
+
+
+def test_run_case_is_inconclusive_when_the_reduction_refuses_its_anchor(
+        monkeypatch, setup_114, dims_114):
+    point = _generic_point_without_zero_columns(setup_114, dims_114)
+    monkeypatch.setattr(bridge, "perturb_into_R", lambda *args, **kwargs: point)
+    case = run_case((1, 1, 4), (1.0, 2.0, 3.0), seed=0)
+    assert case.conclusion == INCONCLUSIVE
+    assert case.reduction is None
+    assert any(note.startswith("verification aborted: the anchor has 0 zero columns")
+               for note in case.notes), case.notes
+
+
+def test_reduction_at_1_1_12_stays_within_100_mb():
+    st, dm, dmt, anchor = _reduced_at_the_witness((1, 1, 12), 42)
+    tracemalloc.start()
+    try:
+        red = reduction_data(st, anchor, dm, dmt, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(red.checks.values())
+    assert peak <= 100 * 2 ** 20, f"{peak / 2 ** 20:.0f} MB"
 
 
 def test_reduced_pair_full_machinery(setup_114, dims_114):

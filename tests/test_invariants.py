@@ -7,12 +7,12 @@ import pytest
 
 from suborbit import (LieElement, Member, build_family, build_setup,
                       completeness_check, gradient, involutivity_suite,
-                      pairing, sample_element)
+                      pairing)
 from suborbit.cli import _partitions
 from suborbit.invariants import _member_gradients
 from suborbit.lie import matrix_to_coords
 from reference import (conjugate, poisson_bracket_can, reduced_pair,
-                       shift_coeff_matrices, shifted_invariant_eval, span,
+                       sample_element, shift_coeff_matrices, shifted_invariant_eval, span,
                        unitary_exp)
 
 

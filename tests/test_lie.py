@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
-                      centralizer, full_space, intersect, pairing, project,
-                      sigma, subalgebra_center, subspace_residual, build_setup)
+                      centralizer, full_space, pairing, project, sigma,
+                      subspace_residual, build_setup)
 from suborbit.lie import (_spectral_singular_values, ad_in_basis,
                           bracket_closure_residual, bracket_form,
                           centralizer_dim, centralizer_dims, coords_to_matrix,
-                          derived_span, matrices_to_coords, matrix_to_coords,
-                          real_form_dim, stacked_centralizer)
+                          matrices_to_coords, matrix_to_coords, real_form_dim)
 from suborbit.orbit import build_witness_x0
 from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
                              numeric_rank, numeric_ranks)
-from reference import (complement, complex_centralizer_dims, conjugate, span,
-                       sum_spaces, unitary_exp)
+from reference import (complement, complex_centralizer_dims, conjugate,
+                       derived_span, intersect, span, stacked_centralizer,
+                       subalgebra_center, sum_spaces, unitary_exp)
 
 
 def _elem(coords, n):

@@ -5,15 +5,15 @@ import pytest
 
 from suborbit import (SINGULAR, LieElement, bracket, build_moment_data,
                       build_setup, build_witness_x0, centralizer,
-                      estimate_generic_dims, form_matrix, intersect, is_in_R,
-                      m_a_estimate, m_of_x, regular_in_kprime_test,
-                      sample_element)
+                      estimate_generic_dims, form_matrix, is_in_R,
+                      m_a_estimate, m_of_x, regular_in_kprime_test)
 from suborbit import momentmap
 from suborbit.generic import sample_coords
 from suborbit.lie import ad_in_basis, coords_to_matrix, matrices_to_coords
 from suborbit.pencil import singular_kernel_dim
-from reference import (ad_a_inverse_apply, ad_a_on_m, conjugate, moment_beta,
-                       moment_differential, span, unitary_exp)
+from reference import (ad_a_inverse_apply, ad_a_on_m, conjugate, intersect,
+                       moment_beta, moment_differential, sample_element, span,
+                       unitary_exp)
 
 
 @pytest.fixture(scope="module")

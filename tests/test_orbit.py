@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from suborbit import (block_scalar, bracket, build_setup, build_witness_x0,
-                      centralizer, full_space, intersect, sigma,
-                      subalgebra_center)
+                      centralizer, full_space, sigma)
 from suborbit import linalg
 from suborbit.cli import _partitions
-from suborbit.generic import sample_element
 from suborbit.lie import _basis_data, coordinate_entries
 from suborbit.linalg import Subspace, equal_spaces
-from reference import ad_a_inverse_apply, ad_a_on_m, complement
+from reference import (ad_a_inverse_apply, ad_a_on_m, complement, intersect,
+                       sample_element, subalgebra_center)
 
 
 def test_dimension_table_112(setup_112):

@@ -5,15 +5,15 @@ import pytest
 
 from suborbit import (LieElement, bracket, build_setup, build_x_pi, centralizer,
                       form_matrix, kronecker_test, m_of_x, pairing,
-                      pencil_isotropy_check, root_split, sample_element,
-                      verify_regular_pencil)
+                      pencil_isotropy_check, root_split, verify_regular_pencil)
 from suborbit import linalg
 from suborbit.cli import _partitions
 from suborbit.generic import estimate_generic_dims, is_in_R
 from suborbit.lie import centralizer_dims
 from suborbit.linalg import RankAmbiguityWarning, kernel_dim
 from suborbit.pencil import SINGULAR, genuine_eigenvalues
-from reference import complex_centralizer_dims, conjugate, span, unitary_exp
+from reference import (complex_centralizer_dims, conjugate, sample_element, span,
+                       unitary_exp)
 
 
 def _lambdas(seed, stream, count):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from suborbit import (LieElement, anchored_permutation, build_setup, build_x_pi,
-                      root_split, sample_element, sigma, verify_regular_pencil)
+                      root_split, sigma, verify_regular_pencil)
 from suborbit.cli import _partitions
-from reference import complex_centralizer_dims, positive_roots, x_pi_template
+from reference import (complex_centralizer_dims, positive_roots, sample_element,
+                       x_pi_template)
 
 
 @pytest.mark.parametrize("mult,nk,nm", [
