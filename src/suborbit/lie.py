@@ -32,6 +32,10 @@ the whole u(n), and on so(n) for real x, from one stacked ``eigvalsh`` of
 -i x (ad x is normal in these coordinates); elsewhere from one stacked SVD
 of the adjoint matrices, and decides every row with one
 ``linalg.numeric_ranks`` call.  ``centralizer_dim`` is its one-element case.
+The adjoint stack it decides is gathered from the sparse structure constants
+of u(n) (``_structure_constants``, at most two terms per entry of ad x),
+without the complex commutators of ``_ad_stack``, which ``centralizer`` and
+``ad_in_basis`` keep for the bases they return.
 """
 
 from __future__ import annotations
@@ -257,6 +261,88 @@ def centralizer(x: LieElement, within: Subspace) -> Subspace:
                     ambiguous=amb or within.ambiguous)
 
 
+@lru_cache(maxsize=None)
+def _structure_constants(n: int):
+    """The nonzero structure constants of u(n) in canonical coordinates.
+
+    Returns ``(i, c, l, v)``: for each entry (i[p], c[p]) of ad x that some
+    x reaches, ad x there is ``v[0, p] x[l[0, p]] + v[1, p] x[l[1, p]]``, as
+    no entry has more than two terms; an entry with one term repeats its
+    index in the second slot with v = 0.
+
+    Built from [E_pq, E_rs] = delta_qr E_ps - delta_sp E_rq with no dense
+    table.  A basis element is a sum of one or two matrix units, each times a
+    unit in {1, -1, i} and 2^(-e/2), e = 1 off the diagonal, and coordinate i
+    of E_ps is -B_i[s, p].  All terms of one constant carry the same power of
+    2^(-1/2), so their integer real parts are summed exactly before it is
+    applied; the imaginary parts cancel, as brackets lie in u(n).
+    """
+    N = n * n
+    rows, cols = coordinate_entries(n)
+    j = np.arange(N)
+    fixed, off = j < real_form_dim(n), rows != cols
+    # the matrix units: element, row, column and unit of each
+    el = np.concatenate([j, j[off]])
+    ur = np.concatenate([rows, cols[off]])
+    uc = np.concatenate([cols, rows[off]])
+    uu = np.concatenate([np.where(fixed, 1, 1j), np.where(fixed, -1, 1j)[off]])
+    # the units at each entry: the real-form element first, then the other
+    at = np.full((N, 2), -1)
+    at[ur * n + uc, (off & ~fixed)[el].astype(int)] = np.arange(len(el))
+    # every unit ending in column q times every unit starting in row q, their
+    # product E_ps read as coordinate i by the unit r of b_i at (s, p)
+    t1 = np.argsort(uc, kind="stable").reshape(n, -1, 1, 1)
+    t2 = np.argsort(ur, kind="stable").reshape(n, 1, -1, 1)
+    t1, t2, r = np.broadcast_arrays(t1, t2, at[uc[t2] * n + ur[t1], [0, 1]])
+    w = (-uu[t1] * uu[t2] * uu[r]).real * (r >= 0)
+    hit = w != 0
+    i, l, c, w = el[r[hit]], el[t1[hit]], el[t2[hit]], w[hit]
+    # each product is a term of [b_l, b_c] and, negated, of [b_c, b_l]; keys
+    # in (i, c, l) order group the terms of each entry (i, c) of ad x
+    key = np.concatenate([(i * N + c) * N + l, (i * N + l) * N + c])
+    key, inv = np.unique(key, return_inverse=True)
+    w = np.bincount(inv, np.concatenate([w, -w]))
+    ic, l = np.divmod(key[w != 0], N)
+    i, c = np.divmod(ic, N)
+    e = off.astype(int)
+    v = w[w != 0] * 2.0 ** (-(e[i] + e[l] + e[c]) / 2)
+    ic, start, row = np.unique(ic, return_index=True, return_inverse=True)
+    L, V = np.tile(l[start], (2, 1)), np.zeros((2, len(ic)))
+    slot = np.arange(len(row)) - start[row]
+    L[slot, row], V[slot, row] = l, v
+    i, c = np.divmod(ic, N)
+    for a in (i, c, L, V):
+        a.setflags(write=False)
+    return i, c, L, V
+
+
+def _sparse_ad_stack(C: np.ndarray, within: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, rows)``: ``_ad_stack`` of the elements given by the coordinate
+    columns of ``C`` (n^2, S) on the rows ``rows`` only, an (S, len(rows), d)
+    stack; every other row is zero across the whole stack.
+
+    Gathered from ``_structure_constants``: the terms of ad x on the
+    coordinates that ``within`` is supported on and that some column of
+    ``C`` reaches, on the rows they reach, times the basis rows on that
+    support unless those are the identity, as on a coordinate subspace.
+    """
+    N, S = C.shape
+    i, c, l, v = _structure_constants(isqrt(N))
+    support = np.flatnonzero(np.any(within.basis, axis=1))
+    d = len(support)
+    col = np.full(N, -1)
+    col[support] = np.arange(d)
+    reached = np.any(np.any(C, axis=1)[l], axis=0)
+    on = np.flatnonzero((col[c] >= 0) & reached)
+    rows, row = np.unique(i[on], return_inverse=True)
+    (l0, l1), (v0, v1) = l[:, on], v[:, on]
+    A = np.zeros((S, len(rows) * d))
+    A[:, row * d + col[c[on]]] = (v0[:, None] * C[l0] + v1[:, None] * C[l1]).T
+    A = A.reshape(S, len(rows), d)
+    B = within.basis[support]
+    return (A if np.array_equal(B, np.eye(*B.shape)) else A @ B), rows
+
+
 def _spectral_singular_values(mats: np.ndarray, within: Subspace):
     """Singular values of ad x on u(n) or so(n) read from the spectrum of x.
 
@@ -290,15 +376,16 @@ def centralizer_dims(C: np.ndarray, within: Subspace) -> tuple[np.ndarray, np.nd
 
     On the whole u(n), and on so(n) for real x, the singular values of ad x
     come from one stacked ``eigvalsh`` (``_spectral_singular_values``); on any
-    other space from one stacked SVD of the adjoint matrices.  Either way the
-    ranks are decided by one ``numeric_ranks`` call with the floors |x|_F, as
-    ``centralizer`` decides each, and each element keeps its own ambiguity
-    flag and warning.
+    other space from one stacked SVD of the adjoint matrices, gathered from
+    the structure constants without the rows that vanish across the whole
+    stack (``_sparse_ad_stack``).  Either way the ranks are decided by one
+    ``numeric_ranks`` call with the floors |x|_F, as ``centralizer`` decides
+    each, and each element keeps its own ambiguity flag and warning.
     """
     mats = _stack(C)
     s = _spectral_singular_values(mats, within)
     if s is None:
-        s = np.linalg.svd(_ad_stack(mats, within), compute_uv=False)
+        s = np.linalg.svd(_sparse_ad_stack(C, within)[0], compute_uv=False)
     ranks, amb = numeric_ranks(s, floors=np.linalg.norm(mats, axis=(1, 2)))
     return within.dim - ranks, amb | within.ambiguous
 

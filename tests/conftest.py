@@ -47,9 +47,3 @@ def dims_114(setup_114):
         "m": estimate_generic_dims(setup_114, "m", 25, seed=3),
         "m_tilde": estimate_generic_dims(setup_114, "m_tilde", 25, seed=3),
     }
-
-
-def random_element(setup, space, seed):
-    from reference import sample_element
-    rng = np.random.default_rng(seed)
-    return sample_element(setup.pair(space).m, rng, setup.n)

@@ -372,12 +372,14 @@ def test_generic_dims_match_the_per_sample_loop(mult):
 
 @pytest.mark.parametrize("samples", [10, 25])
 def test_generic_dims_make_one_svd_call_per_space(svd_calls, samples):
-    # q on u(n) or so(n) takes the spectral rule; p is one stacked SVD over k
+    # q on u(n) or so(n) takes the spectral rule; p is one stacked SVD over k,
+    # whose rows for points of m are those of m, since [m, k] lies in m
     st = build_setup((2, 2, 2), (1.0, 2.0, 3.0))
     for space in ("m", "m_tilde"):
+        pair = st.pair(space)
         svd_calls.clear()
         estimate_generic_dims(st, space, samples, seed=0)
-        assert svd_calls == [(samples, st.ambient_dim, st.pair(space).k.dim)]
+        assert svd_calls == [(samples, pair.m.dim, pair.k.dim)]
 
 
 def test_seeded_normals_equal_fresh_draws_as_sizes_grow_and_shrink(monkeypatch):

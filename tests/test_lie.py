@@ -1,5 +1,6 @@
 """Bracket, pairing, involution, and subspace arithmetic."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis.extra.numpy import arrays
 from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
                       centralizer, full_space, pairing, project, sigma,
                       subspace_residual, build_setup)
-from suborbit.lie import (_spectral_singular_values, ad_in_basis,
+from suborbit.cli import _partitions
+from suborbit.generic import estimate_generic_dims, perturb_into_R, reduction_data
+from suborbit.lie import (_ad_stack, _sparse_ad_stack, _spectral_singular_values,
+                          _stack, _structure_constants, ad_in_basis,
                           bracket_closure_residual, bracket_form,
                           centralizer_dim, centralizer_dims, coords_to_matrix,
                           matrices_to_coords, matrix_to_coords, real_form_dim)
@@ -310,6 +314,83 @@ def test_ad_in_basis_on_the_empty_subspace(n):
     empty = Subspace(n * n, np.zeros((n * n, 0)))
     w = LieElement.from_coords(np.ones(n * n), n)
     assert ad_in_basis(w, empty).shape == (n * n, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_structure_constants_equal_the_numeric_brackets(n):
+    # T[i, l, c], coordinate i of [b_l, b_c], from the basis matrices
+    N = n * n
+    B = coords_to_matrix(np.eye(N), n)
+    dense = matrices_to_coords((B[:, None] @ B[None] - B[None] @ B[:, None])
+                               .reshape(N * N, n, n)).real.reshape(N, N, N)
+    i, c, l, v = _structure_constants(n)
+    T = np.zeros((N, N, N))
+    for lt, vt in zip(l, v):
+        np.add.at(T, (i, lt, c), vt)
+    np.testing.assert_allclose(T, dense, rtol=0, atol=1e-15)
+    assert np.array_equal(T != 0, np.abs(dense) > 1e-12)
+    # a one-term entry repeats its index in the second slot with v = 0
+    assert np.all(v[0] != 0) and np.all((v[1] != 0) | (l[1] == l[0]))
+
+
+def test_structure_constants_stay_sparse_at_n_16():
+    # a dense N^3 table would be 134 MB at N = 256
+    tracemalloc.start()
+    try:
+        i, c, l, v = _structure_constants.__wrapped__(16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(v) == 14880
+    assert peak < 16 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+
+
+def _stack_spaces():
+    """(partition, name, space): g, k, m and their fixed parts on every
+    partition with 2 <= n <= 6, on (3,3,3) and (1^8), and the reduced g0 and k0
+    of (1,1,4), which carry a line."""
+    parts = [(n,) for n in range(2, 7)]
+    parts += [tuple(p) for n in range(2, 7) for p in _partitions(n)]
+    for mult in parts + [(3, 3, 3), (1,) * 8]:
+        st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
+        for name in ("g", "k", "m", "g_tilde", "k_tilde", "m_tilde"):
+            yield mult, name, getattr(st, name)
+    st = build_setup((1, 1, 4), (1.0, 2.0, 3.0))
+    dm, dmt = (estimate_generic_dims(st, s, 25, 0) for s in ("m", "m_tilde"))
+    x, _ = perturb_into_R(st, build_witness_x0(st, 0)[0], dm, dmt, 0)
+    red = reduction_data(st, x, dm, dmt, seed=0)
+    for name in ("g0", "k0"):
+        yield (1, 1, 4), name, getattr(red, name)
+
+
+def test_sparse_ad_stack_equals_the_dense_stack():
+    seen_lines = 0
+    for mult, name, within in _stack_spaces():
+        n = sum(mult)
+        rng = np.random.default_rng(n)
+        C = np.column_stack([rng.standard_normal((n * n, 3)),
+                             within.basis @ rng.standard_normal(within.dim),
+                             np.zeros(n * n)])
+        # the last two columns alone reach only the rows of [within, within]
+        for D in (C, C[:, 3:]):
+            A, rows = _sparse_ad_stack(D, within)
+            dense = _ad_stack(_stack(D), within)
+            assert A.shape == (D.shape[1], len(rows), within.dim)
+            assert not np.any(np.delete(dense, rows, axis=1))
+            err = np.max(np.abs(A - dense[:, rows]), axis=(1, 2), initial=0.0)
+            assert np.all(err <= 1e-14 * np.linalg.norm(D, axis=0)), (mult, name)
+        seen_lines += not np.array_equal(np.abs(within.basis), within.basis != 0)
+    assert seen_lines == 2
+
+
+def test_centralizer_dims_edge_stacks_on_the_sparse_stack():
+    st = build_setup((1, 2), (1.0, 2.0))
+    for within in (st.k, st.m, Subspace(9, np.zeros((9, 0)))):
+        assert _spectral_singular_values(np.zeros((1, 3, 3)), within) is None
+        dims, amb = centralizer_dims(np.zeros((9, 1)), within)
+        assert dims.tolist() == [within.dim] and amb.tolist() == [False]
+        dims, amb = centralizer_dims(np.zeros((9, 0)), within)
+        assert dims.shape == amb.shape == (0,)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
