@@ -125,8 +125,7 @@ def cmd_flow(args) -> int:
     elapsed = time.perf_counter() - t0
 
     drifts = conservation_report(spec, traj, family)
-    states = coords_to_matrix(traj.coords.T, setup.n)
-    lax_max = float(lax_residual(spec, states, 0.5 + 0.5j).max())
+    lax_max = float(lax_residual(spec, traj.coords.T, 0.5 + 0.5j).max())
     summary = {
         "tool": {"name": "suborbit", "version": __version__},
         "inputs": {

@@ -8,8 +8,9 @@ part.  The quadratic energy (1/2)<x, phi(x)> generates the flow
 dx/dt = [x, phi(x)], whose right hand side stays inside the flow space exactly.
 
 The right hand side is a fixed quadratic map, so ``build_flow`` tabulates it
-once: with Y_j the flow-space basis matrices, Q[:, j, k] holds the canonical
-coordinates of [Y_j, phi(Y_k)], and for x = sum_j y_j Y_j the velocity is
+once: with Y_j the flow-space basis elements, Q[:, j, k] holds the canonical
+coordinates of [Y_j, phi(Y_k)], read off one gather of the structure
+constants of u(n), and for x = sum_j y_j Y_j the velocity is
 sum_jk y_j y_k Q[:, j, k].  Only the part Q_s of Q symmetric in (j, k) acts;
 it is split once into its flow-space part V^T Q_s, which steps the d
 coefficients y of the state without building a matrix or a bracket, and the
@@ -28,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lie import (LieElement, bracket, coordinate_entries, coords_to_matrix,
-                  matrices_to_coords)
+from .lie import (LieElement, _sparse_ad_stack, ad_in_basis, bracket,
+                  coordinate_entries, coords_to_matrix)
 from .linalg import Subspace
 from .invariants import IntegralFamily, member_values
 from .orbit import OrbitSetup, block_scalar, entry_gaps
@@ -100,33 +101,28 @@ def build_flow(setup: OrbitSetup, b_values, space: str = "m_tilde") -> FlowSpec:
     comm = bracket(setup.a, b)
     if comm.norm() > 1e-14 * max(1.0, setup.a.norm() * b.norm()):
         raise RuntimeError("anchor and b do not commute")
-    # phi scales coordinate i by the ratio at its entry (rows[i], cols[i])
     V = setup.pair(space).m.basis
-    rows, cols = coordinate_entries(setup.n)
-    phi = V.T @ (_phi_ratio(setup, b)[rows, cols][:, None] * V)
+    phi = V.T @ (_phi_factor(setup, b)[:, None] * V)
     return FlowSpec(setup, b, space, phi, _quadratic_tensor(setup, space, phi))
 
 
-def _phi_ratio(setup: OrbitSetup, b: LieElement) -> np.ndarray:
-    """The (n, n) entry factor (mu_j - mu_k) / (l_j - l_k) of phi, zero on the blocks."""
+def _phi_factor(setup: OrbitSetup, b: LieElement) -> np.ndarray:
+    """The factor (mu_j - mu_k) / (l_j - l_k) by which phi scales each
+    canonical coordinate, read at its entry (j, k); zero on the blocks."""
     gaps = entry_gaps(setup.a)
-    return np.divide(entry_gaps(b), gaps, out=np.zeros_like(gaps), where=gaps != 0)
+    ratio = np.divide(entry_gaps(b), gaps, out=np.zeros_like(gaps), where=gaps != 0)
+    return ratio[coordinate_entries(setup.n)]
 
 
 def _quadratic_tensor(setup: OrbitSetup, space: str, phi: np.ndarray) -> np.ndarray:
-    """All brackets [Y_j, phi(Y_k)] of the flow-space basis in one stacked pass.
-
-    The brackets of skew-Hermitian matrices have real coordinates, so the
-    imaginary part is round-off; it is checked and dropped.
-    """
+    """All brackets [Y_j, phi(Y_k)] of the flow-space basis from one gather
+    of the structure constants: ad Y_j on the columns of V phi, for every j."""
     V = setup.pair(space).m.basis
     N, d = V.shape
-    Ys = coords_to_matrix(V, setup.n)[:, None]
-    Ps = coords_to_matrix(V @ phi, setup.n)[None]
-    C = matrices_to_coords((Ys @ Ps - Ps @ Ys).reshape(d * d, setup.n, setup.n))
-    if C.size and np.max(np.abs(C.imag)) > 1e-12 * max(1.0, np.max(np.abs(C.real))):
-        raise RuntimeError("the flow tensor has non-real coordinates")
-    return np.ascontiguousarray(C.real).reshape(N * d, d)
+    A, rows = _sparse_ad_stack(V, V @ phi)
+    Q = np.zeros((N, d, d))
+    Q[rows] = A.transpose(1, 0, 2)
+    return Q.reshape(N * d, d)
 
 
 def phi_spectrum(spec: FlowSpec) -> np.ndarray:
@@ -153,21 +149,21 @@ def hamiltonian(spec: FlowSpec, x: LieElement) -> float:
 
 
 def lax_residual(spec: FlowSpec, x, lam):
-    """Frobenius defect of [x, phi(x)] against the shifted bracket.
+    """Frobenius defect of [x, phi(x)] against [x + lam a, phi(x) + lam b].
 
-    Identically zero because [a, phi(x)] = [b, x] on the flow space and the
-    two block-scalar elements commute; any nonzero value is numerical noise.
-    A (R, n, n) stack ``x`` of flow-space matrices gives its (R,) defects.
+    The difference lam ([a, phi(x)] - [b, x]) + lam^2 [a, b] is identically
+    zero because [a, phi(x)] = [b, x] on the flow space and the two
+    block-scalar elements commute; any nonzero value is numerical noise.  It
+    is the norm of its coordinates, taken with the gathered ad a and ad b.
+    An (n^2, R) stack ``x`` of coordinate columns gives its (R,) defects.
     """
     one = isinstance(x, LieElement)
-    X = x.matrix[None] if one else x
-    lam = complex(lam)
-    P = _phi_ratio(spec.setup, spec.b) * X
-    lhs = X @ P - P @ X
-    w1 = X + lam * spec.setup.a.matrix
-    w2 = P + lam * spec.b.matrix
-    rhs = w1 @ w2 - w2 @ w1
-    d = np.linalg.norm(lhs - rhs, axis=(1, 2))
+    X = x.coords[:, None] if one else x
+    st, lam = spec.setup, complex(lam)
+    ad_a, ad_b = (ad_in_basis(w, st.g) for w in (st.a, spec.b))
+    P = _phi_factor(st, spec.b)[:, None] * X
+    D = lam * (ad_a @ P - ad_b @ X) + lam ** 2 * (ad_a @ spec.b.coords)[:, None]
+    d = np.linalg.norm(D, axis=0)
     return float(d[0]) if one else d
 
 

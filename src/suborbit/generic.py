@@ -135,7 +135,7 @@ def m_of_x(setup: OrbitSetup, x: LieElement, space) -> Subspace:
     pair = setup.pair(space)
     A = ad_in_basis(x, pair.m)
     comp = pair.k.basis.T @ A
-    K, amb = kernel_basis(comp, floor=float(np.linalg.norm(x.matrix)))
+    K, amb = kernel_basis(comp, floor=x.norm())
     return Subspace(pair.m.ambient_dim, pair.m.basis @ K,
                     ambiguous=amb or pair.m.ambiguous)
 

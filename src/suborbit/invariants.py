@@ -164,8 +164,9 @@ def involutivity_suite(family: IntegralFamily, n_points: int = 100,
     The residual for a pair is |{f, g}(x)| divided by the product of the
     gradient norms (floored at one), which makes the verdict insensitive to
     the overall scale of the family members.  The points are drawn as one
-    coordinate array and every member gradient at all of them comes from one
-    shift recursion over their (P, n, n) stack.
+    coordinate array, every member gradient at all of them comes from one
+    shift recursion over their (P, n, n) stack, and every bracket from one
+    P-stacked ``bracket_form``.
     """
     if n_points < 1:
         raise ValueError("need at least one sample point")
@@ -173,10 +174,9 @@ def involutivity_suite(family: IntegralFamily, n_points: int = 100,
         return 0.0
     n = family.setup.n
     C = sample_coords(family.domain, seed, 11, n_points)
-    xs = coords_to_matrix(C, n)
-    G = _member_gradients(family, xs)
-    # {f, g}(x) = -<x, [grad f, grad g]> = Re tr(x [grad f, grad g])
-    vals = np.abs(bracket_form(xs, coords_to_matrix(G, n)).real)
+    G = _member_gradients(family, coords_to_matrix(C, n))
+    # {f, g}(x) = -<x, [grad f, grad g]> = tr(x [grad f, grad g])
+    vals = np.abs(bracket_form(C, G))
     norms = np.linalg.norm(G, axis=0)
     return float(np.max(vals / np.maximum(1.0, norms[:, :, None] * norms[:, None, :])))
 
@@ -224,8 +224,7 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily,
     span_dim = Q.shape[1]
     target = (dims.r + mx.dim) / 2
     target_dim = int(round(target))
-    F = bracket_form(x.matrix, coords_to_matrix(Q, setup.n))
-    iso = float(np.max(np.abs(F.real), initial=0.0))
+    iso = float(np.max(np.abs(bracket_form(x.coords, Q)), initial=0.0))
     memb = float(np.max(np.linalg.norm(G - mx.project(G), axis=0), initial=0.0))
     complete = (span_dim == target_dim and abs(target - target_dim) < 1e-9
                 and iso <= _ISOTROPY_RTOL * max(1.0, float(np.linalg.norm(x.matrix))))

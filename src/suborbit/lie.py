@@ -13,29 +13,30 @@ coordinate vectors.  The real-matrix basis elements come first, which makes
 the entrywise-conjugation involution diagonal (+1 on the first n(n-1)/2
 coordinates, -1 on the rest).
 
-Linear maps on a subspace act on the whole stacked basis at once, never one
-column at a time: ``coords_to_matrix`` turns the basis columns into a
-(d, n, n) stack through ``_basis_data``, broadcast products apply the map,
-and ``matrices_to_coords`` reads the results back as columns.
-``bracket_form`` gives tr(w [Y_i, Y_j]) as G - G^T from the one Gram matrix
-G_ij = tr(w Y_i Y_j), instead of one commutator per pair.
+Every bracket the package computes in coordinates comes from one gather of
+the sparse structure constants of u(n) (``_structure_constants``, at most two
+terms per entry of ad x): ``_sparse_ad_stack`` returns, for a stack of
+elements, the matrices of ad x on the columns of a basis, without the rows
+that vanish.  ``ad_in_basis`` and ``centralizer`` read it for one element,
+``centralizer_dims`` for a stack, ``bracket_form`` gives tr(w [y_i, y_j]) as
+Y^T (ad w) Y, and ``bracket_closure_residual`` reads the brackets of a basis
+from it; no complex matrix is formed on the way.  ``bracket`` of two
+``LieElement`` values is the one matrix commutator.
 
 u(n) is a real algebra and nothing here complexifies it: one element is a
 ``LieElement``, which checks that it lies in u(n), and a stack is a real
-(n^2, S) array of coordinate columns, in u(n) by construction.  Subspaces
-(``linalg.Subspace``) and adjoint matrices are real too.
+(n^2, S) array of coordinate columns, in u(n) by construction; the gather
+refuses complex coordinates.  Subspaces (``linalg.Subspace``) and adjoint
+matrices are real too.
 
 ``centralizer`` returns a basis of the centralizer of one element as a
 ``Subspace``.  ``centralizer_dims`` decides the centralizer dimension and
 ambiguity flag of every element of a stack in one call, without a basis: on
 the whole u(n), and on so(n) for real x, from one stacked ``eigvalsh`` of
 -i x (ad x is normal in these coordinates); elsewhere from one stacked SVD
-of the adjoint matrices, and decides every row with one
+of the gathered adjoint matrices, and decides every row with one
 ``linalg.numeric_ranks`` call.  ``centralizer_dim`` is its one-element case.
-The adjoint stack it decides is gathered from the sparse structure constants
-of u(n) (``_structure_constants``, at most two terms per entry of ad x),
-without the complex commutators of ``_ad_stack``, which ``centralizer`` and
-``ad_in_basis`` keep for the bases they return.
+Rank floors are the coordinate norms, which equal |x|_F.
 """
 
 from __future__ import annotations
@@ -106,17 +107,6 @@ def matrices_to_coords(Ms: np.ndarray) -> np.ndarray:
     Ms = np.asarray(Ms)
     B, _ = _basis_data(Ms.shape[-1])
     return -np.tensordot(B, Ms, axes=([1, 2], [2, 1]))
-
-
-def bracket_form(w: np.ndarray, Ys: np.ndarray) -> np.ndarray:
-    """Skew matrix F_ij = tr(w [Y_i, Y_j]) of a (d, n, n) stack ``Ys``.
-
-    With G_ij = tr(w Y_i Y_j), cyclicity gives tr(w Y_j Y_i) = G_ji, so the
-    form is G - G^T and its diagonal is exactly zero.  A (P, n, n) stack of
-    ``w`` with a (P, d, n, n) stack of ``Ys`` gives the (P, d, d) forms.
-    """
-    G = np.einsum("...iab,...jba->...ij", w[..., None, :, :] @ Ys, Ys)
-    return G - G.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -227,36 +217,22 @@ def project(X: LieElement, S: Subspace) -> LieElement:
     return LieElement.from_coords(S.project(X.coords), X.n)
 
 
-def _ad_stack(mats: np.ndarray, within: Subspace) -> np.ndarray:
-    """(m, N, d) stack of ``ad_in_basis`` for each w of a (m, n, n) stack."""
-    m, n, _ = mats.shape
-    N, d = within.ambient_dim, within.dim
-    Ys, W = coords_to_matrix(within.basis, n)[None], mats[:, None]
-    C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n)).real
-    return C.reshape(N, m, d).transpose(1, 0, 2)
-
-
-def _stack(C: np.ndarray) -> np.ndarray:
-    """The (S, n, n) matrices of the real coordinate columns of ``C`` (n^2, S)."""
-    if np.iscomplexobj(C):
-        raise ValueError("coordinates are complex; a stack must lie in u(n)")
-    return coords_to_matrix(C, isqrt(len(C)))
-
-
 def ad_in_basis(x: LieElement, within: Subspace) -> np.ndarray:
     """Real matrix of y -> [x, y] restricted to ``within``, in ambient
     coordinates: column j holds the coordinates of [x, b_j]."""
-    return _ad_stack(x.matrix[None], within)[0]
+    A, rows = _sparse_ad_stack(x.coords[:, None], within.basis)
+    out = np.zeros((within.ambient_dim, within.dim))
+    out[rows] = A[0]
+    return out
 
 
 def centralizer(x: LieElement, within: Subspace) -> Subspace:
     """{y in within : [x, y] = 0} as a subspace of coordinate space.
 
-    The adjoint matrix is built from the coordinates of x and its rank read
-    against the floor |x|_F, as ``centralizer_dims`` decides it."""
-    mats = coords_to_matrix(x.coords, x.n)[None]
-    K, amb = kernel_basis(_ad_stack(mats, within)[0],
-                          floor=float(np.linalg.norm(mats, axis=(1, 2))[0]))
+    The kernel of the gathered adjoint matrix, its rank read against the
+    floor |x|_F, as ``centralizer_dims`` decides it."""
+    A, _ = _sparse_ad_stack(x.coords[:, None], within.basis)
+    K, amb = kernel_basis(A[0], floor=x.norm())
     return Subspace(within.ambient_dim, within.basis @ K,
                     ambiguous=amb or within.ambiguous)
 
@@ -316,51 +292,58 @@ def _structure_constants(n: int):
     return i, c, L, V
 
 
-def _sparse_ad_stack(C: np.ndarray, within: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """``(A, rows)``: ``_ad_stack`` of the elements given by the coordinate
-    columns of ``C`` (n^2, S) on the rows ``rows`` only, an (S, len(rows), d)
-    stack; every other row is zero across the whole stack.
+def _sparse_ad_stack(C: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, rows)``: the matrix of y -> [x, y] on the columns of ``basis``
+    (n^2, d), for each element x given by a real coordinate column of ``C``
+    (n^2, S), on the rows ``rows`` only, an (S, len(rows), d) stack; every
+    other row is zero across the whole stack.
 
     Gathered from ``_structure_constants``: the terms of ad x on the
-    coordinates that ``within`` is supported on and that some column of
-    ``C`` reaches, on the rows they reach, times the basis rows on that
-    support unless those are the identity, as on a coordinate subspace.
+    coordinates that ``basis`` is supported on, without the rows that vanish
+    across the whole stack, times the basis rows on that support unless those
+    are the identity, as on a coordinate subspace.  Complex coordinates are
+    refused: they name no element of u(n).
     """
+    if np.iscomplexobj(C):
+        raise ValueError("coordinates are complex; a stack must lie in u(n)")
     N, S = C.shape
     i, c, l, v = _structure_constants(isqrt(N))
-    support = np.flatnonzero(np.any(within.basis, axis=1))
+    # ndarray methods rather than their np.* wrappers: most calls are small
+    mask = basis.any(axis=1)
+    support = mask.nonzero()[0]
     d = len(support)
-    col = np.full(N, -1)
-    col[support] = np.arange(d)
-    reached = np.any(np.any(C, axis=1)[l], axis=0)
-    on = np.flatnonzero((col[c] >= 0) & reached)
-    rows, row = np.unique(i[on], return_inverse=True)
+    col = mask.cumsum() - 1
+    on = mask[c].nonzero()[0]
     (l0, l1), (v0, v1) = l[:, on], v[:, on]
-    A = np.zeros((S, len(rows) * d))
-    A[:, row * d + col[c[on]]] = (v0[:, None] * C[l0] + v1[:, None] * C[l1]).T
-    A = A.reshape(S, len(rows), d)
-    B = within.basis[support]
+    A = np.zeros((N * d, S))
+    A[i[on] * d + col[c[on]]] = v0[:, None] * C[l0] + v1[:, None] * C[l1]
+    A = A.reshape(N, d, S).transpose(2, 0, 1)
+    rows = A.any(axis=(0, 2)).nonzero()[0]
+    A, B = A[:, rows], basis[support]
     return (A if np.array_equal(B, np.eye(*B.shape)) else A @ B), rows
 
 
-def _spectral_singular_values(mats: np.ndarray, within: Subspace):
-    """Singular values of ad x on u(n) or so(n) read from the spectrum of x.
+def _spectral_singular_values(C: np.ndarray, within: Subspace):
+    """Singular values of ad x on u(n) or so(n) read from the spectrum of
+    each x given by a coordinate column of ``C`` (n^2, S).
 
     With the orthonormal canonical coordinates ad x of a skew-Hermitian x is
     skew-symmetric, hence normal, so its singular values are the moduli of
     its eigenvalues.  With lambda the eigenvalues of -i x these are
-    |lambda_i - lambda_j| over all (i, j) on u(n), and, for real x,
-    |lambda_i + lambda_j| over i < j on so(n) (ad x acts there as x on the
-    exterior square).  Returns them sorted descending, one row per matrix,
-    or None when ``within`` is neither space or some x on so(n) is not real.
+    |lambda_i - lambda_j| over all (i, j) on u(n), and, for real x (zero past
+    the so(n) coordinates), |lambda_i + lambda_j| over i < j on so(n) (ad x
+    acts there as x on the exterior square).  Returns them sorted descending,
+    one row per element, or None when ``within`` is neither space, some x on
+    so(n) is not real, or ``C`` is complex.
     """
-    S, n, _ = mats.shape
-    N, d = within.ambient_dim, within.dim
+    N, S = C.shape
+    n, d = isqrt(N), within.dim
     whole = d == N
-    if (not (whole or (d == real_form_dim(n) and not np.any(mats.imag)))
+    if (np.iscomplexobj(C)
+            or not (whole or (d == real_form_dim(n) and not np.any(C[d:])))
             or not np.array_equal(within.basis, np.eye(N, d))):
         return None
-    lam = np.linalg.eigvalsh(-1j * mats)
+    lam = np.linalg.eigvalsh(-1j * coords_to_matrix(C, n))
     if whole:
         s = np.abs(lam[:, :, None] - lam[:, None, :]).reshape(S, N)
     else:
@@ -376,17 +359,16 @@ def centralizer_dims(C: np.ndarray, within: Subspace) -> tuple[np.ndarray, np.nd
 
     On the whole u(n), and on so(n) for real x, the singular values of ad x
     come from one stacked ``eigvalsh`` (``_spectral_singular_values``); on any
-    other space from one stacked SVD of the adjoint matrices, gathered from
-    the structure constants without the rows that vanish across the whole
-    stack (``_sparse_ad_stack``).  Either way the ranks are decided by one
-    ``numeric_ranks`` call with the floors |x|_F, as ``centralizer`` decides
-    each, and each element keeps its own ambiguity flag and warning.
+    other space from one stacked SVD of the adjoint matrices gathered without
+    the rows that vanish across the whole stack (``_sparse_ad_stack``).
+    Either way the ranks are decided by one ``numeric_ranks`` call with the
+    floors |x|_F, the coordinate norms, as ``centralizer`` decides each, and
+    each element keeps its own ambiguity flag and warning.
     """
-    mats = _stack(C)
-    s = _spectral_singular_values(mats, within)
+    s = _spectral_singular_values(C, within)
     if s is None:
-        s = np.linalg.svd(_sparse_ad_stack(C, within)[0], compute_uv=False)
-    ranks, amb = numeric_ranks(s, floors=np.linalg.norm(mats, axis=(1, 2)))
+        s = np.linalg.svd(_sparse_ad_stack(C, within.basis)[0], compute_uv=False)
+    ranks, amb = numeric_ranks(s, floors=np.linalg.norm(C, axis=0))
     return within.dim - ranks, amb | within.ambiguous
 
 
@@ -397,14 +379,30 @@ def centralizer_dim(x: LieElement, within: Subspace) -> tuple[int, bool]:
     return int(dims[0]), bool(amb[0])
 
 
-def _pairwise_brackets(S: Subspace) -> np.ndarray:
-    """Real coordinate columns of [b_i, b_j] for i < j, in row-major pair order."""
-    mats = coords_to_matrix(S.basis, isqrt(S.ambient_dim))
-    i, j = np.triu_indices(S.dim, 1)
-    return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
+def bracket_form(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Skew matrix F_ij = tr(w [y_i, y_j]) of the coordinate columns y_i of
+    ``Y`` (n^2, d) and the coordinates (n^2,) of w; a P-stack, w (n^2, P) with
+    Y (n^2, P, d), gives the (P, d, d) forms of the pairs (w_p, Y_p).
+
+    tr(w [y_i, y_j]) = tr([w, y_i] y_j) is G = Y^T (ad w) Y, with ad w gathered
+    on the coordinates Y is supported on; (G - G^T) / 2 is returned, exactly
+    skew with a zero diagonal.
+    """
+    N = len(w)
+    W = w.reshape(N, -1)
+    Ys = Y.reshape(N, W.shape[1], -1).transpose(1, 0, 2)
+    support = Ys.any(axis=(0, 2)).nonzero()[0]
+    A, rows = _sparse_ad_stack(W, np.eye(N)[:, support])
+    G = Ys[:, rows].transpose(0, 2, 1) @ A @ Ys[:, support]
+    F = 0.5 * (G - G.transpose(0, 2, 1))
+    return F.reshape(w.shape[1:] + F.shape[1:])
 
 
 def bracket_closure_residual(S: Subspace) -> float:
-    """How far [S, S] leaves S; zero for subalgebras."""
-    C = _pairwise_brackets(S)
+    """How far [S, S] leaves S; zero for subalgebras.  The brackets
+    [b_i, b_j], i < j, of the basis are read off one gather of ad b_i on it."""
+    A, rows = _sparse_ad_stack(S.basis, S.basis)
+    i, j = np.triu_indices(S.dim, 1)
+    C = np.zeros((S.ambient_dim, len(i)))
+    C[rows] = A[i, :, j].T
     return float(np.max(np.linalg.norm(C - S.project(C), axis=0), initial=0.0))

@@ -25,9 +25,8 @@ import numpy as np
 
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
-from .lie import (LieElement, centralizer,  # noqa: F401
-                  centralizer_dim, centralizer_dims, coords_to_matrix,
-                  matrices_to_coords)
+from .lie import (LieElement, _sparse_ad_stack, ad_in_basis, centralizer,  # noqa: F401
+                  centralizer_dim, centralizer_dims, coordinate_entries)
 from .linalg import Subspace
 from .generic import GenericDims, in_R_mask, sample_coords
 from .orbit import AlgebraPair, OrbitSetup, entry_gaps
@@ -97,10 +96,16 @@ def m_a_estimate(data: MomentData, V: Subspace, dims: GenericDims,
 
 def _moment_stack(data: MomentData, C: np.ndarray) -> np.ndarray:
     """The coordinate columns (N, S) of the moment values (1/2) [ad_a^(-1) x, x]_k
-    of the points with coordinate columns ``C`` (N, S)."""
-    xs = coords_to_matrix(C, data.setup.n)
-    ys = data.ad_a_inv * xs
-    half = 0.5 * matrices_to_coords(ys @ xs - xs @ ys).real
+    of the points with coordinate columns ``C`` (N, S): y = ad_a^(-1) x is
+    ad a x times the real factor ad_a_inv^2 at each entry, and [y, x] is ad y,
+    gathered on the coordinates the stack is supported on, applied to x."""
+    setup = data.setup
+    rows, cols = coordinate_entries(setup.n)
+    Y = (data.ad_a_inv ** 2).real[rows, cols, None] * (ad_in_basis(setup.a, setup.g) @ C)
+    on = np.flatnonzero(np.any(C, axis=1))
+    A, hit = _sparse_ad_stack(Y, np.eye(len(C))[:, on])
+    half = np.zeros(C.shape)
+    half[hit] = 0.5 * np.einsum("sij,js->is", A, C[on])
     return data.pair.k.project(half)
 
 

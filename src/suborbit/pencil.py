@@ -13,8 +13,9 @@ lambda*D]] with ker X_km = m(x), so dim ker ad(x + lambda*a) on gl(n) is p
 plus dim ker B(lambda): ``kronecker_test`` decides the small pencil on m(x)
 for every lambda in C and at infinity, the finite lambda by two random
 projections (Hochstenbach, Mehl and Plestenjak, SIMAX 2019).  Both forms it
-reads, F_x = B(0) and F_a = B(sing), are real; ``form_matrix`` builds them,
-and a complex lambda enters only as F_x + lambda*F_a.
+reads, F_x = B(0) and F_a = B(sing), are real; ``form_matrix`` builds them as
+Y^T (ad w) Y from the structure constants (``lie.bracket_form``), and a
+complex lambda enters only as F_x + lambda*F_a.
 
 A standalone analyzer for arbitrary pairs of skew forms computes the minimal
 real kernel dimension, the sum of kernels over minimizing parameters, its
@@ -30,7 +31,7 @@ import numpy as np
 
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
-from .lie import LieElement, bracket_form, centralizer, coords_to_matrix  # noqa: F401
+from .lie import LieElement, bracket_form, centralizer  # noqa: F401
 from .linalg import (Subspace, kernel_basis, kernel_dim, numeric_rank,
                      orthonormal_columns, warn_fragile)
 from .generic import GenericDims, GenericPoint, is_in_R, m_of_x
@@ -55,10 +56,10 @@ def form_matrix(setup: OrbitSetup, x: LieElement, lam, space: str = "m",
         raise ValueError(f"the pencil parameter must be real, got {lam!r}")
     if domain is None:
         domain = m_of_x(setup, x, space)
-    w = setup.a.matrix if lam == SINGULAR else x.matrix + float(lam) * setup.a.matrix
+    w = setup.a.coords if lam == SINGULAR else x.coords + float(lam) * setup.a.coords
     # the pairing is the negated trace form, so the form value -<w, [y_i, y_j]>
-    # is the plain trace tr(w [y_i, y_j]), real for w in u(n)
-    return bracket_form(w, coords_to_matrix(domain.basis, setup.n)).real
+    # is the plain trace tr(w [y_i, y_j])
+    return bracket_form(w, domain.basis)
 
 
 # a cross-projection gap at most _GENUINE_GAP marks an eigenvalue genuine, one

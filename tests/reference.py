@@ -1,16 +1,20 @@
 """Reference constructions the tests check the package against: direct,
 one-element-at-a-time forms of what the package computes in stacked or
-structural form, and the generic SVD forms of what it reads off in closed
-form, which neither ``run_case`` nor the command line reaches."""
+structural form, the complex matrix-commutator forms of the brackets it
+gathers from the structure constants, and the generic SVD forms of what it
+reads off in closed form, which neither ``run_case`` nor the command line
+reaches."""
+
+from math import isqrt
 
 import numpy as np
 
 from suborbit.generic import (_MAX_HALVINGS, _REDUCTION_SAMPLES,
                               _TRIES_PER_RADIUS, is_in_R, sample_coords)
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
-from suborbit.lie import (LieElement, _ad_stack, _pairwise_brackets, _stack,
-                          ad_in_basis, bracket, centralizer, centralizer_dims,
-                          coords_to_matrix, pairing, project)
+from suborbit.lie import (LieElement, ad_in_basis, bracket, centralizer,
+                          centralizer_dims, coords_to_matrix, matrices_to_coords,
+                          pairing, project)
 from suborbit.linalg import (Subspace, full_space, kernel_basis,
                              numeric_rank, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
@@ -71,6 +75,40 @@ def intersect(S: Subspace, T: Subspace) -> Subspace:
     return Subspace(S.ambient_dim, Q, S.ambiguous or T.ambiguous or amb or amb2)
 
 
+# -- brackets as complex matrix commutators -----------------------------------
+
+def matrix_stack(C: np.ndarray) -> np.ndarray:
+    """The (S, n, n) matrices of the real coordinate columns of ``C`` (n^2, S)."""
+    if np.iscomplexobj(C):
+        raise ValueError("coordinates are complex; a stack must lie in u(n)")
+    return coords_to_matrix(C, isqrt(len(C)))
+
+
+def ad_stack(mats: np.ndarray, within: Subspace) -> np.ndarray:
+    """(m, N, d) stack of ``ad_in_basis`` for each w of a (m, n, n) stack, as
+    the coordinates of the commutators W Y - Y W with the basis matrices."""
+    m, n, _ = mats.shape
+    N, d = within.ambient_dim, within.dim
+    Ys, W = coords_to_matrix(within.basis, n)[None], mats[:, None]
+    C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n)).real
+    return C.reshape(N, m, d).transpose(1, 0, 2)
+
+
+def trace_bracket_form(w: np.ndarray, Ys: np.ndarray) -> np.ndarray:
+    """Skew matrix F_ij = tr(w [Y_i, Y_j]) of a (d, n, n) stack ``Ys`` and a
+    matrix ``w``, as G - G^T with G_ij = tr(w Y_i Y_j); a (P, n, n) stack of
+    ``w`` with a (P, d, n, n) stack of ``Ys`` gives the (P, d, d) forms."""
+    G = np.einsum("...iab,...jba->...ij", w[..., None, :, :] @ Ys, Ys)
+    return G - G.swapaxes(-1, -2)
+
+
+def pairwise_brackets(S: Subspace) -> np.ndarray:
+    """Real coordinate columns of [b_i, b_j] for i < j, in row-major pair order."""
+    mats = coords_to_matrix(S.basis, isqrt(S.ambient_dim))
+    i, j = np.triu_indices(S.dim, 1)
+    return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
+
+
 # -- centralizers of whole bases ----------------------------------------------
 
 def stacked_centralizer(C: np.ndarray, within: Subspace) -> Subspace:
@@ -79,8 +117,8 @@ def stacked_centralizer(C: np.ndarray, within: Subspace) -> Subspace:
     stacked adjoint matrices, read against the largest |g|_F."""
     if not C.shape[1]:
         return within
-    mats = _stack(C)
-    A = _ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
+    mats = matrix_stack(C)
+    A = ad_stack(mats, within).reshape(len(mats) * within.ambient_dim, within.dim)
     floor = float(np.max(np.linalg.norm(mats, axis=(1, 2))))
     K, amb = kernel_basis(A, floor=floor)
     return Subspace(within.ambient_dim, within.basis @ K,
@@ -96,7 +134,7 @@ def derived_span(S: Subspace) -> Subspace:
     """Span of all pairwise brackets of a basis of S (the derived subalgebra span)."""
     # basis elements are unit vectors, so genuine brackets are order one;
     # anchor the rank decision there rather than at the noise level
-    Q, amb = orthonormal_columns(_pairwise_brackets(S), floor=1.0)
+    Q, amb = orthonormal_columns(pairwise_brackets(S), floor=1.0)
     return Subspace(S.ambient_dim, Q, amb)
 
 

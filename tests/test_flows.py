@@ -10,7 +10,7 @@ from suborbit import (FlowDivergenceError, LieElement, block_scalar, bracket,
                       energy_drift, hamiltonian, integrate_flow, lax_residual,
                       member_values, pairing, phi_spectrum)
 from suborbit.cli import _partitions
-from suborbit.lie import ad_in_basis, coords_to_matrix
+from suborbit.lie import ad_in_basis
 from reference import (ad_a_on_m, conjugate, phi_ab, sample_element,
                        shifted_invariant_eval, unitary_exp)
 
@@ -117,12 +117,12 @@ def test_lax_residual_values(flow_112, setup_112):
 @pytest.mark.parametrize("mult", [(1, 1, 2), (2, 2, 2)])
 @pytest.mark.parametrize("space", ["m", "m_tilde"])
 def test_stacked_lax_residual_matches_per_record_values(mult, space):
-    # the (R, n, n) stack of recorded states gives one defect per record, the
+    # the (n^2, R) stack of recorded states gives one defect per record, the
     # same as one call per record
     st = build_setup(mult, (1.0, 2.0, 3.0))
     spec = build_flow(st, (1.0, 3.0, 7.0), space)
     traj = integrate_flow(spec, _unit(st, space, 8, scale=2.0), 1e-3, 500, 50)
-    stacked = lax_residual(spec, coords_to_matrix(traj.coords.T, st.n), 0.5 + 0.5j)
+    stacked = lax_residual(spec, traj.coords.T, 0.5 + 0.5j)
     per_record = [lax_residual(spec, traj.state(i, st.n), 0.5 + 0.5j)
                   for i in range(len(traj))]
     assert stacked.shape == (len(traj),)

@@ -8,7 +8,9 @@ keyword-only, and no subcommand offers a flag for either.  And no module
 inverts a matrix: ad a and phi act on m entry by entry, so the setup keeps
 no operator matrix of them.  And no loop of the package searches for a
 generic point one draw at a time: each search screens its stack of draws with
-``in_R_mask``."""
+``in_R_mask``.  And every bracket in coordinates comes from the structure
+constants of u(n): the one matrix commutator left is ``lie.bracket``, and only
+``lie`` reads the structure-constant table."""
 
 import argparse
 import ast
@@ -174,3 +176,67 @@ def test_per_point_searches_finds_calls_in_loop_bodies():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_loop_decides_one_point_at_a_time(path):
     assert per_point_searches(path.read_text()) == []
+
+
+def matrix_commutators(source: str) -> list:
+    """``(line, function)`` of each matrix commutator ``P @ Q - Q @ P`` in
+    ``source``, with the innermost function it sits in (None at module level)."""
+    tree = ast.parse(source)
+    funcs = [f for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            continue
+        left, right = node.left, node.right
+        if (all(isinstance(t, ast.BinOp) and isinstance(t.op, ast.MatMult)
+                for t in (left, right))
+                and ast.dump(left.left) == ast.dump(right.right)
+                and ast.dump(left.right) == ast.dump(right.left)):
+            inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            found.append((node.lineno, max(inside, key=lambda f: f.lineno).name
+                          if inside else None))
+    return sorted(found)
+
+
+def test_matrix_commutators_finds_commutators_only():
+    source = ("def bracket(X, Y):\n"
+              "    M = X.matrix @ Y.matrix - Y.matrix @ X.matrix\n"
+              "    N = X @ Y - X @ Y\n"
+              "    def inner(P, w):\n"
+              "        return (w @ P - P @ w) + (P @ w + w @ P)\n"
+              "    return M - N\n"
+              "C = A[i] @ A[j] - A[j] @ A[i]\n")
+    assert matrix_commutators(source) == [(2, "bracket"), (5, "inner"), (7, None)]
+
+
+def test_the_one_matrix_commutator_is_lie_bracket():
+    found = [(path.name, func) for path in PACKAGE
+             for _, func in matrix_commutators(path.read_text())]
+    assert found == [("lie.py", "bracket")]
+
+
+def reads_structure_constants(source: str) -> list:
+    """Lines of ``source`` that name ``_structure_constants``: a read, an
+    attribute or an import of it."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if (isinstance(node, ast.Name) and node.id == "_structure_constants")
+                   or (isinstance(node, ast.Attribute)
+                       and node.attr == "_structure_constants")
+                   or (isinstance(node, ast.ImportFrom)
+                       and any(a.name == "_structure_constants" for a in node.names))})
+
+
+def test_reads_structure_constants_finds_names_attributes_and_imports():
+    source = ("from .lie import (_sparse_ad_stack,\n"
+              "                  _structure_constants)\n"
+              "t = lie._structure_constants(3)\n"
+              "u = _structure_constants\n"
+              "v = structure_constants(3)\n")
+    assert reads_structure_constants(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "lie.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_lie_reads_the_structure_constants(path):
+    assert reads_structure_constants(path.read_text()) == []

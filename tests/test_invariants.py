@@ -142,7 +142,7 @@ def test_involutivity_with_flow_energy(fam_t, setup_112):
     energy = np.stack([phi_ab(spec, LieElement.from_coords(c, 4)).coords
                        for c in C.T], axis=1)
     G = np.concatenate([_member_gradients(fam_t, xs), energy[:, :, None]], axis=2)
-    vals = np.abs(bracket_form(xs, coords_to_matrix(G, 4)).real)
+    vals = np.abs(bracket_form(C, G))
     norms = np.linalg.norm(G, axis=0)
     res = np.max(vals / np.maximum(1.0, norms[:, :, None] * norms[:, None, :]))
     assert res < 1e-9

@@ -14,17 +14,18 @@ from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
                       subspace_residual, build_setup)
 from suborbit.cli import _partitions
 from suborbit.generic import estimate_generic_dims, perturb_into_R, reduction_data
-from suborbit.lie import (_ad_stack, _sparse_ad_stack, _spectral_singular_values,
-                          _stack, _structure_constants, ad_in_basis,
+from suborbit.lie import (_sparse_ad_stack, _spectral_singular_values,
+                          _structure_constants, ad_in_basis,
                           bracket_closure_residual, bracket_form,
                           centralizer_dim, centralizer_dims, coords_to_matrix,
                           matrices_to_coords, matrix_to_coords, real_form_dim)
 from suborbit.orbit import build_witness_x0
 from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
                              numeric_rank, numeric_ranks)
-from reference import (complement, complex_centralizer_dims, conjugate,
-                       derived_span, intersect, span, stacked_centralizer,
-                       subalgebra_center, sum_spaces, unitary_exp)
+from reference import (ad_stack, complement, complex_centralizer_dims, conjugate,
+                       derived_span, intersect, matrix_stack, pairwise_brackets,
+                       span, stacked_centralizer, subalgebra_center, sum_spaces,
+                       trace_bracket_form, unitary_exp)
 
 
 def _elem(coords, n):
@@ -302,11 +303,18 @@ def test_coordinate_stack_helpers_match_per_column_loops(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_ad_in_basis_real_mode_matches_reference(n):
-    S = _random_subspace(n, n + 2, seed=10 + n)
+    # on a random subspace and on the coordinate spaces g, k, m_tilde and z(k)
+    # of a setup, against the per-column loop and the commutator stack
+    mult = tuple(sorted((1, 1) + (2,) * ((n - 2) // 2) + (1,) * (n % 2)))
+    st = build_setup(mult, tuple(float(j + 1) for j in range(len(mult))))
     w = LieElement.from_coords(np.random.default_rng(n).standard_normal(n * n), n)
-    A = ad_in_basis(w, S)
-    assert not np.iscomplexobj(A)
-    _close(A, _ad_reference(w.matrix, S).real)
+    for S in (_random_subspace(n, n + 2, seed=10 + n), st.g, st.k, st.m_tilde,
+              st.z_of_k):
+        for x in (w, st.a, w + st.a):
+            A = ad_in_basis(x, S)
+            assert not np.iscomplexobj(A)
+            _close(A, _ad_reference(x.matrix, S).real)
+            _close(A, ad_stack(x.matrix[None], S)[0])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -373,8 +381,8 @@ def test_sparse_ad_stack_equals_the_dense_stack():
                              np.zeros(n * n)])
         # the last two columns alone reach only the rows of [within, within]
         for D in (C, C[:, 3:]):
-            A, rows = _sparse_ad_stack(D, within)
-            dense = _ad_stack(_stack(D), within)
+            A, rows = _sparse_ad_stack(D, within.basis)
+            dense = ad_stack(matrix_stack(D), within)
             assert A.shape == (D.shape[1], len(rows), within.dim)
             assert not np.any(np.delete(dense, rows, axis=1))
             err = np.max(np.abs(A - dense[:, rows]), axis=(1, 2), initial=0.0)
@@ -386,7 +394,7 @@ def test_sparse_ad_stack_equals_the_dense_stack():
 def test_centralizer_dims_edge_stacks_on_the_sparse_stack():
     st = build_setup((1, 2), (1.0, 2.0))
     for within in (st.k, st.m, Subspace(9, np.zeros((9, 0)))):
-        assert _spectral_singular_values(np.zeros((1, 3, 3)), within) is None
+        assert _spectral_singular_values(np.zeros((9, 1)), within) is None
         dims, amb = centralizer_dims(np.zeros((9, 1)), within)
         assert dims.tolist() == [within.dim] and amb.tolist() == [False]
         dims, amb = centralizer_dims(np.zeros((9, 0)), within)
@@ -396,17 +404,32 @@ def test_centralizer_dims_edge_stacks_on_the_sparse_stack():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_bracket_form_matches_pairwise_trace_loop(n):
     rng = np.random.default_rng(40 + n)
-    S = _random_subspace(n, n + 3, seed=50 + n)
-    mats = coords_to_matrix(S.basis, n)
+    a = LieElement.from_matrix(np.diag(1j * np.arange(1.0, n + 1)))
     x = LieElement.from_coords(rng.standard_normal(n * n), n)
-    a = np.diag(1j * np.arange(1.0, n + 1))
-    for w in (x.matrix, x.matrix + 0.5 * a):
-        F = bracket_form(w, mats)
-        _close(F, _bracket_form_reference(w, mats))
-        assert np.all(np.diag(F) == 0)
-        # the form of a skew-Hermitian w on a real subspace is real
-        assert np.max(np.abs(F.imag)) < STACK_TOL
-    assert bracket_form(x.matrix, mats[:0]).shape == (0, 0)
+    coord_space = Subspace(n * n, np.eye(n * n)[:, n * n - n - 2:])
+    ws, Ys = [], []
+    for S in (_random_subspace(n, n + 3, seed=50 + n), coord_space):
+        mats = coords_to_matrix(S.basis, n)
+        for w in (x, x + 0.5 * a, a):
+            F = bracket_form(w.coords, S.basis)
+            assert not np.iscomplexobj(F)
+            _close(F, _bracket_form_reference(w.matrix, mats).real)
+            _close(F, trace_bracket_form(w.matrix, mats).real)
+            assert np.all(np.diag(F) == 0) and np.array_equal(F, -F.T)
+            ws.append(w)
+            Ys.append(S.basis[:, :n + 2])
+    # a P-stack of (w_p, Y_p) pairs gives the form of each pair
+    C, Y = np.stack([w.coords for w in ws], axis=1), np.stack(Ys, axis=1)
+    F = bracket_form(C, Y)
+    assert F.shape == (len(ws), n + 2, n + 2)
+    ref = trace_bracket_form(np.stack([w.matrix for w in ws]),
+                             coords_to_matrix(Y.reshape(n * n, -1), n)
+                             .reshape(len(ws), n + 2, n, n)).real
+    _close(F, ref)
+    for Fp, w, Yp in zip(F, ws, Ys):
+        _close(Fp, bracket_form(w.coords, Yp))
+    assert bracket_form(x.coords, np.zeros((n * n, 0))).shape == (0, 0)
+    assert bracket_form(C, Y[:, :, :0]).shape == (len(ws), 0, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -415,10 +438,19 @@ def test_pairwise_bracket_helpers_match_reference(n, setup_112):
     mats = [coords_to_matrix(S.basis[:, j], n) for j in range(S.dim)]
     vecs = np.stack([matrix_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
                      for i in range(3) for j in range(i + 1, 3)], axis=1)
+    _close(pairwise_brackets(S), vecs)
     assert equal_spaces(derived_span(S), span(vecs, n * n))
     worst = max(float(np.linalg.norm(c - S.project(c))) for c in vecs.T)
     assert bracket_closure_residual(S) == pytest.approx(worst, rel=1e-12, abs=1e-14)
     assert bracket_closure_residual(setup_112.k) < 1e-12
+    # on coordinate spaces and a space with a line, subalgebras or not, against
+    # the commutators of the reference
+    st = build_setup((1,) * (n - 2) + (2,), tuple(float(j + 1) for j in range(n - 1)))
+    line = Subspace(n * n, np.hstack([st.m_tilde.basis, st.z_of_g.basis]))
+    for T in (st.g, st.k, st.m, st.m_tilde, st.z_of_k, line):
+        C = pairwise_brackets(T)
+        ref = float(np.max(np.linalg.norm(C - T.project(C), axis=0), initial=0.0))
+        assert bracket_closure_residual(T) == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 # -- kernel_basis: thin SVD for tall inputs -----------------------------------
@@ -465,6 +497,9 @@ def test_centralizer_dim_matches_centralizer(n):
     for w, within in cases:
         c = centralizer(w, within)
         assert centralizer_dim(w, within) == (c.dim, c.ambiguous)
+        # the kernel of the commutator stack of the reference
+        ref = stacked_centralizer(w.coords[:, None], within)
+        assert equal_spaces(c, ref) and c.ambiguous == ref.ambiguous
     # several generators, or a subalgebra's own basis, on the empty space
     assert stacked_centralizer(np.stack([x.coords, a.coords], axis=1), empty).dim == 0
     assert subalgebra_center(empty).dim == 0
@@ -525,8 +560,7 @@ def test_spectral_singular_values_match_the_adjoint_svd(n):
     x = LieElement.from_coords(rng.standard_normal(n * n), n)
     for space, elems in ((g, [x, st.a, x0, xr, LieElement.zero(n)]),
                          (g_tilde, [xr, x0, LieElement.zero(n)])):
-        mats = np.stack([w.matrix for w in elems])
-        s = _spectral_singular_values(mats, space)
+        s = _spectral_singular_values(np.stack([w.coords for w in elems], axis=1), space)
         assert s is not None and s.shape == (len(elems), space.dim)
         for si, w in zip(s, elems):
             ref = np.linalg.svd(ad_in_basis(w, space), compute_uv=False)
@@ -534,9 +568,9 @@ def test_spectral_singular_values_match_the_adjoint_svd(n):
     assert not np.any(x0.matrix.imag)
     # an x outside so(n) on so(n), or a space other than u(n) and so(n), has
     # no spectral rule
-    assert _spectral_singular_values(np.stack([x.matrix]), g_tilde) is None
+    assert _spectral_singular_values(x.coords[:, None], g_tilde) is None
     S = _random_subspace(n, n + 2, seed=110 + n)
-    assert _spectral_singular_values(np.stack([x.matrix]), S) is None
+    assert _spectral_singular_values(x.coords[:, None], S) is None
 
 
 def test_centralizer_dim_carries_a_fragile_rank_decision():
@@ -564,7 +598,7 @@ def test_centralizer_dims_flag_only_the_fragile_row():
                  axis=1)
     rotated = Subspace(n * n, np.linalg.qr(rng.standard_normal((n * n, n * n)))[0])
     for within in (full_space(n * n), rotated):
-        assert (_spectral_singular_values(coords_to_matrix(C, n), within) is None) == (
+        assert (_spectral_singular_values(C, within) is None) == (
             within is rotated)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

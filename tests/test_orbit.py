@@ -280,5 +280,6 @@ def test_build_setup_computes_one_kernel_basis(monkeypatch):
         if name.startswith("suborbit") and getattr(module, "kernel_basis", None) is real:
             monkeypatch.setattr(module, "kernel_basis", counting)
     build_setup((1, 2, 3), (1.0, 2.0, 3.0))
-    # the one centralizer that checks the k mask, on all of u(6)
-    assert calls == [(36, 36)]
+    # the one centralizer that checks the k mask, on all of u(6): ad a on the
+    # 22 rows of m, where it does not vanish
+    assert calls == [(22, 36)]
