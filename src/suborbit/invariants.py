@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lie import LieElement, bracket_form, coords_to_matrix, matrices_to_coords
+from .lie import LieElement, bracket_form, coords_to_matrix, matrix_to_coords
 from .linalg import Subspace, orthonormal_columns, subspace_residual
 from .generic import GenericDims, GenericPoint, is_in_R, m_of_x, sample_coords
 from .orbit import AlgebraPair, OrbitSetup
@@ -117,7 +117,7 @@ def _member_gradients(family: IntegralFamily, x, members=None) -> np.ndarray:
     C = list(_shift_coeff_powers(X, family.setup.a.matrix, k_max - 1))
     raws = np.stack([_raw_gradient_matrix(m.k, C[m.k - 1][m.s]) for m in members],
                     axis=-3)
-    G = family.domain.project(matrices_to_coords(raws.reshape(-1, *X.shape[-2:])).real)
+    G = family.domain.project(matrix_to_coords(raws.reshape(-1, *X.shape[-2:])).real)
     return G.reshape((N,) + lead + (len(members),))
 
 
@@ -227,6 +227,6 @@ def completeness_check(setup: OrbitSetup, family: IntegralFamily,
     iso = float(np.max(np.abs(bracket_form(x.coords, Q)), initial=0.0))
     memb = float(np.max(np.linalg.norm(G - mx.project(G), axis=0), initial=0.0))
     complete = (span_dim == target_dim and abs(target - target_dim) < 1e-9
-                and iso <= _ISOTROPY_RTOL * max(1.0, float(np.linalg.norm(x.matrix))))
+                and iso <= _ISOTROPY_RTOL * max(1.0, x.norm()))
     return CompletenessReport(span_dim, target_dim, complete, iso, mx.dim, memb,
                               amb or mx.ambiguous)

@@ -24,10 +24,15 @@ from it; no complex matrix is formed on the way.  ``bracket`` of two
 ``LieElement`` values is the one matrix commutator.
 
 u(n) is a real algebra and nothing here complexifies it: one element is a
-``LieElement``, which checks that it lies in u(n), and a stack is a real
-(n^2, S) array of coordinate columns, in u(n) by construction; the gather
+``LieElement``, held by its real coordinates alone, and a stack is a real
+(n^2, S) array of coordinate columns, both in u(n) by construction; the gather
 refuses complex coordinates.  Subspaces (``linalg.Subspace``) and adjoint
-matrices are real too.
+matrices are real too.  Basis element i is supported on the entry (j, k) of
+``coordinate_entries`` and, off the diagonal, on (k, j): ``coords_to_matrix``
+writes each coordinate there and ``matrix_to_coords`` reads it back, with no
+dense basis.  A ``LieElement`` builds its matrix from its coordinates when it
+is first read; ``from_matrix`` checks that its input is finite and
+skew-Hermitian, and keeps it as that matrix.
 
 ``centralizer`` returns a basis of the centralizer of one element as a
 ``Subspace``.  ``centralizer_dims`` decides the centralizer dimension and
@@ -42,7 +47,7 @@ Rank floors are the coordinate norms, which equal |x|_F.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import numpy as np
@@ -52,30 +57,16 @@ from .linalg import Subspace, kernel_basis, numeric_ranks
 HERMITICITY_TOL = 1e-12
 
 
+@lru_cache(maxsize=None)
 def coordinate_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(rows, cols)``: the entry (j, k), j <= k, that each canonical
     coordinate is supported on, in coordinate order; the one record of it."""
     j, k = np.triu_indices(n, 1)
     d = np.arange(n)
-    return np.concatenate([j, d, j]), np.concatenate([k, d, k])
-
-
-@lru_cache(maxsize=None)
-def _basis_data(n: int):
-    """Stacked basis matrices of u(n), shape (n^2, n, n), plus conjugation signs."""
-    rows, cols = coordinate_entries(n)
-    idx = np.arange(n * n)
-    fixed = idx < real_form_dim(n)
-    s = 1.0 / np.sqrt(2.0)
-    upper = np.where(rows == cols, 1j, np.where(fixed, s, 1j * s))
-    lower = np.where(fixed, -s, upper)
-    B = np.zeros((n * n, n, n), dtype=complex)
-    B[idx, rows, cols] = upper
-    B[idx, cols, rows] = lower
-    B.setflags(write=False)
-    sg = np.where(fixed, 1.0, -1.0)
-    sg.setflags(write=False)
-    return B, sg
+    rows, cols = np.concatenate([j, d, j]), np.concatenate([k, d, k])
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def real_form_dim(n: int) -> int:
@@ -83,101 +74,117 @@ def real_form_dim(n: int) -> int:
     return n * (n - 1) // 2
 
 
+_S = 1.0 / np.sqrt(2.0)
+
+
 def matrix_to_coords(M: np.ndarray) -> np.ndarray:
-    """Coordinates of an arbitrary complex matrix in the canonical basis.
+    """Coordinates of a complex matrix (n, n), or the (n^2, ...) coordinate
+    columns of a (..., n, n) stack, in the canonical basis.
 
     Uses the complex-bilinear form -Tr(XY), for which the basis is orthonormal;
-    the result is real exactly when M is skew-Hermitian.
+    the result is real exactly when M is skew-Hermitian.  Coordinate i reads
+    the entries (j, k) and (k, j) of ``coordinate_entries`` only.
     """
     M = np.asarray(M)
-    n = M.shape[0]
-    B, _ = _basis_data(n)
-    return -np.einsum("iab,ba->i", B, M)
+    n = M.shape[-1]
+    f = real_form_dim(n)
+    rows, cols = coordinate_entries(n)
+    Mt = np.moveaxis(M, (-2, -1), (0, 1))
+    up, lo = _S * Mt[rows[:f], cols[:f]], _S * Mt[cols[:f], rows[:f]]
+    # the diagonal by einsum, which bench/test_bench.py requires on the flow path
+    diag = np.einsum("ii...->i...", Mt)
+    C = np.concatenate([up - lo, -1j * diag, -1j * (lo + up)])
+    # at n = 2 every piece is also F-contiguous, and concatenate keeps that
+    return np.ascontiguousarray(C)
 
 
 def coords_to_matrix(v: np.ndarray, n: int) -> np.ndarray:
-    """Matrix of a coordinate vector (n^2,), or the (d, n, n) stack of matrices
-    of the coordinate columns of a (n^2, d) array."""
-    B, _ = _basis_data(n)
-    return np.tensordot(np.asarray(v), B, axes=(0, 0))
+    """Matrix of a coordinate vector (n^2,), or the (..., n, n) stack of
+    matrices of the coordinate columns of a (n^2, ...) array: each coordinate
+    is written to its entry (j, k) and, off the diagonal, to (k, j)."""
+    v = np.moveaxis(np.asarray(v), 0, -1)
+    f = real_form_dim(n)
+    rows, cols = coordinate_entries(n)
+    j, k, d = rows[:f], cols[:f], rows[f:f + n]
+    re, im = _S * v[..., :f], _S * v[..., f + n:]
+    M = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    M[..., j, k] = re + 1j * im
+    M[..., k, j] = -re + 1j * im
+    M[..., d, d] = 1j * v[..., f:f + n]
+    return M
 
 
-def matrices_to_coords(Ms: np.ndarray) -> np.ndarray:
-    """Coordinate columns (n^2, d) of a (d, n, n) stack; inverts coords_to_matrix."""
-    Ms = np.asarray(Ms)
-    B, _ = _basis_data(Ms.shape[-1])
-    return -np.tensordot(B, Ms, axes=([1, 2], [2, 1]))
+def sigma_signs(n: int) -> np.ndarray:
+    """The signs of entrywise conjugation on the canonical coordinates: +1 on
+    the so(n) part, -1 on the rest."""
+    return np.where(np.arange(n * n) < real_form_dim(n), 1.0, -1.0)
 
 
 @dataclass(frozen=True)
 class LieElement:
-    """An element of u(n): skew-Hermitian matrix plus real canonical coordinates."""
+    """An element of u(n), held by its real canonical coordinates; the
+    skew-Hermitian matrix is built from them when first read."""
 
     n: int
-    matrix: np.ndarray
     coords: np.ndarray
 
     def __post_init__(self):
-        M = np.array(self.matrix, dtype=complex)
+        v = np.array(self.coords, dtype=float)
+        if v.shape != (self.n * self.n,):
+            raise ValueError(f"expected {self.n * self.n} coordinates, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("coordinates are not finite")
+        v.setflags(write=False)
+        object.__setattr__(self, "coords", v)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        M = coords_to_matrix(self.coords, self.n)
+        M.setflags(write=False)
+        return M
+
+    @classmethod
+    def from_matrix(cls, M: np.ndarray) -> "LieElement":
+        """The element of a finite skew-Hermitian matrix, which it keeps as
+        ``matrix``."""
+        M = np.array(M, dtype=complex)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError("expected a square matrix")
         herm_defect = np.max(np.abs(M + M.conj().T))
         scale = max(1.0, float(np.max(np.abs(M))) if M.size else 1.0)
         # written so that a NaN or infinite entry fails the check
         if not herm_defect <= HERMITICITY_TOL * scale < np.inf:
             raise ValueError(f"matrix is not finite and skew-Hermitian "
                              f"(defect {herm_defect:.2e})")
-        v = np.array(self.coords, dtype=float)
+        X = cls(M.shape[0], matrix_to_coords(M).real)
         M.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "coords", v)
-
-    @classmethod
-    def _trusted(cls, n: int, M: np.ndarray, v: np.ndarray) -> "LieElement":
-        """Wrap fresh arrays that lie in u(n) by construction, unchecked: the
-        round-off of a sum or bracket is relative to its operands, so the check
-        of ``__post_init__``, scaled by the result, could reject a cancelling sum."""
-        M.setflags(write=False)
-        v.setflags(write=False)
-        X = object.__new__(cls)
-        X.__dict__.update(n=n, matrix=M, coords=v)
+        X.__dict__["matrix"] = M
         return X
 
     @classmethod
-    def from_matrix(cls, M: np.ndarray) -> "LieElement":
-        M = np.asarray(M, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("expected a square matrix")
-        c = matrix_to_coords(M)
-        return cls(M.shape[0], M, c.real)
-
-    @classmethod
     def from_coords(cls, v: np.ndarray, n: int) -> "LieElement":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (n * n,):
-            raise ValueError(f"expected {n * n} coordinates, got {v.shape}")
-        return cls(n, coords_to_matrix(v, n), v)
+        return cls(n, v)
 
     @classmethod
     def zero(cls, n: int) -> "LieElement":
-        return cls(n, np.zeros((n, n), dtype=complex), np.zeros(n * n))
+        return cls(n, np.zeros(n * n))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
     def __add__(self, other: "LieElement") -> "LieElement":
         _check_same_n(self, other)
-        return LieElement._trusted(self.n, self.matrix + other.matrix, self.coords + other.coords)
+        return LieElement(self.n, self.coords + other.coords)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         _check_same_n(self, other)
-        return LieElement._trusted(self.n, self.matrix - other.matrix, self.coords - other.coords)
+        return LieElement(self.n, self.coords - other.coords)
 
     def __neg__(self) -> "LieElement":
-        return LieElement._trusted(self.n, -self.matrix, -self.coords)
+        return LieElement(self.n, -self.coords)
 
     def __mul__(self, c: float) -> "LieElement":
-        c = float(c)
-        return LieElement._trusted(self.n, c * self.matrix, c * self.coords)
+        return LieElement(self.n, float(c) * self.coords)
 
     __rmul__ = __mul__
 
@@ -191,25 +198,19 @@ def bracket(X: LieElement, Y: LieElement) -> LieElement:
     """Matrix commutator [X, Y] = XY - YX."""
     _check_same_n(X, Y)
     M = X.matrix @ Y.matrix - Y.matrix @ X.matrix
-    return LieElement._trusted(X.n, M, matrix_to_coords(M).real)
+    return LieElement(X.n, matrix_to_coords(M).real)
 
 
 def pairing(X: LieElement, Y: LieElement) -> float:
-    """Invariant inner product <X, Y> = -Re Tr(XY); positive definite on u(n)."""
+    """Invariant inner product <X, Y> = -Re Tr(XY); positive definite on u(n).
+    The coordinates are orthonormal for it, so it is their dot product."""
     _check_same_n(X, Y)
-    return float(-np.trace(X.matrix @ Y.matrix).real)
+    return float(X.coords @ Y.coords)
 
 
 def sigma(X: LieElement) -> LieElement:
     """Entrywise complex conjugation, the involution with fixed algebra so(n)."""
-    M = X.matrix.conj()
-    n = X.n
-    _, signs = _basis_data(n)
-    return LieElement._trusted(n, M, signs * X.coords)
-
-
-def sigma_signs(n: int) -> np.ndarray:
-    return _basis_data(n)[1]
+    return LieElement(X.n, sigma_signs(X.n) * X.coords)
 
 
 def project(X: LieElement, S: Subspace) -> LieElement:

@@ -103,7 +103,7 @@ def genuine_eigenvalues(F_x: np.ndarray, F_a: np.ndarray, r: int,
 def singular_kernel_dim(setup: OrbitSetup, F_a: np.ndarray) -> tuple[int, bool]:
     """``(dim, ambiguous)`` of the kernel of the singular form ``F_a`` on m(x),
     which is m(x) ^ ad_a^(-1) ad x (k), decided against the floor |a|_F."""
-    return kernel_dim(F_a, floor=float(np.linalg.norm(setup.a.matrix)))
+    return kernel_dim(F_a, floor=setup.a.norm())
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def kronecker_test(setup: OrbitSetup, x: LieElement, dims: GenericDims,
     if singular_ok and dims.q > setup.n:
         lam = rng.standard_normal()
         kd, amb = kernel_dim(F_x + lam * F_a,
-                             floor=float(np.linalg.norm(x.matrix + lam * setup.a.matrix)))
+                             floor=float(np.linalg.norm(x.coords + lam * setup.a.coords)))
         count, ambiguous = abs(kd - dims.r), ambiguous or amb
     if singular_ok and count == 0:
         count, gap, gap_amb = genuine_eigenvalues(F_x, F_a, dims.r, rng)

@@ -13,7 +13,7 @@ from suborbit.generic import (_MAX_HALVINGS, _REDUCTION_SAMPLES,
                               _TRIES_PER_RADIUS, is_in_R, sample_coords)
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
 from suborbit.lie import (LieElement, ad_in_basis, bracket, centralizer,
-                          centralizer_dims, coords_to_matrix, matrices_to_coords,
+                          centralizer_dims, coords_to_matrix, matrix_to_coords,
                           pairing, project)
 from suborbit.linalg import (Subspace, full_space, kernel_basis,
                              numeric_rank, orthonormal_columns)
@@ -87,11 +87,8 @@ def matrix_stack(C: np.ndarray) -> np.ndarray:
 def ad_stack(mats: np.ndarray, within: Subspace) -> np.ndarray:
     """(m, N, d) stack of ``ad_in_basis`` for each w of a (m, n, n) stack, as
     the coordinates of the commutators W Y - Y W with the basis matrices."""
-    m, n, _ = mats.shape
-    N, d = within.ambient_dim, within.dim
-    Ys, W = coords_to_matrix(within.basis, n)[None], mats[:, None]
-    C = matrices_to_coords((W @ Ys - Ys @ W).reshape(m * d, n, n)).real
-    return C.reshape(N, m, d).transpose(1, 0, 2)
+    Ys, W = coords_to_matrix(within.basis, mats.shape[-1])[None], mats[:, None]
+    return matrix_to_coords(W @ Ys - Ys @ W).real.transpose(1, 0, 2)
 
 
 def trace_bracket_form(w: np.ndarray, Ys: np.ndarray) -> np.ndarray:
@@ -106,7 +103,7 @@ def pairwise_brackets(S: Subspace) -> np.ndarray:
     """Real coordinate columns of [b_i, b_j] for i < j, in row-major pair order."""
     mats = coords_to_matrix(S.basis, isqrt(S.ambient_dim))
     i, j = np.triu_indices(S.dim, 1)
-    return matrices_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
+    return matrix_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
 
 
 # -- centralizers of whole bases ----------------------------------------------

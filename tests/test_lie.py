@@ -1,5 +1,6 @@
 """Bracket, pairing, involution, and subspace arithmetic."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -18,7 +19,7 @@ from suborbit.lie import (_sparse_ad_stack, _spectral_singular_values,
                           _structure_constants, ad_in_basis,
                           bracket_closure_residual, bracket_form,
                           centralizer_dim, centralizer_dims, coords_to_matrix,
-                          matrices_to_coords, matrix_to_coords, real_form_dim)
+                          matrix_to_coords, real_form_dim)
 from suborbit.orbit import build_witness_x0
 from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
                              numeric_rank, numeric_ranks)
@@ -144,6 +145,54 @@ def test_lie_element_rejects_non_finite_entries(make):
     # an inf entry is inf, and so is the scale it would be measured against
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+def test_coordinate_operations_build_no_matrix(setup_112):
+    rng = np.random.default_rng(5)
+    x, y = (LieElement.from_coords(rng.standard_normal(16), 4) for _ in range(2))
+    for z in (x, y, x + y, x - y, -x, 2.5 * x, x * 2.5, sigma(x),
+              project(x, setup_112.m), LieElement.zero(4)):
+        assert "matrix" not in z.__dict__
+    # the matrix is built once, on first read, and stays read-only
+    M = x.matrix
+    assert x.matrix is M and not M.flags.writeable
+    np.testing.assert_array_equal(M, coords_to_matrix(x.coords, 4))
+
+
+def test_arithmetic_that_overflows_is_rejected():
+    x = LieElement.from_coords(np.full(4, 1e308), 2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        x + x
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        1e10 * x
+
+
+def test_from_matrix_keeps_its_input_bit_for_bit():
+    # an element is held by its coordinates; from_matrix keeps the checked
+    # input as its matrix, even where rebuilding it from them would round
+    assert [f.name for f in dataclasses.fields(LieElement)] == ["n", "coords"]
+    rng = np.random.default_rng(6)
+    for n in (1, 2, 5):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        M = A - A.conj().T + 1e-14 * np.eye(n)
+        x = LieElement.from_matrix(M)
+        assert "matrix" in x.__dict__ and not x.matrix.flags.writeable
+        assert x.matrix is not M and x.matrix.tobytes() == M.tobytes()
+        assert not np.array_equal(coords_to_matrix(x.coords, n), M)
+
+
+def test_one_conversion_at_n_64_stays_small():
+    # a dense (n^2, n, n) complex basis would be 268 MB at n = 64
+    n = 64
+    v = np.random.default_rng(7).standard_normal(n * n)
+    tracemalloc.start()
+    try:
+        w = matrix_to_coords(coords_to_matrix(v, n)).real
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, f"{peak / 2 ** 20:.1f} MB"
+    np.testing.assert_allclose(w, v, rtol=0, atol=1e-15)
 
 
 def test_subspace_intersection_self(setup_112):
@@ -296,9 +345,9 @@ def test_coordinate_stack_helpers_match_per_column_loops(n):
               rng.standard_normal((n * n, 7)) + 1j * rng.standard_normal((n * n, 7))):
         Ms = coords_to_matrix(V, n)
         _close(Ms, np.stack([coords_to_matrix(V[:, j], n) for j in range(7)]))
-        _close(matrices_to_coords(Ms), V)
+        _close(matrix_to_coords(Ms), V)
     Ms = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
-    _close(matrices_to_coords(Ms), np.stack([matrix_to_coords(M) for M in Ms], axis=1))
+    _close(matrix_to_coords(Ms), np.stack([matrix_to_coords(M) for M in Ms], axis=1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -329,7 +378,7 @@ def test_structure_constants_equal_the_numeric_brackets(n):
     # T[i, l, c], coordinate i of [b_l, b_c], from the basis matrices
     N = n * n
     B = coords_to_matrix(np.eye(N), n)
-    dense = matrices_to_coords((B[:, None] @ B[None] - B[None] @ B[:, None])
+    dense = matrix_to_coords((B[:, None] @ B[None] - B[None] @ B[:, None])
                                .reshape(N * N, n, n)).real.reshape(N, N, N)
     i, c, l, v = _structure_constants(n)
     T = np.zeros((N, N, N))

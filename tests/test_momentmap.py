@@ -9,7 +9,7 @@ from suborbit import (SINGULAR, LieElement, bracket, build_moment_data,
                       m_a_estimate, m_of_x, regular_in_kprime_test)
 from suborbit import momentmap
 from suborbit.generic import sample_coords
-from suborbit.lie import ad_in_basis, coords_to_matrix, matrices_to_coords
+from suborbit.lie import ad_in_basis, coords_to_matrix, matrix_to_coords
 from suborbit.pencil import singular_kernel_dim
 from reference import (ad_a_inverse_apply, ad_a_on_m, conjugate, intersect,
                        moment_beta, moment_differential, sample_element, span,
@@ -39,7 +39,7 @@ def test_beta_is_skew_and_nondegenerate(data_112):
     # the matrix of beta(y1, y2) = <y1, ad_a_inv * y2> in the basis of m
     m = data_112.space
     Ys = coords_to_matrix(m.basis, data_112.setup.n)
-    beta = m.coeffs(matrices_to_coords(data_112.ad_a_inv * Ys).real)
+    beta = m.coeffs(matrix_to_coords(data_112.ad_a_inv * Ys).real)
     np.testing.assert_allclose(beta, -beta.T, rtol=0, atol=1e-10)
     sv = np.linalg.svd(beta, compute_uv=False)
     assert sv.min() > 1e-12

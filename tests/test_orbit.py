@@ -9,7 +9,8 @@ from suborbit import (block_scalar, bracket, build_setup, build_witness_x0,
                       centralizer, full_space, sigma)
 from suborbit import linalg
 from suborbit.cli import _partitions
-from suborbit.lie import _basis_data, coordinate_entries
+from suborbit.lie import (coordinate_entries, coords_to_matrix, matrix_to_coords,
+                          sigma_signs)
 from suborbit.linalg import Subspace, equal_spaces
 from reference import (ad_a_inverse_apply, ad_a_on_m, complement, intersect,
                        sample_element, subalgebra_center)
@@ -215,11 +216,24 @@ def _loop_basis_data(n):
 def test_basis_data_matches_loop_construction(n):
     rows, cols = coordinate_entries(n)
     assert list(zip(rows.tolist(), cols.tolist())) == _loop_entries(n)
-    B, signs = _basis_data(n)
+    B, signs = coords_to_matrix(np.eye(n * n), n), sigma_signs(n)
     B_ref, signs_ref = _loop_basis_data(n)
     assert B.dtype == B_ref.dtype and signs.dtype == signs_ref.dtype
     assert B.tobytes() == B_ref.tobytes()
     assert signs.tobytes() == signs_ref.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_matrix_to_coords_is_the_trace_form_on_the_loop_basis(n):
+    # coordinate i of any complex M is -Tr(B_i M), on one matrix and on stacks
+    B_ref, _ = _loop_basis_data(n)
+    rng = np.random.default_rng(n)
+    for shape in ((n, n), (4, n, n), (2, 3, n, n)):
+        M = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = -np.einsum("iab,...ba->i...", B_ref, M)
+        got = matrix_to_coords(M)
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
 
 def _svd_setup_spaces(mult, spectrum):
