@@ -16,11 +16,12 @@ that factor has n^4 x n^4 entries.  ``kernel_dim`` makes the same rank
 decision from the singular values alone, for callers that need only the
 dimension.
 
-``numeric_rank`` decides one set of singular values; ``numeric_ranks``
-decides every row of a (S, r) stack at once by the same rule, each row with
-its own floor, ambiguity flag and warning.  ``lie.centralizer_dims`` collects
-the singular values of a stack of centralizers into one such stack and
-decides it in one call.
+``numeric_ranks`` is the one place the rule is written: it decides every
+row of a (S, r) stack of singular values at once, each row with its own
+floor, ambiguity flag and warning.  ``kernel_basis``, ``kernel_dim`` and
+``orthonormal_columns`` decide their one matrix as a one-row stack, and
+``lie.centralizer_dims`` and ``pencil.pencil_isotropy_check`` collect the
+singular values of a whole stack of matrices and decide it in one call.
 """
 
 from __future__ import annotations
@@ -46,46 +47,25 @@ def warn_fragile(what: str = "singular value within a decade of the rank cutoff"
                   stacklevel=4)
 
 
-def numeric_rank(singular_values, *, floor: float = 0.0) -> tuple[int, bool]:
-    """Count singular values above ``RANK_RTOL * max(sigma_max, floor)``.
-
-    The values may come in any order; sigma_max is their largest.
-
-    ``floor`` anchors the threshold to the scale of the input data; without
-    it a matrix that is mathematically zero (all singular values round-off)
-    would be measured against its own noise and look full rank.  Returns
-    ``(rank, ambiguous)``; ``ambiguous`` is set when some singular value lies
-    within a factor ``AMBIGUITY_BAND`` of the cutoff, i.e. when the verdict
-    would flip under a modest change of the threshold.
-    """
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0:
-        return 0, False
-    smax = max(float(s.max()), float(floor))
-    if smax == 0.0:
-        return 0, False
-    cut = RANK_RTOL * smax
-    rank = int(np.count_nonzero(s > cut))
-    near = int(np.count_nonzero((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND)))
-    ambiguous = near > 0
-    if ambiguous:
-        warn_fragile()
-    return rank, ambiguous
-
-
 def numeric_ranks(s, *, floors=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """``numeric_rank`` of every row of a (S, r) stack of singular values.
+    """Count the singular values of each row of a (S, r) stack above its cutoff.
 
-    Returns ``(ranks, ambiguous)``, two arrays of length S; row i is decided
-    against ``RANK_RTOL * max(max(s[i]), floors[i])`` (``floors`` may be a scalar)
-    and warns once when it is ambiguous, exactly as ``numeric_rank`` would.
+    Returns ``(ranks, ambiguous)``, two arrays of length S.  Row i is decided
+    against ``RANK_RTOL * max(max(s[i]), floors[i])``; its values may come in
+    any order, and ``floors`` may be a scalar.  The floor anchors the cutoff
+    to the scale of the input data: without it a matrix that is
+    mathematically zero (all singular values round-off) would be measured
+    against its own noise and look full rank.  A row is ambiguous, and warns
+    once, when some value lies within a factor ``AMBIGUITY_BAND`` of its
+    cutoff, i.e. when the verdict would flip under a modest change of the
+    threshold.
     """
     s = np.asarray(s, dtype=float)
-    smax = np.maximum(s.max(axis=1, initial=0.0), floors)
-    cut = (RANK_RTOL * smax)[:, None]
-    ranks = np.count_nonzero(s > cut, axis=1)
-    ambiguous = np.any((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND), axis=1)
-    for _ in range(int(np.count_nonzero(ambiguous))):
+    cut = RANK_RTOL * np.maximum(s.max(axis=1, initial=0.0), floors)[:, None]
+    # ndarray methods rather than their np.* wrappers: most stacks are one row
+    ranks = (s > cut).sum(axis=1)
+    ambiguous = ((s > cut / AMBIGUITY_BAND) & (s < cut * AMBIGUITY_BAND)).any(axis=1)
+    for _ in range(np.count_nonzero(ambiguous)):
         warn_fragile()
     return ranks, ambiguous
 
@@ -99,8 +79,8 @@ def kernel_basis(A, *, floor: float = 0.0) -> tuple[np.ndarray, bool]:
     if rows == 0 or not np.any(A):
         return np.eye(cols), False
     _, s, vh = np.linalg.svd(A, full_matrices=rows < cols)
-    rank, ambiguous = numeric_rank(s, floor=floor)
-    return vh[rank:].conj().T, ambiguous
+    rank, ambiguous = numeric_ranks(s[None], floors=floor)
+    return vh[rank[0]:].conj().T, bool(ambiguous[0])
 
 
 def kernel_dim(A, *, floor: float = 0.0) -> tuple[int, bool]:
@@ -115,8 +95,8 @@ def kernel_dim(A, *, floor: float = 0.0) -> tuple[int, bool]:
         return 0, False
     if rows == 0 or not np.any(A):
         return cols, False
-    rank, ambiguous = numeric_rank(np.linalg.svd(A, compute_uv=False), floor=floor)
-    return cols - rank, ambiguous
+    rank, ambiguous = numeric_ranks(np.linalg.svd(A, compute_uv=False)[None], floors=floor)
+    return cols - int(rank[0]), bool(ambiguous[0])
 
 
 def orthonormal_columns(A, *, floor: float = 0.0) -> tuple[np.ndarray, bool]:
@@ -125,8 +105,8 @@ def orthonormal_columns(A, *, floor: float = 0.0) -> tuple[np.ndarray, bool]:
     if A.shape[1] == 0 or not np.any(A):
         return A[:, :0].copy(), False
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    rank, ambiguous = numeric_rank(s, floor=floor)
-    return u[:, :rank], ambiguous
+    rank, ambiguous = numeric_ranks(s[None], floors=floor)
+    return u[:, :rank[0]], bool(ambiguous[0])
 
 
 @dataclass

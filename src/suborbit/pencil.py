@@ -32,8 +32,8 @@ import numpy as np
 # centralizer is unused here but stays importable: bench/test_bench.py checks
 # that the layer tracer wraps it at this lookup site
 from .lie import LieElement, bracket_form, centralizer  # noqa: F401
-from .linalg import (Subspace, kernel_basis, kernel_dim, numeric_rank,
-                     orthonormal_columns, warn_fragile)
+from .linalg import (Subspace, kernel_dim, numeric_ranks, orthonormal_columns,
+                     warn_fragile)
 from .generic import GenericDims, GenericPoint, is_in_R, m_of_x
 from .orbit import OrbitSetup
 
@@ -191,9 +191,11 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
     Scans the real projective parameter line, collects kernels at the
     parameters of minimal kernel dimension, and reports whether their sum is
     isotropic for every sampled form and whether it is maximal isotropic
-    (dimension (d + r_min)/2).  The independent complex criterion, constancy
-    of the complexified kernel dimension over all of C and infinity, is
-    decided as in ``kronecker_test`` and reported alongside.
+    (dimension (d + r_min)/2).  The scanned forms are one stack, and one SVD
+    and one ``numeric_ranks`` call decide every kernel.  The independent
+    complex criterion, constancy of the complexified kernel dimension over
+    all of C and infinity, is decided as in ``kronecker_test`` and reported
+    alongside.
     """
     B1 = np.asarray(B1, dtype=float)
     B2 = np.asarray(B2, dtype=float)
@@ -203,10 +205,8 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
     for B in (B1, B2):
         if np.max(np.abs(B + B.T)) > 1e-10 * scale:
             raise ValueError("forms must be skew-symmetric")
-    stacked = np.stack([B1.ravel(), B2.ravel()])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    rank2, _ = numeric_rank(sv)
-    if rank2 < 2:
+    sv = np.linalg.svd(np.stack([B1.ravel(), B2.ravel()]), compute_uv=False)
+    if numeric_ranks(sv[None])[0][0] < 2:
         raise ValueError("forms are linearly dependent; the pencil is a line, not a plane")
 
     d = B1.shape[0]
@@ -215,31 +215,21 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
         [0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4],
         np.pi * (np.arange(_N_REAL) + 0.5) / _N_REAL,
     ])
-    params = [(np.cos(t), np.sin(t)) for t in thetas]
+    # the forms cos(t)*B1 + sin(t)*B2 of the scan as one (T, d, d) stack
+    F = np.cos(thetas)[:, None, None] * B1 + np.sin(thetas)[:, None, None] * B2
 
     floor = max(float(np.linalg.norm(B1)), float(np.linalg.norm(B2)))
-    kernels = []
-    dims = []
-    for t1, t2 in params:
-        F = t1 * B1 + t2 * B2
-        K, _ = kernel_basis(F, floor=floor)
-        dims.append(K.shape[1])
-        kernels.append(K)
-    r_min = int(min(dims))
-
-    vecs = [K for K, dd in zip(kernels, dims) if dd == r_min and K.shape[1] > 0]
-    minimizing = sum(1 for dd in dims if dd == r_min)
-    if vecs:
-        L, _ = orthonormal_columns(np.hstack(vecs))
-    else:
-        L = np.zeros((d, 0))
+    _, s, vh = np.linalg.svd(F)
+    ranks = numeric_ranks(s, floors=floor)[0]
+    rank = int(ranks.max())
+    r_min = d - rank
+    minimizing = np.flatnonzero(ranks == rank)
+    # the kernels at the minimizing parameters side by side, (d, |min| r_min)
+    K = vh[minimizing, rank:].transpose(2, 0, 1).reshape(d, -1)
+    L = orthonormal_columns(K)[0]
     L_dim = L.shape[1]
 
-    residual = 0.0
-    for t1, t2 in params:
-        F = t1 * B1 + t2 * B2
-        if L_dim:
-            residual = max(residual, float(np.max(np.abs(L.T @ F @ L))))
+    residual = float(np.abs(L.T @ F @ L).max(initial=0.0))
     isotropic = residual < 1e-9
 
     maximal = isotropic and (2 * L_dim == d + r_min)
@@ -250,4 +240,4 @@ def pencil_isotropy_check(B1: np.ndarray, B2: np.ndarray, seed: int = 0) -> Penc
     if cc:
         count, _, ambiguous = genuine_eigenvalues(B1, B2, r_min, rng)
         cc = count == 0 and not ambiguous
-    return PencilReport(r_min, L_dim, isotropic, maximal, cc, residual, minimizing)
+    return PencilReport(r_min, L_dim, isotropic, maximal, cc, residual, minimizing.size)

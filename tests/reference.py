@@ -15,9 +15,10 @@ from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
 from suborbit.lie import (LieElement, ad_in_basis, bracket, centralizer,
                           centralizer_dims, coords_to_matrix, matrix_to_coords,
                           pairing, project)
-from suborbit.linalg import (Subspace, full_space, kernel_basis,
-                             numeric_rank, orthonormal_columns)
+from suborbit.linalg import (Subspace, full_space, kernel_basis, kernel_dim,
+                             numeric_ranks, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
+from suborbit.pencil import _N_REAL, PencilReport, genuine_eigenvalues
 
 
 # -- the group action ---------------------------------------------------------
@@ -163,7 +164,8 @@ def complex_centralizer_dims(mats: np.ndarray, within: Subspace) -> list:
     for w in mats:
         s = np.linalg.svd((w @ Ys - Ys @ w).reshape(within.dim, w.size).T,
                           compute_uv=False)
-        dims.append(within.dim - numeric_rank(s, floor=np.linalg.norm(w))[0])
+        rank = numeric_ranks(s[None], floors=np.linalg.norm(w))[0][0]
+        dims.append(within.dim - int(rank))
     return dims
 
 
@@ -172,6 +174,38 @@ def reduced_pair(red, space: str) -> AlgebraPair:
     if space == "m0":
         return AlgebraPair(space, red.g0, red.k0, red.m0)
     return AlgebraPair(space, red.g0_tilde, red.k0_tilde, red.m0_tilde)
+
+
+# -- the pencil analyzer, one parameter at a time -------------------------------
+
+def pencil_isotropy_check_loop(B1: np.ndarray, B2: np.ndarray,
+                               seed: int = 0) -> PencilReport:
+    """``pencil.pencil_isotropy_check`` on two independent real skew forms,
+    deciding each scanned form t1*B1 + t2*B2 by its own ``kernel_basis`` and
+    taking the isotropy residual one form at a time."""
+    d = B1.shape[0]
+    rng = np.random.default_rng([seed, 41])
+    thetas = np.concatenate([[0.0, np.pi / 2, np.pi / 4, 3 * np.pi / 4],
+                             np.pi * (np.arange(_N_REAL) + 0.5) / _N_REAL])
+    params = [(np.cos(t), np.sin(t)) for t in thetas]
+    floor = max(float(np.linalg.norm(B1)), float(np.linalg.norm(B2)))
+    kernels = [kernel_basis(t1 * B1 + t2 * B2, floor=floor)[0] for t1, t2 in params]
+    dims = [K.shape[1] for K in kernels]
+    r_min = min(dims)
+    vecs = [K for K in kernels if K.shape[1] == r_min > 0]
+    L = orthonormal_columns(np.hstack(vecs))[0] if vecs else np.zeros((d, 0))
+    residual = 0.0
+    for t1, t2 in params:
+        if L.shape[1]:
+            residual = max(residual, float(np.max(np.abs(L.T @ (t1 * B1 + t2 * B2) @ L))))
+    isotropic = residual < 1e-9
+    cc = kernel_dim(B2, floor=floor)[0] == r_min
+    if cc:
+        count, _, ambiguous = genuine_eigenvalues(B1, B2, r_min, rng)
+        cc = count == 0 and not ambiguous
+    return PencilReport(r_min, L.shape[1], isotropic,
+                        isotropic and 2 * L.shape[1] == d + r_min, cc, residual,
+                        dims.count(r_min))
 
 
 # -- the generic stratum, one point at a time -----------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from suborbit import (CONFIRMED, INCONCLUSIVE, REDUCED, RankAmbiguityWarning,
-                      bridge, build_setup, generic, pencil, run_case)
+                      bridge, build_setup, build_x_pi, generic, pencil, root_split,
+                      run_case)
 from suborbit.cli import _partitions
 from suborbit.generic import sample_coords
 from suborbit.lie import coords_to_matrix
@@ -123,6 +124,48 @@ def test_kronecker_search_moves_past_a_non_kronecker_draw():
     assert [str(w.message) for w in caught] == [
         "pencil eigenvalue gap between the genuine and spurious cutoffs, "
         "dimension verdict is fragile"]
+
+
+# negative controls: inputs on which the right verdict is INCONCLUSIVE, at a
+# named stage; (1,2) still confirms with the truncated family, so it is no control
+_TRUNCATED_INCOMPLETE = [(1, 1, 2), (1, 2, 3), (1, 1, 1, 2), (2, 2, 2), (1, 1, 1, 1, 2),
+                         (2, 2), (1, 1, 4)]
+
+
+@pytest.mark.parametrize("mult", _TRUNCATED_INCOMPLETE,
+                         ids=[",".join(map(str, m)) for m in _TRUNCATED_INCOMPLETE])
+def test_family_without_its_top_power_is_incomplete(monkeypatch, mult):
+    real = bridge.build_family
+
+    def below_top_power(setup, space):
+        family = real(setup, space)
+        return dataclasses.replace(
+            family, members=tuple(m for m in family.members if m.k < setup.n))
+    monkeypatch.setattr(bridge, "build_family", below_top_power)
+    case = run_case(mult, range(1, len(mult) + 1), seed=0)
+    assert case.conclusion == INCONCLUSIVE
+    # (1,1,4) reduces once and its equivalent partition fails completeness
+    direct = case.inner_case or case
+    assert any(n.startswith("completeness failed on m:") for n in direct.notes)
+    if case.inner_case is not None:
+        assert case.notes == ["reduced case did not confirm"]
+
+
+@pytest.mark.parametrize("mult", [(2, 2, 2), (1, 1, 1, 3)], ids=["2,2,2", "1,1,1,3"])
+def test_nilpotent_witness_as_the_only_draw_is_no_kronecker_point(monkeypatch, mult):
+    # x_pi with unit scales passes the m_tilde screen, but its singular form
+    # has a kernel larger than r on m(x)
+    spectrum = range(1, len(mult) + 1)
+    x_pi = build_x_pi(root_split(build_setup(mult, bridge._centred(spectrum))))
+
+    def only_x_pi(space, seed, stream, samples):
+        assert stream == 53
+        return x_pi.coords[:, None]
+    monkeypatch.setattr(bridge, "sample_coords", only_x_pi)
+    case = run_case(mult, spectrum, seed=0)
+    assert case.conclusion == INCONCLUSIVE
+    assert case.notes == ["no Kronecker point found in the fixed part within budget: "
+                          f"1 of {bridge._OKR_ATTEMPTS} draws generic on m_tilde"]
 
 
 def test_failed_regular_element_test_names_its_stage(monkeypatch):
@@ -253,7 +296,7 @@ def _count_decisions(monkeypatch) -> Counter:
     suborbit module that holds it, and per (point, algebra) the centralizer
     ranks that ``in_R_mask`` (so also ``is_in_R``) decides on the ambient and
     the isotropy algebra of its pair for each column of its stack, through
-    every module, and ``centralizer_dim`` in ``generic``."""
+    every module, and ``centralizer_dim`` and ``centralizer`` in ``generic``."""
     calls = Counter()
 
     def point(x):
@@ -273,8 +316,9 @@ def _count_decisions(monkeypatch) -> Counter:
     def dim_keys(x, within, *args):
         return [("rank", point(x), within.basis.tobytes())]
 
+    in_generic_only = ("centralizer_dim", "centralizer")
     for name, keys in (("m_of_x", slice_keys), ("in_R_mask", mask_keys),
-                       ("centralizer_dim", dim_keys)):
+                       ("centralizer_dim", dim_keys), ("centralizer", dim_keys)):
         orig = getattr(generic, name)
 
         def counting(*args, _orig=orig, _keys=keys):
@@ -282,7 +326,7 @@ def _count_decisions(monkeypatch) -> Counter:
             return _orig(*args)
         for mod_name, mod in list(sys.modules.items()):
             if (mod_name.startswith("suborbit") and getattr(mod, name, None) is orig
-                    and (name != "centralizer_dim" or mod is generic)):
+                    and (name not in in_generic_only or mod is generic)):
                 monkeypatch.setattr(mod, name, counting)
     return calls
 

@@ -22,7 +22,7 @@ from suborbit.lie import (_sparse_ad_stack, _spectral_singular_values,
                           matrix_to_coords, real_form_dim)
 from suborbit.orbit import build_witness_x0
 from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_basis,
-                             numeric_rank, numeric_ranks)
+                             numeric_ranks)
 from reference import (ad_stack, complement, complex_centralizer_dims, conjugate,
                        derived_span, intersect, matrix_stack, pairwise_brackets,
                        span, stacked_centralizer, subalgebra_center, sum_spaces,
@@ -519,7 +519,7 @@ def test_kernel_basis_tall_wide_square(rows, cols, rank, field):
     assert np.allclose(K.conj().T @ K, np.eye(K.shape[1]), atol=1e-12)
     # reference: the null space read off the full decomposition
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    ref_rank, _ = numeric_rank(s)
+    ref_rank = numeric_ranks(s[None])[0][0]
     K_ref = vh[ref_rank:].conj().T
     assert K.shape == K_ref.shape == (cols, cols - rank)
     assert np.allclose(K @ K.conj().T, K_ref @ K_ref.conj().T, atol=1e-10)
@@ -658,15 +658,26 @@ def test_centralizer_dims_flag_only_the_fragile_row():
         assert dims.tolist() == [3, 5, 3]
 
 
-def test_numeric_rank_reads_the_largest_value_in_any_order():
+def test_numeric_ranks_read_the_largest_value_in_any_order():
     s = np.array([3.0, 2.0, 5e-9, 1e-12, 0.0])
-    for perm in ([4, 3, 2, 1, 0], [2, 0, 4, 1, 3]):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert numeric_rank(s[perm]) == numeric_rank(s) == (3, True)
-        assert len(caught) == 2
-    assert numeric_rank(np.array([0.0, 1e-8, 1.0])) == numeric_rank(
-        np.array([1.0, 1e-8, 0.0])) == (2, False)
+    rows = np.stack([s, s[[4, 3, 2, 1, 0]], s[[2, 0, 4, 1, 3]]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ranks, ambiguous = numeric_ranks(rows)
+    assert ranks.tolist() == [3, 3, 3] and ambiguous.tolist() == [True] * 3
+    assert len(caught) == 3
+    ranks, ambiguous = numeric_ranks(np.array([[0.0, 1e-8, 1.0], [1.0, 1e-8, 0.0]]))
+    assert ranks.tolist() == [2, 2] and not ambiguous.any()
+
+
+def test_numeric_ranks_floor_keeps_round_off_at_rank_zero():
+    # a zero matrix and the round-off of one: without a floor the round-off
+    # row is measured against its own noise and looks full rank
+    s = np.array([[0.0, 0.0, 0.0], [3e-17, 2e-17, 1e-17]])
+    assert numeric_ranks(s)[0].tolist() == [0, 3]
+    ranks, ambiguous = numeric_ranks(s, floors=1.0)
+    assert ranks.tolist() == [0, 0] and not ambiguous.any()
+    assert numeric_ranks(s, floors=np.array([0.0, 1.0]))[0].tolist() == [0, 0]
 
 
 # zero, values spread over a cutoff's decades, and values just inside and
@@ -679,21 +690,24 @@ _rank_floors = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 *
 
 
 def _ranks_both_ways(s, floors):
-    """``(by_row, stacked, warnings by row, warnings stacked)``."""
+    """``(by_row, stacked, warnings by row, warnings stacked)``: each row
+    decided as a one-row stack, and the whole stack decided at once."""
     with warnings.catch_warnings(record=True) as by_row_warnings:
         warnings.simplefilter("always")
-        by_row = [numeric_rank(si, floor=fl) for si, fl in zip(s, floors)]
+        by_row = [numeric_ranks(s[i:i + 1], floors=floors[i]) for i in range(len(s))]
     with warnings.catch_warnings(record=True) as stacked_warnings:
         warnings.simplefilter("always")
         ranks, ambiguous = numeric_ranks(s, floors=floors)
-    assert all(w.category is RankAmbiguityWarning for w in stacked_warnings)
+    assert all(w.category is RankAmbiguityWarning
+               for w in by_row_warnings + stacked_warnings)
+    by_row = [(int(r[0]), bool(a[0])) for r, a in by_row]
     stacked = [(int(r), bool(a)) for r, a in zip(ranks, ambiguous)]
     return by_row, stacked, len(by_row_warnings), len(stacked_warnings)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 7), st.data())
-def test_numeric_ranks_match_row_by_row_numeric_rank(rows, width, data):
+def test_numeric_ranks_match_one_row_stacks(rows, width, data):
     s = np.array([[data.draw(_rank_values) for _ in range(width)]
                   for _ in range(rows)]).reshape(rows, width)
     floors = np.array([data.draw(_rank_floors) for _ in range(rows)])

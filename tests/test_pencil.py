@@ -12,8 +12,8 @@ from suborbit.generic import estimate_generic_dims, is_in_R
 from suborbit.lie import centralizer_dims
 from suborbit.linalg import RankAmbiguityWarning, kernel_dim
 from suborbit.pencil import SINGULAR, genuine_eigenvalues
-from reference import (complex_centralizer_dims, conjugate, sample_element, span,
-                       unitary_exp)
+from reference import (complex_centralizer_dims, conjugate, pencil_isotropy_check_loop,
+                       sample_element, span, unitary_exp)
 
 
 def _lambdas(seed, stream, count):
@@ -232,8 +232,8 @@ def _generating_forms_rank(st, x):
     F1 = F0 + form_matrix(st, x, SINGULAR, domain=mx)
     stacked = np.stack([F0.ravel(), F1.ravel()])
     floor = float(np.linalg.norm(x.matrix) + np.linalg.norm(st.a.matrix))
-    return linalg.numeric_rank(np.linalg.svd(stacked.astype(complex), compute_uv=False),
-                               floor=floor)[0]
+    s = np.linalg.svd(stacked.astype(complex), compute_uv=False)
+    return int(linalg.numeric_ranks(s[None], floors=floor)[0][0])
 
 
 def test_dependent_forms_on_symmetric_case():
@@ -411,6 +411,27 @@ def test_gap_in_the_ambiguous_band_warns_and_does_not_decide(monkeypatch, setup_
         v = kronecker_test(st, x, replace(dims_112["m"], r=1), seed=5)
     assert v.singular_ok and v.ambiguous and v.finite_eigenvalues == 0
     assert not v.pencil_ok and not v.kronecker
+
+
+def test_analyzer_matches_the_per_parameter_loop(setup_112, dims_112):
+    # the scan decided as one stack against each form decided by itself, on
+    # Kronecker pencils, on one with a planted eigenvalue 0.5, and on an even
+    # pair of full rank
+    st = setup_112
+    x = _kronecker_point(st, dims_112["m"])
+    mx = m_of_x(st, x, "m")
+    F_x = form_matrix(st, x, 0.0, domain=mx)
+    F_a = form_matrix(st, x, SINGULAR, domain=mx)
+    rng = np.random.default_rng(8)
+    pencils = {"block": (_kronecker_block(2), True), "point": ((F_x, F_a), True),
+               "planted": (tuple(G.real for G in _planted_forms(F_x, F_a, 0.5)), False),
+               "even": ((_rand_skew(4, rng), _rand_skew(4, rng)), False)}
+    for name, ((B1, B2), kronecker) in pencils.items():
+        for seed in (0, 3):
+            rep = pencil_isotropy_check(B1, B2, seed)
+            assert rep == pencil_isotropy_check_loop(B1, B2, seed), name
+            assert rep.complex_constant_rank == kronecker, name
+            assert (rep.kernel_sum_dim > 0) == (name != "even"), name
 
 
 def test_same_seed_gives_an_identical_report():
