@@ -17,11 +17,16 @@ Every bracket the package computes in coordinates comes from one gather of
 the sparse structure constants of u(n) (``_structure_constants``, at most two
 terms per entry of ad x): ``_sparse_ad_stack`` returns, for a stack of
 elements, the matrices of ad x on the columns of a basis, without the rows
-that vanish.  ``ad_in_basis`` and ``centralizer`` read it for one element,
-``centralizer_dims`` for a stack, ``bracket_form`` gives tr(w [y_i, y_j]) as
-Y^T (ad w) Y, and ``bracket_closure_residual`` reads the brackets of a basis
-from it; no complex matrix is formed on the way.  ``bracket`` of two
-``LieElement`` values is the one matrix commutator.
+that vanish.  Its index bookkeeping (the support, which terms land on which
+entry, and where) depends only on n and the coordinates the basis is
+supported on, so ``_gather_plan`` makes it once per (n^2, support) and keeps
+it, read-only, for at most ``_GATHER_PLANS_MAX`` = 256 supports; a call then
+does only the arithmetic.  A coordinate subspace is handed to the gather as
+its boolean support mask.  ``ad_in_basis`` and ``centralizer`` read the
+gather for one element, ``centralizer_dims`` for a stack, ``bracket_form``
+gives tr(w [y_i, y_j]) as Y^T (ad w) Y, and ``bracket_closure_residual``
+reads the brackets of a basis from it; no complex matrix is formed on the
+way.  ``bracket`` of two ``LieElement`` values is the one matrix commutator.
 
 u(n) is a real algebra and nothing here complexifies it: one element is a
 ``LieElement``, held by its real coordinates alone, and a stack is a real
@@ -293,34 +298,58 @@ def _structure_constants(n: int):
     return i, c, L, V
 
 
+# one sweep --max-n 6 reads 108 supports; a plan is under 0.6 MB at n = 16
+_GATHER_PLANS_MAX = 256
+
+
+@lru_cache(maxsize=_GATHER_PLANS_MAX)
+def _gather_plan(N: int, mask_bytes: bytes):
+    """``(support, target, l0, l1, v0, v1)``, read-only: the index bookkeeping
+    of ``_sparse_ad_stack`` on the coordinates marked by ``mask_bytes``, the
+    bytes of a boolean (N,) array.  Entry p of ad x on that support lands in
+    row ``target[p]`` of the flattened (N * len(support), S) stack and is
+    ``v0[p] x[l0[p]] + v1[p] x[l1[p]]``; ``v0`` and ``v1`` are columns."""
+    i, c, l, v = _structure_constants(isqrt(N))
+    mask = np.frombuffer(mask_bytes, dtype=bool)
+    support = mask.nonzero()[0]
+    col = mask.cumsum() - 1
+    on = mask[c].nonzero()[0]
+    plan = (support, i[on] * len(support) + col[c[on]], l[0, on], l[1, on],
+            v[0, on, None], v[1, on, None])
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
 def _sparse_ad_stack(C: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(A, rows)``: the matrix of y -> [x, y] on the columns of ``basis``
     (n^2, d), for each element x given by a real coordinate column of ``C``
     (n^2, S), on the rows ``rows`` only, an (S, len(rows), d) stack; every
-    other row is zero across the whole stack.
+    other row is zero across the whole stack.  A boolean ``basis`` (n^2,)
+    stands for the coordinate columns it marks.
 
-    Gathered from ``_structure_constants``: the terms of ad x on the
-    coordinates that ``basis`` is supported on, without the rows that vanish
-    across the whole stack, times the basis rows on that support unless those
-    are the identity, as on a coordinate subspace.  Complex coordinates are
-    refused: they name no element of u(n).
+    Gathered from ``_structure_constants`` by the plan of the coordinates that
+    ``basis`` is supported on (``_gather_plan``, made once per (n^2, support)):
+    the terms of ad x there, without the rows that vanish across the whole
+    stack, times the basis rows on that support unless those are the
+    identity, as on a coordinate subspace.  Complex coordinates are refused:
+    they name no element of u(n).
     """
     if np.iscomplexobj(C):
         raise ValueError("coordinates are complex; a stack must lie in u(n)")
     N, S = C.shape
-    i, c, l, v = _structure_constants(isqrt(N))
     # ndarray methods rather than their np.* wrappers: most calls are small
-    mask = basis.any(axis=1)
-    support = mask.nonzero()[0]
+    mask = basis if basis.ndim == 1 else basis.any(axis=1)
+    support, target, l0, l1, v0, v1 = _gather_plan(N, mask.tobytes())
     d = len(support)
-    col = mask.cumsum() - 1
-    on = mask[c].nonzero()[0]
-    (l0, l1), (v0, v1) = l[:, on], v[:, on]
     A = np.zeros((N * d, S))
-    A[i[on] * d + col[c[on]]] = v0[:, None] * C[l0] + v1[:, None] * C[l1]
+    A[target] = v0 * C[l0] + v1 * C[l1]
     A = A.reshape(N, d, S).transpose(2, 0, 1)
     rows = A.any(axis=(0, 2)).nonzero()[0]
-    A, B = A[:, rows], basis[support]
+    A = A[:, rows]
+    if basis.ndim == 1:
+        return A, rows
+    B = basis[support]
     return (A if np.array_equal(B, np.eye(*B.shape)) else A @ B), rows
 
 
@@ -392,9 +421,9 @@ def bracket_form(w: np.ndarray, Y: np.ndarray) -> np.ndarray:
     N = len(w)
     W = w.reshape(N, -1)
     Ys = Y.reshape(N, W.shape[1], -1).transpose(1, 0, 2)
-    support = Ys.any(axis=(0, 2)).nonzero()[0]
-    A, rows = _sparse_ad_stack(W, np.eye(N)[:, support])
-    G = Ys[:, rows].transpose(0, 2, 1) @ A @ Ys[:, support]
+    on = Ys.any(axis=(0, 2))
+    A, rows = _sparse_ad_stack(W, on)
+    G = Ys[:, rows].transpose(0, 2, 1) @ A @ Ys[:, on]
     F = 0.5 * (G - G.transpose(0, 2, 1))
     return F.reshape(w.shape[1:] + F.shape[1:])
 

@@ -102,8 +102,8 @@ def _moment_stack(data: MomentData, C: np.ndarray) -> np.ndarray:
     setup = data.setup
     rows, cols = coordinate_entries(setup.n)
     Y = (data.ad_a_inv ** 2).real[rows, cols, None] * (ad_in_basis(setup.a, setup.g) @ C)
-    on = np.flatnonzero(np.any(C, axis=1))
-    A, hit = _sparse_ad_stack(Y, np.eye(len(C))[:, on])
+    on = C.any(axis=1)
+    A, hit = _sparse_ad_stack(Y, on)
     half = np.zeros(C.shape)
     half[hit] = 0.5 * np.einsum("sij,js->is", A, C[on])
     return data.pair.k.project(half)

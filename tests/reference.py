@@ -1,9 +1,9 @@
 """Reference constructions the tests check the package against: direct,
 one-element-at-a-time forms of what the package computes in stacked or
 structural form, the complex matrix-commutator forms of the brackets it
-gathers from the structure constants, and the generic SVD forms of what it
-reads off in closed form, which neither ``run_case`` nor the command line
-reaches."""
+gathers from the structure constants, that gather with its index bookkeeping
+redone on every call, and the generic SVD forms of what it reads off in
+closed form, which neither ``run_case`` nor the command line reaches."""
 
 from math import isqrt
 
@@ -12,9 +12,9 @@ import numpy as np
 from suborbit.generic import (_MAX_HALVINGS, _REDUCTION_SAMPLES,
                               _TRIES_PER_RADIUS, is_in_R, sample_coords)
 from suborbit.invariants import _real_part, _shift_coeff_powers, gradient
-from suborbit.lie import (LieElement, ad_in_basis, bracket, centralizer,
-                          centralizer_dims, coords_to_matrix, matrix_to_coords,
-                          pairing, project)
+from suborbit.lie import (LieElement, _structure_constants, ad_in_basis,
+                          bracket, centralizer, centralizer_dims,
+                          coords_to_matrix, matrix_to_coords, pairing, project)
 from suborbit.linalg import (Subspace, full_space, kernel_basis, kernel_dim,
                              numeric_ranks, orthonormal_columns)
 from suborbit.orbit import AlgebraPair
@@ -105,6 +105,28 @@ def pairwise_brackets(S: Subspace) -> np.ndarray:
     mats = coords_to_matrix(S.basis, isqrt(S.ambient_dim))
     i, j = np.triu_indices(S.dim, 1)
     return matrix_to_coords(mats[i] @ mats[j] - mats[j] @ mats[i]).real
+
+
+def uncached_sparse_ad_stack(C: np.ndarray, basis: np.ndarray):
+    """``lie._sparse_ad_stack`` on a basis (n^2, d) with no plan: the support,
+    scatter targets and structure-constant terms are found anew on each call,
+    then the same arithmetic in the same order gives ``(A, rows)``."""
+    if np.iscomplexobj(C):
+        raise ValueError("coordinates are complex; a stack must lie in u(n)")
+    N, S = C.shape
+    i, c, l, v = _structure_constants(isqrt(N))
+    mask = basis.any(axis=1)
+    support = mask.nonzero()[0]
+    d = len(support)
+    col = mask.cumsum() - 1
+    on = mask[c].nonzero()[0]
+    (l0, l1), (v0, v1) = l[:, on], v[:, on]
+    A = np.zeros((N * d, S))
+    A[i[on] * d + col[c[on]]] = v0[:, None] * C[l0] + v1[:, None] * C[l1]
+    A = A.reshape(N, d, S).transpose(2, 0, 1)
+    rows = A.any(axis=(0, 2)).nonzero()[0]
+    A, B = A[:, rows], basis[support]
+    return (A if np.array_equal(B, np.eye(*B.shape)) else A @ B), rows
 
 
 # -- centralizers of whole bases ----------------------------------------------

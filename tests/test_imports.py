@@ -9,8 +9,9 @@ inverts a matrix: ad a and phi act on m entry by entry, so the setup keeps
 no operator matrix of them.  And no loop of the package searches for a
 generic point one draw at a time: each search screens its stack of draws with
 ``in_R_mask``.  And every bracket in coordinates comes from the structure
-constants of u(n): the one matrix commutator left is ``lie.bracket``, and only
-``lie`` reads the structure-constant table."""
+constants of u(n): the one matrix commutator left is ``lie.bracket``, only
+``lie`` reads the structure-constant table and the gather plans made from it,
+and no gather is handed an identity matrix for a coordinate subspace."""
 
 import argparse
 import ast
@@ -137,6 +138,12 @@ def test_setup_keeps_no_anchor_operator_matrix():
 PER_POINT = {"is_in_R", "sample_element"}
 
 
+def _called_name(call: ast.Call):
+    """The name a call reads its function by: ``f`` or the ``f`` of ``m.f``."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 def per_point_searches(source: str) -> list:
     """``(line, name)`` of each call of ``is_in_R`` or ``sample_element``
     inside the body of a ``for`` or ``while`` loop, or inside a comprehension,
@@ -151,11 +158,8 @@ def per_point_searches(source: str) -> list:
         else:
             continue
         for node in (n for stmt in body for n in ast.walk(stmt)):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in PER_POINT:
-                    found.add((node.lineno, name))
+            if isinstance(node, ast.Call) and _called_name(node) in PER_POINT:
+                found.add((node.lineno, _called_name(node)))
     return sorted(found)
 
 
@@ -216,15 +220,18 @@ def test_the_one_matrix_commutator_is_lie_bracket():
     assert found == [("lie.py", "bracket")]
 
 
-def reads_structure_constants(source: str) -> list:
-    """Lines of ``source`` that name ``_structure_constants``: a read, an
-    attribute or an import of it."""
+# the tables of u(n)'s brackets that only ``lie`` may read
+LIE_TABLES = {"_structure_constants", "_gather_plan"}
+
+
+def reads_lie_tables(source: str) -> list:
+    """Lines of ``source`` that name ``_structure_constants`` or
+    ``_gather_plan``: a read, an attribute or an import of either."""
     return sorted({node.lineno for node in ast.walk(ast.parse(source))
-                   if (isinstance(node, ast.Name) and node.id == "_structure_constants")
-                   or (isinstance(node, ast.Attribute)
-                       and node.attr == "_structure_constants")
+                   if (isinstance(node, ast.Name) and node.id in LIE_TABLES)
+                   or (isinstance(node, ast.Attribute) and node.attr in LIE_TABLES)
                    or (isinstance(node, ast.ImportFrom)
-                       and any(a.name == "_structure_constants" for a in node.names))})
+                       and any(a.name in LIE_TABLES for a in node.names))})
 
 
 def test_reads_structure_constants_finds_names_attributes_and_imports():
@@ -232,11 +239,38 @@ def test_reads_structure_constants_finds_names_attributes_and_imports():
               "                  _structure_constants)\n"
               "t = lie._structure_constants(3)\n"
               "u = _structure_constants\n"
-              "v = structure_constants(3)\n")
-    assert reads_structure_constants(source) == [1, 3, 4]
+              "v = structure_constants(3)\n"
+              "from .lie import _gather_plan\n"
+              "w = lie._gather_plan(9, b'')\n"
+              "gather_plan = 1\n")
+    assert reads_lie_tables(source) == [1, 3, 4, 6, 7]
 
 
 @pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "lie.py"],
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_only_lie_reads_the_structure_constants(path):
-    assert reads_structure_constants(path.read_text()) == []
+    assert reads_lie_tables(path.read_text()) == []
+
+
+def identity_gathers(source: str) -> list:
+    """Lines of each call of ``_sparse_ad_stack`` in ``source`` with an
+    ``eye(...)`` call anywhere in its arguments."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and _called_name(node) == "_sparse_ad_stack"
+            and any(isinstance(e, ast.Call) and _called_name(e) == "eye"
+                    for a in node.args + [k.value for k in node.keywords]
+                    for e in ast.walk(a))]
+
+
+def test_identity_gathers_finds_eye_arguments_only():
+    source = ("A = _sparse_ad_stack(C, np.eye(N)[:, on])\n"
+              "B = lie._sparse_ad_stack(C, basis=eye(9))\n"
+              "D = _sparse_ad_stack(C, on)\n"
+              "E = _sparse_ad_stack(C, S.basis) @ np.eye(3)\n")
+    assert identity_gathers(source) == [1, 2]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_gather_is_handed_an_identity(path):
+    # a coordinate subspace goes to the gather as its boolean support mask
+    assert identity_gathers(path.read_text()) == []

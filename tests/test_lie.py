@@ -14,10 +14,12 @@ from suborbit import (LieElement, RankAmbiguityWarning, Subspace, bracket,
                       centralizer, full_space, pairing, project, sigma,
                       subspace_residual, build_setup)
 from suborbit.cli import _partitions
-from suborbit.generic import estimate_generic_dims, perturb_into_R, reduction_data
-from suborbit.lie import (_sparse_ad_stack, _spectral_singular_values,
-                          _structure_constants, ad_in_basis,
-                          bracket_closure_residual, bracket_form,
+from suborbit.flows import build_flow
+from suborbit.generic import (estimate_generic_dims, m_of_x, perturb_into_R,
+                              reduction_data)
+from suborbit.lie import (_GATHER_PLANS_MAX, _gather_plan, _sparse_ad_stack,
+                          _spectral_singular_values, _structure_constants,
+                          ad_in_basis, bracket_closure_residual, bracket_form,
                           centralizer_dim, centralizer_dims, coords_to_matrix,
                           matrix_to_coords, real_form_dim)
 from suborbit.orbit import build_witness_x0
@@ -26,7 +28,7 @@ from suborbit.linalg import (AMBIGUITY_BAND, RANK_RTOL, equal_spaces, kernel_bas
 from reference import (ad_stack, complement, complex_centralizer_dims, conjugate,
                        derived_span, intersect, matrix_stack, pairwise_brackets,
                        span, stacked_centralizer, subalgebra_center, sum_spaces,
-                       trace_bracket_form, unitary_exp)
+                       trace_bracket_form, uncached_sparse_ad_stack, unitary_exp)
 
 
 def _elem(coords, n):
@@ -438,6 +440,68 @@ def test_sparse_ad_stack_equals_the_dense_stack():
             assert np.all(err <= 1e-14 * np.linalg.norm(D, axis=0)), (mult, name)
         seen_lines += not np.array_equal(np.abs(within.basis), within.basis != 0)
     assert seen_lines == 2
+
+
+def _gather_bases():
+    """(label, basis) pairs: the ``_stack_spaces`` spaces, coordinate and
+    random bases on random supports at n = 2..7, an empty support, and a slice
+    m(x) and the flow columns V phi, whose rows on their support are no
+    identity."""
+    for mult, name, within in _stack_spaces():
+        yield (mult, name), within.basis
+    rng = np.random.default_rng(11)
+    for n in range(2, 8):
+        N = n * n
+        for _ in range(4):
+            mask = rng.random(N) < rng.uniform(0.1, 0.9)
+            yield (n, "coordinate"), np.eye(N)[:, mask]
+            yield (n, "random"), mask[:, None] * rng.standard_normal((N, 3))
+        yield (n, "empty"), np.zeros((N, 0))
+    st = build_setup((1, 2, 3), (1.0, 2.0, 3.0))
+    x = LieElement.from_coords(st.m.basis @ rng.standard_normal(st.m.dim), 6)
+    yield "m_of_x", m_of_x(st, x, "m").basis
+    spec = build_flow(build_setup((2, 2, 2), (1.0, 2.0, 3.0)), (1.0, 3.0, 7.0))
+    V = spec.setup.m_tilde.basis
+    yield "V phi", V @ spec.phi_matrix
+
+
+def test_planned_gather_equals_the_uncached_gather():
+    """The plan changes no bit: the same ``A`` and ``rows`` as the gather that
+    redoes its bookkeeping on every call, for a basis and for its support
+    mask, on stacks of 3, 1 and 0 elements."""
+    rng = np.random.default_rng(7)
+    for label, basis in _gather_bases():
+        N = len(basis)
+        mask = basis.any(axis=1)
+        C = rng.standard_normal((N, 3))
+        for D in (C, C[:, :1], C[:, :0]):
+            A, rows = _sparse_ad_stack(D, basis)
+            A0, rows0 = uncached_sparse_ad_stack(D, basis)
+            assert np.array_equal(A, A0) and np.array_equal(rows, rows0), label
+            A, rows = _sparse_ad_stack(D, mask)
+            A0, rows0 = uncached_sparse_ad_stack(D, np.eye(N)[:, mask])
+            assert np.array_equal(A, A0) and np.array_equal(rows, rows0), label
+
+
+def test_gather_plans_are_bounded_and_read_only():
+    """More supports than the bound keep the cache at it; an evicted plan is
+    rebuilt to the same bits, and no plan array can be written."""
+    N = 9
+    masks = (np.arange(1, _GATHER_PLANS_MAX + 40)[:, None] >> np.arange(N)) & 1 > 0
+    C = np.random.default_rng(3).standard_normal((N, 2))
+    _gather_plan.cache_clear()
+    first = _sparse_ad_stack(C, masks[0])
+    for mask in masks:
+        _sparse_ad_stack(C, mask)
+    info = _gather_plan.cache_info()
+    assert info.maxsize == info.currsize == _GATHER_PLANS_MAX
+    again = _sparse_ad_stack(C, masks[0])
+    assert _gather_plan.cache_info().misses == info.misses + 1
+    assert all(np.array_equal(p, q) for p, q in zip(first, again))
+    for a in _gather_plan(N, masks[-1].tobytes()):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
 
 
 def test_centralizer_dims_edge_stacks_on_the_sparse_stack():
